@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .bloch import (EmitterModel, batch_step_count, emitted_photons_per_period,
+from .bloch import (BATCH_PIECES, EmitterModel, batch_schedule,
+                    check_batch_work, emitted_photons_per_period,
                     integrate_population_batch)
 from .errors import FitDiverged
 from .parallel import map_indexed
-from .pulses import Envelope, GAUSSIAN_AREA_FACTOR
+from .pulses import (DriveField, Envelope, FieldComponent, GAUSSIAN_AREA_FACTOR,
+                     GaussianEnvelope)
 from . import fitting
 
 _LN2x2 = 2.0 * math.log(2.0)
@@ -137,7 +139,8 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     accumulated over the full repetition period including the decay tail.
     The signal is detector-free: a long-integration average count rate is
     proportional to this mean, and the Monte Carlo detector chain exists
-    separately for cross-checks.
+    separately for cross-checks. Raises StepFailure before any stepping
+    when the scan exceeds the batch work budget.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if n_samples < 1:
@@ -145,17 +148,17 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     base_t = template.main_fwhm
     center = template.center
     ped = template.pedestal
-    ped_peak = ped.peak_value() if ped is not None else 0.0
 
     # Points are integrated in buckets of neighboring amplitudes: one
-    # vectorized (points x samples) solve per bucket, with the step count
-    # set by the bucket's own fastest dynamics.
+    # vectorized (points x samples) solve per bucket, with a step schedule
+    # set by the bucket's own fastest dynamics. Every schedule takes at least
+    # BATCH_PIECES steps, which bounds the work before any draw.
+    check_batch_work(BATCH_PIECES * amplitudes.size * n_samples)
     n_buckets = max(1, min(amplitudes.size, 12))
-    buckets = [b for b in np.array_split(np.arange(amplitudes.size), n_buckets)
-               if b.size]
-
-    def run_bucket(rows: np.ndarray):
-        amps = amplitudes[rows][:, None]
+    plans = []
+    for rows in np.array_split(np.arange(amplitudes.size), n_buckets):
+        if rows.size == 0:
+            continue
         durations = np.vstack([
             sample_durations(base_t, jitter, seed, n_samples, point=int(i))
             for i in rows])
@@ -165,9 +168,20 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
         if ped is not None and ped.support() is not None:
             s = ped.support()
             w0, w1 = min(w0, s[0]), max(w1, s[1])
-        a_top = float(np.max(np.abs(amps)))
-        rate = math.hypot(emitter.detuning, a_top * (1.0 + ped_peak))
-        n_steps = batch_step_count(w1 - w0, rate + emitter.gamma1)
+        # The widest draw at the bucket's top amplitude bounds every member.
+        a_top = float(np.max(np.abs(amplitudes[rows])))
+        bound = [FieldComponent(GaussianEnvelope(a_top, t_max, center))]
+        if ped is not None:
+            bound.append(FieldComponent(ped.scaled(a_top)))
+        schedule = batch_schedule(DriveField(bound), (w0, w1),
+                                  emitter.detuning, emitter.gamma1)
+        plans.append((rows, durations, (w0, w1), schedule))
+    check_batch_work(sum(n * durations.size for _, durations, _, schedule in plans
+                         for _, _, n in schedule))
+
+    def run_bucket(plan):
+        rows, durations, (w0, w1), schedule = plan
+        amps = amplitudes[rows][:, None]
         inv_w2 = 1.0 / durations ** 2
 
         def omega(t):
@@ -176,22 +190,28 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
                 main = main + amps * ped.value(t)
             return main
 
-        rho_end, _, integral, rho_peak = integrate_population_batch(
-            omega, emitter.detuning, emitter.gamma1, emitter.gamma2,
-            (w0, w1), n_steps)
+        state = None
+        for a, b, n_steps in schedule:
+            state = integrate_population_batch(
+                omega, emitter.detuning, emitter.gamma1, emitter.gamma2,
+                (a, b), n_steps, initial=state)
+        rho_end, _, integral, rho_peak = state
         signal = emitted_photons_per_period(rho_end, integral, emitter.gamma1,
                                             rep_period - (w1 - w0))
         areas = amps * GAUSSIAN_AREA_FACTOR * durations
-        mean = np.mean(signal, axis=1)
+        # Moments about the first draw: identical draws (no jitter) average
+        # to exactly their value, whatever the sample count.
+        spread = signal - signal[:, :1]
+        mean = signal[:, 0] + np.mean(spread, axis=1)
         if n_samples > 1:
-            se = np.std(signal, axis=1, ddof=1) / math.sqrt(n_samples)
+            se = np.std(spread, axis=1, ddof=1) / math.sqrt(n_samples)
             a_std = np.std(areas, axis=1, ddof=1)
         else:
             se = np.zeros(rows.size)
             a_std = np.zeros(rows.size)
         return mean, se, a_std, np.mean(rho_peak, axis=1)
 
-    parts = map_indexed(run_bucket, buckets, threads)
+    parts = map_indexed(run_bucket, plans, threads)
     sig = np.concatenate([p[0] for p in parts])
     se = np.concatenate([p[1] for p in parts])
     a_std = np.concatenate([p[2] for p in parts])

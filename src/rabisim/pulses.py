@@ -74,6 +74,11 @@ class RectangularEnvelope:
         half = 0.5 * self.duration
         return (self.center - half, self.center + half)
 
+    def max_on(self, a: float, b: float) -> float:
+        """Largest value on the open interval (a, b)."""
+        half = 0.5 * self.duration
+        return self.peak if a < self.center + half and b > self.center - half else 0.0
+
     def feature_time(self) -> float:
         return self.duration
 
@@ -112,6 +117,11 @@ class GaussianEnvelope:
 
     def breakpoints(self):
         return ()
+
+    def max_on(self, a: float, b: float) -> float:
+        """Largest value on [a, b]: the peak, or the value at the nearer end."""
+        gap = max(a - self.center, self.center - b, 0.0) / self.fwhm
+        return self.peak * math.exp(-2.0 * math.log(2.0) * gap * gap)
 
     def feature_time(self) -> float:
         return self.fwhm
@@ -185,6 +195,12 @@ class SampledEnvelope:
 
     def breakpoints(self):
         return (float(self.times[0]), float(self.times[-1]))
+
+    def max_on(self, a: float, b: float) -> float:
+        """Largest value on [a, b]: an end value or an interior sample."""
+        inside = self.amplitudes[(self.times > a) & (self.times < b)]
+        ends = float(np.max(self.value(np.array([a, b]))))
+        return max(ends, float(np.max(inside))) if inside.size else ends
 
     def feature_time(self) -> float:
         sup = self.support()
@@ -280,6 +296,10 @@ class DriveField:
     def max_amplitude(self) -> float:
         """Upper bound on |Omega(t)| (sum of component peaks)."""
         return float(sum(c.envelope.peak_value() for c in self.components))
+
+    def max_amplitude_on(self, a: float, b: float) -> float:
+        """Upper bound on |Omega(t)| over [a, b] (sum of component maxima)."""
+        return float(sum(c.envelope.max_on(a, b) for c in self.components))
 
     def min_feature_time(self) -> float:
         return min(c.envelope.feature_time() for c in self.components)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (EmitterModel, batch_step_count, emitted_photons_per_period,
-                    integrate_population_batch)
+from .bloch import (EmitterModel, batch_schedule, check_batch_work,
+                    emitted_photons_per_period, integrate_population_batch)
 from .errors import OutOfRange
 from .parallel import map_indexed
 from .pulses import (DriveField, FieldComponent, GaussianEnvelope, PhaseLaw,
@@ -134,7 +134,9 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     Each grid point integrates the Bloch dynamics over the pulse window
     (which spans the pedestal) and adds the exact free-decay emission over
     the rest of the repetition period. Grid points are independent; rows
-    may be evaluated in parallel without affecting the result.
+    may be evaluated in parallel without affecting the result. Raises
+    StepFailure before any stepping when the grid exceeds the batch work
+    budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
     """
     detunings = np.asarray(detunings, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -146,11 +148,13 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
         raise ValueError("amplitude axis must be strictly increasing")
 
     t0, t1 = _window(template)
-    a_max = float(np.max(np.abs(amplitudes)))
-    rate = (math.hypot(float(np.max(np.abs(detunings))),
-                       a_max * (1.0 + template.pedestal_amplitude_ratio))
-            + abs(template.chirp) + emitter.gamma1)
-    n_steps = batch_step_count(t1 - t0, rate)
+    # One schedule for the whole call, bounded by the largest amplitude, so
+    # any row chunking steps every point alike.
+    schedule = batch_schedule(
+        build_composite(template, float(np.max(np.abs(amplitudes)))), (t0, t1),
+        float(np.max(np.abs(detunings))), emitter.gamma1)
+    check_batch_work(sum(n for _, _, n in schedule) * amplitudes.size
+                     * detunings.size)
     ped_ratio = template.pedestal_amplitude_ratio
     center = template.center
     main_w2 = template.main_fwhm ** 2
@@ -179,9 +183,12 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
                              * complex(np.exp(1j * third.frequency_offset * t)))
             return out
 
-        rho_end, _, integral, _ = integrate_population_batch(
-            omega, detunings[None, :], emitter.gamma1, emitter.gamma2,
-            (t0, t1), n_steps)
+        state = None
+        for a, b, n_steps in schedule:
+            state = integrate_population_batch(
+                omega, detunings[None, :], emitter.gamma1, emitter.gamma2,
+                (a, b), n_steps, initial=state)
+        rho_end, _, integral, _ = state
         return emitted_photons_per_period(rho_end, integral, emitter.gamma1,
                                           rep_period - (t1 - t0))
 

@@ -56,6 +56,19 @@ def test_scan_no_jitter_deterministic_and_sample_count_independent():
     assert np.all(s1.stderr == 0.0)
 
 
+def test_scan_chunking_invariance():
+    amps = np.linspace(2e8, 3e9, 9)
+    tpl = PowerScanTemplate(main_fwhm=4e-9, pedestal=RectangularEnvelope(
+        peak=0.01, duration=20e-9))
+    serial = averaged_power_scan(EM, tpl, amps, JitterModel(0.07), 16, seed=4,
+                                 threads=1)
+    pooled = averaged_power_scan(EM, tpl, amps, JitterModel(0.07), 16, seed=4,
+                                 threads=3)
+    assert np.array_equal(serial.signal, pooled.signal)
+    assert np.array_equal(serial.stderr, pooled.stderr)
+    assert np.array_equal(serial.peak_excitation, pooled.peak_excitation)
+
+
 def test_scan_control_extrema_at_integer_pi():
     # T << T1 control: extrema of the signal sit at pulse areas n pi.
     T = 0.4e-9

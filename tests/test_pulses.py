@@ -204,3 +204,27 @@ def test_drive_field_hash_stable_and_sensitive():
     f3 = rect_pi_field(center=3e-9)
     assert f1.content_hash() == f2.content_hash()
     assert f1.content_hash() != f3.content_hash()
+
+
+def test_max_on_bounds_every_envelope():
+    envelopes = [
+        GaussianEnvelope(peak=2.0, fwhm=3e-9, center=1e-9),
+        RectangularEnvelope(peak=1.5, duration=4e-9, center=-2e-9),
+        SampledEnvelope(np.linspace(-5e-9, 5e-9, 41),
+                        np.abs(np.sin(np.linspace(0.0, 7.0, 41)))),
+    ]
+    spans = [(-20e-9, -10e-9), (-6e-9, -4.1e-9), (-3e-9, 2e-9),
+             (1.3e-9, 4.7e-9), (4.5e-9, 9e-9), (-4e-9, -4e-9 + 1e-12)]
+    for env in envelopes:
+        for a, b in spans:
+            dense = float(np.max(env.value(np.linspace(a, b, 20001)[1:-1])))
+            bound = env.max_on(a, b)
+            assert bound >= dense - 1e-12
+            assert bound <= dense + 1e-3 * env.peak_value()
+    gauss = envelopes[0]
+    assert gauss.max_on(-1e-9, 5e-9) == gauss.peak
+    assert gauss.max_on(4e-9, 9e-9) == pytest.approx(float(gauss.value(4e-9)))
+    rect = envelopes[1]
+    assert rect.max_on(0.0, 1e-9) == 0.0 and rect.max_on(-10e-9, -4e-9) == 0.0
+    field = DriveField([(gauss, PhaseLaw(chirp=1e9)), (rect, PhaseLaw())])
+    assert field.max_amplitude_on(-3e-9, 2e-9) == pytest.approx(3.5)
