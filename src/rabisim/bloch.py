@@ -290,8 +290,7 @@ def batch_step_count(window: float, max_rate: float,
 
 
 def batch_schedule(field: DriveField, t_span, max_detuning: float,
-                   gamma1: float, phase_step: float = BATCH_PHASE_STEP,
-                   pieces: int = BATCH_PIECES):
+                   gamma1: float):
     """Step schedule ``[(a, b, n_steps), ...]`` covering ``t_span``.
 
     ``field`` bounds the drive of every batch member (|Omega(t)| of each is
@@ -301,13 +300,15 @@ def batch_schedule(field: DriveField, t_span, max_detuning: float,
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     inner = [b for b in field.breakpoints() if t0 < b < t1]
-    edges = np.unique(np.concatenate([np.linspace(t0, t1, pieces + 1), inner]))
+    edges = np.unique(np.concatenate(
+        [np.linspace(t0, t1, BATCH_PIECES + 1), inner]))
     base = abs(max_detuning) + field.max_abs_chirp() + gamma1
     schedule = []
     for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
         drive = field.max_amplitude_on(a, b)
         rate = max((drive * (base + drive) ** 4) ** 0.2, gamma1)
-        schedule.append((a, b, max(1, math.ceil((b - a) * rate / phase_step))))
+        n_steps = math.ceil((b - a) * rate / BATCH_PHASE_STEP)
+        schedule.append((a, b, max(1, n_steps)))
     return schedule
 
 
