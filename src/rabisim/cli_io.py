@@ -373,8 +373,8 @@ def _validate_config(cfg: ExperimentConfig):
         raise ValidationError("template dB ratios must be <= 0")
     if cfg.fit.model not in ("population", "first_detected"):
         raise ValidationError("fit.model must be population or first_detected")
-    if cfg.seed < 0:
-        raise ValidationError("rng.seed must be >= 0")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ValidationError("rng.seed must be in [0, 2^64)")
 
 
 def _config_items(cfg: ExperimentConfig):
@@ -659,6 +659,7 @@ def _load_config(args) -> tuple[ExperimentConfig, list[str], str]:
         cfg = replace(cfg, output_dir=args.out)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
+        _validate_config(cfg)
     return cfg, provenance, serialize_config(cfg)
 
 
@@ -674,6 +675,8 @@ def cmd_trace(args) -> int:
     base_dir = Path(args.config).parent if args.config else None
     emitter = build_emitter(cfg)
     field = build_drive_field(cfg, base_dir)
+    # Built before any output is written, so a bad detector writes nothing.
+    detector = build_detector(cfg) if cfg.trace.n_pulses > 0 else None
     support = field.support()
     t0 = cfg.trace.t_start_ns * NS
     if cfg.trace.t_end_ns is not None:
@@ -691,8 +694,7 @@ def cmd_trace(args) -> int:
                (times / NS, traj.rho_ee, rates),
                ("t_ns", "rho_ee", "emission_rate_per_s"))
     outputs = [str(trace_path)]
-    if cfg.trace.n_pulses > 0:
-        detector = build_detector(cfg)
+    if detector is not None:
         hist = simulate_tcspc(emitter, field, detector, cfg.trace.n_pulses,
                               cfg.seed)
         hist_path = out / "histogram.csv"

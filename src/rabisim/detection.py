@@ -15,7 +15,7 @@ jump nodes are located by vectorized binary search across an entire batch
 of pulse periods at once. Outside the drive window the evolution is
 drive-free and handled in closed form. All randomness comes from
 counter-based streams keyed by (pulse index, draw index), which makes
-results independent of chunking, threading, and evaluation order.
+results independent of chunking and evaluation order.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ import numpy as np
 from . import rng
 from .bloch import BlochState, BlochTrajectory, EmitterModel
 from .errors import StepFailure
-from .parallel import map_indexed, worker_count
 from .pulses import DriveField, SUPPORT_CUTOFF
 
 #: Target phase advance per propagator step (rad).
 ENGINE_PHASE_STEP = 0.05
 
 _WAVE_LIMIT = 100_000
+
+#: Pulse periods simulated per batch in :func:`simulate_tcspc`. Randomness is
+#: keyed by pulse index, so the histogram does not depend on this value.
+_TCSPC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,9 @@ class DetectorModel:
             raise ValueError("bin_width must be > 0")
         if self.rep_period <= 0:
             raise ValueError("rep_period must be > 0")
+        if self.n_bins() < 1:
+            raise ValueError("bin_width must not exceed rep_period "
+                             "(the histogram would have no bins)")
 
     def n_bins(self) -> int:
         return int(math.floor(self.rep_period / self.bin_width + 1e-9))
@@ -439,8 +445,7 @@ def simulate_photon_stream(emitter: EmitterModel, field: DriveField, t_span,
 
 def simulate_tcspc(emitter: EmitterModel, field: DriveField,
                    detector: DetectorModel, n_pulses: int, seed: int,
-                   initial: BlochState = BlochState(0.0),
-                   threads: int | None = None) -> TcspcHistogram:
+                   initial: BlochState = BlochState(0.0)) -> TcspcHistogram:
     """TCSPC histogram over ``n_pulses`` identical pulse periods.
 
     Each period starts in ``initial`` (ground by default; the repetition
@@ -450,7 +455,7 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
     timestamps get Gaussian timing jitter, and a non-paralyzable dead time
     is enforced on the merged absolute-time stream, carrying across period
     boundaries. Fixed (seed, n_pulses, config) gives bit-identical
-    histograms for any chunking or thread count.
+    histograms for any chunking.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -459,13 +464,10 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
         raise ValueError("rep_period must exceed the drive span")
 
     engine = _JumpEngine(emitter, field, 0.0, detector.rep_period)
-    if threads is None:
-        threads = worker_count()
-    chunk = 1 << 16
-    starts = list(range(0, n_pulses, chunk))
 
     def run_chunk(start: int):
-        ids = np.arange(start, min(start + chunk, n_pulses), dtype=np.int64)
+        ids = np.arange(start, min(start + _TCSPC_CHUNK, n_pulses),
+                        dtype=np.int64)
         pulses, times = _emission_times_batch(engine, seed, ids, initial)
         # Emission ordinal within its pulse (pulses are sorted, times
         # ascending within a pulse).
@@ -482,10 +484,9 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
                 seed, rng.STREAM_JITTER, pulses, ordinal)
         return pulses, times
 
-    parts = map_indexed(run_chunk, starts, threads)
-
-    pulses = np.concatenate([p for p, _ in parts]) if parts else np.empty(0, np.int64)
-    times = np.concatenate([t for _, t in parts]) if parts else np.empty(0)
+    parts = [run_chunk(start) for start in range(0, n_pulses, _TCSPC_CHUNK)]
+    pulses = np.concatenate([p for p, _ in parts])
+    times = np.concatenate([t for _, t in parts])
 
     # Non-paralyzable dead time on absolute detection timestamps.
     if detector.dead_time > 0 and pulses.size:

@@ -21,7 +21,6 @@ from .bloch import (BATCH_PIECES, EmitterModel, batch_schedule,
                     check_batch_work, emitted_photons_per_period,
                     integrate_population_batch)
 from .errors import FitDiverged
-from .parallel import map_indexed
 from .pulses import (DriveField, Envelope, FieldComponent, GAUSSIAN_AREA_FACTOR,
                      GaussianEnvelope)
 from . import fitting
@@ -44,10 +43,6 @@ class JitterModel:
     def __post_init__(self):
         if not 0.0 <= self.sigma_t_rel < 0.5:
             raise ValueError("sigma_t_rel must be in [0, 0.5)")
-
-    @property
-    def enabled(self) -> bool:
-        return self.sigma_t_rel > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +90,6 @@ class PowerScanTemplate:
             raise ValueError("main_fwhm must be > 0")
 
 
-def sample_duration(base_t: float, model: JitterModel, seed: int,
-                    point: int = 0, draw: int = 0) -> float:
-    """One truncated-Gaussian duration ~ Normal(base_t, sigma_t_rel * base_t)."""
-    return float(sample_durations(base_t, model, seed, 1, point, draw0=draw)[0])
-
-
 def sample_durations(base_t: float, model: JitterModel, seed: int, n: int,
                      point: int = 0, draw0: int = 0) -> np.ndarray:
     """n truncated-Gaussian durations from the counter stream of ``point``.
@@ -129,8 +118,7 @@ def sample_durations(base_t: float, model: JitterModel, seed: int, n: int,
 
 def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
                         amplitudes, jitter: JitterModel, n_samples: int,
-                        seed: int, rep_period: float = 1.4e-6,
-                        threads: int | None = None) -> PowerScan:
+                        seed: int, rep_period: float = 1.4e-6) -> PowerScan:
     """Jitter-averaged power scan of the emitted-photon integral per period.
 
     For each amplitude the main-pulse duration is re-drawn ``n_samples``
@@ -163,18 +151,16 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
             sample_durations(base_t, jitter, seed, n_samples, point=int(i))
             for i in rows])
         t_max = float(np.max(durations))
-        half = t_max * math.sqrt(math.log(1e6) / _LN2x2)
-        w0, w1 = center - half, center + half
-        if ped is not None and ped.support() is not None:
-            s = ped.support()
-            w0, w1 = min(w0, s[0]), max(w1, s[1])
-        # The widest draw at the bucket's top amplitude bounds every member.
-        a_top = float(np.max(np.abs(amplitudes[rows])))
-        bound = [FieldComponent(GaussianEnvelope(a_top, t_max, center))]
+        # The widest draw at unit peak spans every member's window; scaled to
+        # the bucket's top amplitude it bounds every member's drive.
+        comps = [FieldComponent(GaussianEnvelope(1.0, t_max, center))]
         if ped is not None:
-            bound.append(FieldComponent(ped.scaled(a_top)))
-        schedule = batch_schedule(DriveField(bound), (w0, w1),
-                                  emitter.detuning, emitter.gamma1)
+            comps.append(FieldComponent(ped))
+        unit = DriveField(comps)
+        w0, w1 = unit.support()
+        schedule = batch_schedule(
+            unit.scaled(float(np.max(np.abs(amplitudes[rows])))), (w0, w1),
+            emitter.detuning, emitter.gamma1)
         plans.append((rows, durations, (w0, w1), schedule))
     check_batch_work(sum(n * durations.size for _, durations, _, schedule in plans
                          for _, _, n in schedule))
@@ -211,7 +197,7 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
             a_std = np.zeros(rows.size)
         return mean, se, a_std, np.mean(rho_peak, axis=1)
 
-    parts = map_indexed(run_bucket, plans, threads)
+    parts = [run_bucket(plan) for plan in plans]
     sig = np.concatenate([p[0] for p in parts])
     se = np.concatenate([p[1] for p in parts])
     a_std = np.concatenate([p[2] for p in parts])

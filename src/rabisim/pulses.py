@@ -132,10 +132,6 @@ class GaussianEnvelope:
     def scaled(self, factor: float) -> "GaussianEnvelope":
         return replace(self, peak=self.peak * factor)
 
-    def resonant_area(self) -> float:
-        """Closed-form area of this envelope at zero detuning."""
-        return self.peak * self.fwhm * GAUSSIAN_AREA_FACTOR
-
 
 class SampledEnvelope:
     """Measured envelope on a uniform time grid, linearly interpolated.
@@ -319,11 +315,6 @@ class DriveField:
             h.update(repr(comp.envelope).encode())
             h.update(repr(comp.phase).encode())
         return h.hexdigest()[:12]
-
-
-def eval_rabi(field: DriveField, t) -> complex:
-    """Complex Rabi frequency of ``field`` at time ``t`` (rad/s)."""
-    return field.rabi(t)
 
 
 def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, eps, depth, max_depth):

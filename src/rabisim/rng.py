@@ -23,7 +23,6 @@ STREAM_JUMP = 1
 STREAM_THIN = 2
 STREAM_JITTER = 3
 STREAM_DURATION = 4
-STREAM_NOISE = 5
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK = 0xFFFFFFFFFFFFFFFF

@@ -19,11 +19,7 @@ import numpy as np
 from .bloch import (EmitterModel, batch_schedule, check_batch_work,
                     emitted_photons_per_period, integrate_population_batch)
 from .errors import OutOfRange
-from .parallel import map_indexed
-from .pulses import (DriveField, FieldComponent, GaussianEnvelope, PhaseLaw,
-                     SUPPORT_CUTOFF)
-
-_LN2x2 = 2.0 * math.log(2.0)
+from .pulses import DriveField, FieldComponent, GaussianEnvelope, PhaseLaw
 
 
 @dataclass(frozen=True)
@@ -37,6 +33,10 @@ class ThirdComponent:
     fwhm: float = 50e-9
     ratio_db: float = -30.0
     frequency_offset: float = 2.0 * math.pi * 300e6
+
+    def __post_init__(self):
+        if not math.isfinite(self.ratio_db):
+            raise ValueError("third component ratio_db must be finite")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,9 @@ class CompositeFieldTemplate:
     third: ThirdComponent | None = None
 
     def __post_init__(self):
-        if self.ratio_db > 0:
-            raise ValueError("ratio_db must be <= 0 (pedestal weaker than main)")
+        if not (self.ratio_db <= 0 and self.pedestal_amplitude_ratio > 0):
+            raise ValueError("ratio_db must be finite and <= 0 "
+                             "(pedestal weaker than main, but nonzero)")
         if self.pedestal_fwhm <= 0 or self.main_fwhm <= 0:
             raise ValueError("widths must be > 0")
         if not (self.pedestal_enabled or self.main_enabled):
@@ -114,29 +115,15 @@ def build_composite(template: CompositeFieldTemplate, scale: float) -> DriveFiel
     return DriveField(comps)
 
 
-def _window(template: CompositeFieldTemplate) -> tuple[float, float]:
-    widths = []
-    if template.main_enabled:
-        widths.append(template.main_fwhm)
-    if template.pedestal_enabled:
-        widths.append(template.pedestal_fwhm)
-    if template.third is not None:
-        widths.append(template.third.fwhm)
-    half = max(widths) * math.sqrt(math.log(1.0 / SUPPORT_CUTOFF) / _LN2x2)
-    return template.center - half, template.center + half
-
-
 def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
-             detunings, amplitudes, rep_period: float = 1.4e-6,
-             threads: int | None = None) -> SweepResult:
+             detunings, amplitudes, rep_period: float = 1.4e-6) -> SweepResult:
     """Emitted-photon integral per period over a detuning x amplitude grid.
 
     Each grid point integrates the Bloch dynamics over the pulse window
     (which spans the pedestal) and adds the exact free-decay emission over
-    the rest of the repetition period. Grid points are independent; rows
-    may be evaluated in parallel without affecting the result. Raises
-    StepFailure before any stepping when the grid exceeds the batch work
-    budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
+    the rest of the repetition period. All grid points step together as
+    one batch. Raises StepFailure before any stepping when the grid exceeds
+    the batch work budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
     """
     detunings = np.asarray(detunings, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -147,59 +134,26 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     if amplitudes.size > 1 and np.any(np.diff(amplitudes) <= 0):
         raise ValueError("amplitude axis must be strictly increasing")
 
-    t0, t1 = _window(template)
-    # One schedule for the whole call, bounded by the largest amplitude, so
-    # any row chunking steps every point alike.
+    # Every row's drive is its amplitude times this unit-peak field.
+    unit = build_composite(template, 1.0)
+    t0, t1 = unit.support()
     schedule = batch_schedule(
-        build_composite(template, float(np.max(np.abs(amplitudes)))), (t0, t1),
+        unit.scaled(float(np.max(np.abs(amplitudes)))), (t0, t1),
         float(np.max(np.abs(detunings))), emitter.gamma1)
     check_batch_work(sum(n for _, _, n in schedule) * amplitudes.size
                      * detunings.size)
-    ped_ratio = template.pedestal_amplitude_ratio
-    center = template.center
-    main_w2 = template.main_fwhm ** 2
-    ped_w2 = template.pedestal_fwhm ** 2
-    chirp = template.chirp
-    phase0 = template.phase_offset
-    third = template.third
-    if third is not None:
-        third_ratio = 10.0 ** (third.ratio_db / 20.0)
-        third_w2 = third.fwhm ** 2
 
-    def run_rows(rows: np.ndarray):
-        amp_col = amplitudes[rows][:, None]
+    def omega(t):
+        return amplitudes[:, None] * unit.rabi(t)
 
-        def omega(t):
-            x2 = (t - center) ** 2
-            out = np.zeros((rows.size, 1), dtype=complex)
-            if template.main_enabled:
-                out = out + (amp_col * math.exp(-_LN2x2 * x2 / main_w2)
-                             * complex(np.exp(1j * (phase0 + chirp * t))))
-            if template.pedestal_enabled:
-                out = out + amp_col * ped_ratio * math.exp(-_LN2x2 * x2 / ped_w2)
-            if third is not None:
-                out = out + (amp_col * third_ratio
-                             * math.exp(-_LN2x2 * x2 / third_w2)
-                             * complex(np.exp(1j * third.frequency_offset * t)))
-            return out
-
-        state = None
-        for a, b, n_steps in schedule:
-            state = integrate_population_batch(
-                omega, detunings[None, :], emitter.gamma1, emitter.gamma2,
-                (a, b), n_steps, initial=state)
-        rho_end, _, integral, _ = state
-        return emitted_photons_per_period(rho_end, integral, emitter.gamma1,
-                                          rep_period - (t1 - t0))
-
-    if threads is None:
-        from .parallel import worker_count
-
-        threads = worker_count()
-    chunks = np.array_split(np.arange(amplitudes.size), max(1, min(threads, amplitudes.size)))
-    chunks = [c for c in chunks if c.size]
-    parts = map_indexed(run_rows, chunks, threads)
-    signal = np.vstack(parts)
+    state = None
+    for a, b, n_steps in schedule:
+        state = integrate_population_batch(
+            omega, detunings[None, :], emitter.gamma1, emitter.gamma2,
+            (a, b), n_steps, initial=state)
+    rho_end, _, integral, _ = state
+    signal = emitted_photons_per_period(rho_end, integral, emitter.gamma1,
+                                        rep_period - (t1 - t0))
     floor = -1e-12 * max(float(np.max(signal)), 1.0)
     if np.any(signal < floor):
         raise ValueError("sweep produced significantly negative signal")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rabisim.bloch import (BlochState, EmitterModel,
-                           analytic_rabi, batch_step_count,
-                           excited_population_series, integrate,
+                           analytic_rabi, batch_step_count, integrate,
                            integrate_population_batch, population_series_fixed,
                            steady_state)
 from rabisim.pulses import (DriveField, GaussianEnvelope, PhaseLaw,
@@ -55,6 +54,10 @@ def test_free_decay_exact():
     traj = integrate(em, zero, BlochState(1.0), (0.0, 60e-9), 0.05e-9)
     expected = np.exp(-em.gamma1 * traj.times)
     assert np.max(np.abs(traj.rho_ee / expected - 1.0)) < 1e-9
+    assert len(traj) == len(traj.times)
+    degenerate = integrate(em, zero, BlochState(1.0), (3e-9, 3e-9), 1e-9)
+    assert len(degenerate) == 1
+    assert degenerate.rho_ee[0] == pytest.approx(1.0)
 
 
 def test_steady_state_examples():
@@ -131,18 +134,6 @@ def test_dense_output_independence_and_tolerance():
     assert np.max(np.abs(a.rho_ee - b.rho_ee[::2])) < 1e-9
     c = integrate(em, fld, BlochState(0.0), (0.0, 40e-9), 0.2e-9, rtol=1e-10)
     assert np.max(np.abs(a.rho_ee - c.rho_ee)) < 1e-8
-
-
-def test_excited_population_series_passthrough():
-    em = EmitterModel.from_lifetime(9.5e-9)
-    zero = DriveField.single(GaussianEnvelope(peak=0.0, fwhm=1e-9))
-    traj = integrate(em, zero, BlochState(1.0), (0.0, 20e-9), 0.5e-9)
-    t, r = excited_population_series(traj)
-    assert t is traj.times and r is traj.rho_ee
-    assert len(t) == len(traj)
-    degenerate = integrate(em, zero, BlochState(1.0), (3e-9, 3e-9), 1e-9)
-    assert len(degenerate) == 1
-    assert degenerate.rho_ee[0] == pytest.approx(1.0)
 
 
 def test_state_and_model_validation():

@@ -127,6 +127,33 @@ def test_validation_error_exit_code(tmp_path):
     assert run_command(["trace", "--config", str(bad)]) == 3
 
 
+TRACE_KEYS = ("field.1.fwhm_ns = 4\nfield.1.center_ns = 10\n"
+              "field.1.peak_MHz = 200\ntrace.t_end_ns = 70\n"
+              "trace.n_pulses = 100\n")
+
+
+def test_histogram_without_bins_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(TRACE_KEYS + "detector.bin_width_ns = 2000\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert run_command(["trace", "--config", str(cfg)]) == 3
+    assert "ERROR kind=ValueError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "histogram.csv").exists()
+
+
+def test_seed_outside_64_bits_is_refused(tmp_path, capsys):
+    assert parse_config(f"rng.seed = {2 ** 64 - 1}\n")[0].seed == 2 ** 64 - 1
+    big = tmp_path / "big.cfg"
+    big.write_text(TRACE_KEYS + f"rng.seed = {2 ** 64 + 1}\n"
+                   f"output.dir = {tmp_path / 'big'}\n")
+    assert run_command(["trace", "--config", str(big)]) == 3
+    neg = tmp_path / "neg.cfg"
+    neg.write_text(TRACE_KEYS + f"output.dir = {tmp_path / 'neg'}\n")
+    assert run_command(["trace", "--config", str(neg), "--seed", "-1"]) == 3
+    assert capsys.readouterr().err.count("ERROR kind=ValidationError") == 2
+    assert not (tmp_path / "big").exists() and not (tmp_path / "neg").exists()
+
+
 def test_trace_command_writes_schema(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("field.1.fwhm_ns = 4\nfield.1.center_ns = 10\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rabisim import detection
 from rabisim.bloch import BlochState, EmitterModel, integrate, steady_state
 from rabisim.detection import (DetectorModel, _JumpEngine,
                                _emission_times_batch, emission_rate,
@@ -183,7 +184,8 @@ def test_tcspc_seed_determinism_and_thread_independence(monkeypatch):
     h1 = simulate_tcspc(EM, fld, det, n_pulses=150_000, seed=21)
     h2 = simulate_tcspc(EM, fld, det, n_pulses=150_000, seed=21)
     assert np.array_equal(h1.counts, h2.counts)
-    monkeypatch.setenv("RABI_THREADS", "4")
+    # Randomness is keyed by pulse index, so smaller chunks change nothing.
+    monkeypatch.setattr(detection, "_TCSPC_CHUNK", 1 << 12)
     h3 = simulate_tcspc(EM, fld, det, n_pulses=150_000, seed=21)
     assert np.array_equal(h1.counts, h3.counts)
     h4 = simulate_tcspc(EM, fld, det, n_pulses=150_000, seed=22)
@@ -230,6 +232,8 @@ def test_detector_validation():
         DetectorModel(efficiency=0.5, dead_time=-1e-9)
     with pytest.raises(ValueError):
         DetectorModel(efficiency=0.5, bin_width=0.0)
+    with pytest.raises(ValueError, match="no bins"):
+        DetectorModel(efficiency=0.5, bin_width=2e-6, rep_period=1.4e-6)
     det = DetectorModel(efficiency=0.5)
     assert det.n_bins() == 2800
 

@@ -7,8 +7,7 @@ from rabisim.bloch import EmitterModel
 from rabisim.errors import FitDiverged
 from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
                             averaged_power_scan, fit_power_scan,
-                            power_scan_model, sample_duration,
-                            sample_durations)
+                            power_scan_model, sample_durations)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, RectangularEnvelope,
                             scale_to_area, DriveField, GaussianEnvelope)
 
@@ -17,8 +16,7 @@ EM = EmitterModel.from_lifetime(9.5e-9)
 
 def test_sample_duration_no_jitter_is_exact():
     model = JitterModel(sigma_t_rel=0.0)
-    assert sample_duration(4e-9, model, seed=1) == 4e-9
-    assert not model.enabled
+    assert sample_durations(4e-9, model, seed=1, n=1)[0] == 4e-9
 
 
 def test_sample_duration_statistics_at_seven_percent():
@@ -54,19 +52,6 @@ def test_scan_no_jitter_deterministic_and_sample_count_independent():
     s2 = averaged_power_scan(EM, tpl, amps, off, n_samples=5, seed=99)
     assert np.array_equal(s1.signal, s2.signal)
     assert np.all(s1.stderr == 0.0)
-
-
-def test_scan_chunking_invariance():
-    amps = np.linspace(2e8, 3e9, 9)
-    tpl = PowerScanTemplate(main_fwhm=4e-9, pedestal=RectangularEnvelope(
-        peak=0.01, duration=20e-9))
-    serial = averaged_power_scan(EM, tpl, amps, JitterModel(0.07), 16, seed=4,
-                                 threads=1)
-    pooled = averaged_power_scan(EM, tpl, amps, JitterModel(0.07), 16, seed=4,
-                                 threads=3)
-    assert np.array_equal(serial.signal, pooled.signal)
-    assert np.array_equal(serial.stderr, pooled.stderr)
-    assert np.array_equal(serial.peak_excitation, pooled.peak_excitation)
 
 
 def test_scan_control_extrema_at_integer_pi():

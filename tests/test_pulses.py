@@ -6,7 +6,7 @@ import pytest
 from rabisim.errors import NonConvergedQuadrature, UnreachableArea
 from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
                             GAUSSIAN_AREA_FACTOR, PhaseLaw,
-                            RectangularEnvelope, SampledEnvelope, eval_rabi,
+                            RectangularEnvelope, SampledEnvelope,
                             photons_per_pulse, pulse_area, scale_to_area)
 
 TWO_PI = 2.0 * math.pi
@@ -19,21 +19,21 @@ def rect_pi_field(center=2e-9):
 
 def test_eval_rabi_rectangular_inside_and_outside():
     f = rect_pi_field()
-    assert eval_rabi(f, 1e-9) == pytest.approx(TWO_PI * 125e6)
-    assert eval_rabi(f, 1e-9).imag == 0.0
-    assert eval_rabi(f, 10e-9) == 0.0
+    assert f.rabi(1e-9) == pytest.approx(TWO_PI * 125e6)
+    assert f.rabi(1e-9).imag == 0.0
+    assert f.rabi(10e-9) == 0.0
 
 
 def test_eval_rabi_gaussian_peak_at_center():
     env = GaussianEnvelope(peak=3.3e8, fwhm=2e-9, center=5e-9)
-    assert eval_rabi(DriveField.single(env), 5e-9) == pytest.approx(3.3e8)
+    assert DriveField.single(env).rabi(5e-9) == pytest.approx(3.3e8)
 
 
 def test_eval_rabi_sampled_outside_grid_is_zero():
     env = SampledEnvelope(np.linspace(0, 1e-9, 11), np.full(11, 1e8))
     f = DriveField.single(env)
-    assert eval_rabi(f, -1e-10) == 0.0
-    assert eval_rabi(f, 2e-9) == 0.0
+    assert f.rabi(-1e-10) == 0.0
+    assert f.rabi(2e-9) == 0.0
 
 
 def test_eval_rabi_sums_components_with_phases():
@@ -42,7 +42,7 @@ def test_eval_rabi_sums_components_with_phases():
         FieldComponent(env, PhaseLaw(offset=0.0)),
         FieldComponent(env, PhaseLaw(offset=math.pi / 2)),
     ])
-    val = eval_rabi(f, 0.0)
+    val = f.rabi(0.0)
     assert val == pytest.approx(1e8 + 1e8 * 1j)
 
 

@@ -22,7 +22,7 @@ def test_streams_and_seeds_differ():
 
 
 def test_uniforms_open_interval_and_ks():
-    u = rng.uniform(123, rng.STREAM_NOISE, np.arange(100_000), 0)
+    u = rng.uniform(123, 5, np.arange(100_000), 0)
     assert np.all(u > 0.0) and np.all(u < 1.0)
     assert stats.kstest(u, "uniform").pvalue > 0.01
 
