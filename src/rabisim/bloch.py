@@ -277,13 +277,6 @@ BATCH_PIECES = 48
 MAX_BATCH_POINT_STEPS = 10 ** 10
 
 
-def batch_step_count(window: float, max_rate: float,
-                     phase_step: float = BATCH_PHASE_STEP,
-                     minimum: int = 400) -> int:
-    """Uniform step count resolving ``max_rate`` (rad/s) over ``window`` (s)."""
-    return max(minimum, int(math.ceil(window * max_rate / phase_step)))
-
-
 def batch_schedule(field: DriveField, t_span, max_detuning: float,
                    gamma1: float):
     """Step schedule ``[(a, b, n_steps), ...]`` covering ``t_span``.

@@ -16,19 +16,18 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import field as dataclass_field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bloch import BlochState, EmitterModel, integrate
-from .detection import (DetectorModel, TcspcHistogram, emission_rate,
-                        first_detected_density, simulate_tcspc)
-from .errors import (DegenerateTail, FitDiverged, InvariantBreach,
-                     NonConvergedQuadrature, NonMonotonicTime, OutOfRange,
-                     ParseError, RabisimError, SingularJacobian, StepFailure,
-                     UnreachableArea, ValidationError)
+from .detection import (DetectorModel, emission_rate, first_detected_density,
+                        simulate_tcspc)
+from .errors import (NonMonotonicTime, ParseError, RabisimError,
+                     ValidationError)
 from .fitting import fit_trace
 from .jitter import (JitterModel, PowerScan, PowerScanTemplate,
                      averaged_power_scan, fit_power_scan)
@@ -50,93 +49,120 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # Config schema
+#
+# The dataclass fields are the key table: each field's metadata holds its
+# file spelling where it differs from the field name, whether ``none`` is
+# accepted, and a ``(predicate, message)`` check of a set value. A key's type
+# is that of its default, or float for an optional key.
 # ---------------------------------------------------------------------------
+
+def _key(default, spelling: str | None = None, optional: bool = False,
+         check=None):
+    return dataclass_field(default=default, metadata={
+        "spelling": spelling, "optional": optional, "check": check})
+
+
+def _at_least(n):
+    return (lambda x: x >= n, f"must be >= {n}")
+
+
+_POSITIVE = (lambda x: x > 0, "must be > 0")
+_NON_NEGATIVE = _at_least(0)
+_DECIBEL = (lambda x: x <= 0, "must be <= 0")
+
+
+def _one_of(*choices):
+    return (lambda x: x in choices, "must be one of " + ", ".join(choices))
+
 
 @dataclass(frozen=True)
 class EmitterConfig:
-    t1_ns: float | None = 9.5
-    gamma1_mhz: float | None = None
-    gamma2_mhz: float | None = None
-    detuning_mhz: float = 0.0
+    t1_ns: float | None = _key(9.5, "T1_ns", optional=True, check=_POSITIVE)
+    gamma1_mhz: float | None = _key(None, "Gamma1_MHz", optional=True,
+                                    check=_POSITIVE)
+    gamma2_mhz: float | None = _key(None, "Gamma2_MHz", optional=True,
+                                    check=_POSITIVE)
+    detuning_mhz: float = _key(0.0, "detuning_MHz")
 
 
 @dataclass(frozen=True)
 class FieldComponentConfig:
-    kind: str = "gaussian"
-    peak_mhz: float = 125.0
-    area_pi: float | None = None
+    kind: str = _key("gaussian",
+                     check=_one_of("gaussian", "rectangular", "sampled"))
+    peak_mhz: float = _key(125.0, "peak_MHz", check=_NON_NEGATIVE)
+    area_pi: float | None = _key(None, optional=True)
     fwhm_ns: float = 4.0
     duration_ns: float = 4.0
     center_ns: float = 0.0
     phase_rad: float = 0.0
-    chirp_mhz: float = 0.0
+    chirp_mhz: float = _key(0.0, "chirp_MHz")
     file: str = ""
-    file_mode: str = "intensity"
+    file_mode: str = _key("intensity", check=_one_of("intensity", "amplitude"))
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    efficiency: float = 0.02
-    dead_time_ns: float = 70.0
-    jitter_ps: float = 50.0
-    rep_period_us: float = 1.4
-    bin_width_ns: float = 0.5
+    efficiency: float = _key(0.02, check=(lambda x: 0 < x <= 1,
+                                          "must be in (0, 1]"))
+    dead_time_ns: float = _key(70.0, check=_NON_NEGATIVE)
+    jitter_ps: float = _key(50.0, check=_NON_NEGATIVE)
+    rep_period_us: float = _key(1.4, check=_POSITIVE)
+    bin_width_ns: float = _key(0.5, check=_POSITIVE)
 
 
 @dataclass(frozen=True)
 class TraceConfig:
     t_start_ns: float = 0.0
-    t_end_ns: float | None = None
-    dt_out_ns: float = 0.02
-    n_pulses: int = 0
+    t_end_ns: float | None = _key(None, optional=True)
+    dt_out_ns: float = _key(0.02, check=_POSITIVE)
+    n_pulses: int = _key(0, check=_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
 class PowerScanConfig:
-    amp_min_mhz: float = 0.0
-    amp_max_mhz: float = 1000.0
-    points: int = 201
-    samples: int = 500
+    amp_min_mhz: float = _key(0.0, "amp_min_MHz")
+    amp_max_mhz: float = _key(1000.0, "amp_max_MHz")
+    points: int = _key(201, check=_at_least(2))
+    samples: int = _key(500, check=_at_least(1))
     base_fwhm_ns: float = 4.0
 
 
 @dataclass(frozen=True)
 class JitterConfig:
-    sigma_t_rel: float = 0.07
-    edge_ps: float = 200.0
+    sigma_t_rel: float = _key(0.07, check=(lambda x: 0 <= x < 0.5,
+                                           "must be in [0, 0.5)"))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    det_min_mhz: float = -600.0
-    det_max_mhz: float = 600.0
-    det_points: int = 121
-    amp_min_mhz: float = 10.0
-    amp_max_mhz: float = 400.0
-    amp_points: int = 40
+    det_min_mhz: float = _key(-600.0, "det_min_MHz")
+    det_max_mhz: float = _key(600.0, "det_max_MHz")
+    det_points: int = _key(121, check=_at_least(2))
+    amp_min_mhz: float = _key(10.0, "amp_min_MHz")
+    amp_max_mhz: float = _key(400.0, "amp_max_MHz")
+    amp_points: int = _key(40, check=_at_least(1))
 
 
 @dataclass(frozen=True)
 class TemplateConfig:
     pedestal_fwhm_ns: float = 50.0
     main_fwhm_ns: float = 4.0
-    ratio_db: float = -34.0
-    chirp_mhz: float = 70.0
+    ratio_db: float = _key(-34.0, "ratio_dB", check=_DECIBEL)
+    chirp_mhz: float = _key(70.0, "chirp_MHz")
     center_ns: float = 0.0
     pedestal_enabled: bool = True
     main_enabled: bool = True
     third_enabled: bool = False
-    third_offset_mhz: float = 300.0
-    third_ratio_db: float = -30.0
+    third_offset_mhz: float = _key(300.0, "third_offset_MHz")
+    third_ratio_db: float = _key(-30.0, "third_ratio_dB", check=_DECIBEL)
     third_fwhm_ns: float = 50.0
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    model: str = "population"
+    model: str = _key("population",
+                      check=_one_of("population", "first_detected"))
     max_iter: int = 200
-    step_tol: float = 1e-8
-    cost_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -150,51 +176,38 @@ class ExperimentConfig:
     sweep: SweepConfig = SweepConfig()
     template: TemplateConfig = TemplateConfig()
     fit: FitConfig = FitConfig()
-    seed: int = 12345
-    output_dir: str = "."
-    crosssection_amp_mhz: float = 100.0
+    seed: int = _key(12345, "rng.seed",
+                     check=(lambda s: 0 <= s < 2 ** 64, "must be in [0, 2^64)"))
+    output_dir: str = _key(".", "output.dir")
+    crosssection_amp_mhz: float = _key(100.0, "crosssection.amplitude_MHz")
 
 
-_SECTION_TYPES = {
-    "emitter": (EmitterConfig, "emitter"),
-    "detector": (DetectorConfig, "detector"),
-    "trace": (TraceConfig, "trace"),
-    "powerscan": (PowerScanConfig, "powerscan"),
-    "jitter": (JitterConfig, "jitter"),
-    "sweep": (SweepConfig, "sweep"),
-    "template": (TemplateConfig, "template"),
-    "fit": (FitConfig, "fit"),
-}
-
-_SCALAR_KEYS = {
-    "rng.seed": ("seed", int),
-    "output.dir": ("output_dir", str),
-    "crosssection.amplitude_MHz": ("crosssection_amp_mhz", float),
-}
-
-# Key spellings in files are CamelCase-ish where units appear; map the
-# config-file suffix to the dataclass field.
-_KEY_SPELLINGS = {
-    "t1_ns": "T1_ns", "gamma1_mhz": "Gamma1_MHz", "gamma2_mhz": "Gamma2_MHz",
-    "detuning_mhz": "detuning_MHz", "peak_mhz": "peak_MHz",
-    "chirp_mhz": "chirp_MHz", "amp_min_mhz": "amp_min_MHz",
-    "amp_max_mhz": "amp_max_MHz", "det_min_mhz": "det_min_MHz",
-    "det_max_mhz": "det_max_MHz", "ratio_db": "ratio_dB",
-    "third_ratio_db": "third_ratio_dB", "third_offset_mhz": "third_offset_MHz",
-}
-_SPELLING_TO_FIELD = {v: k for k, v in _KEY_SPELLINGS.items()}
+def _spelling(f) -> str:
+    return f.metadata.get("spelling") or f.name
 
 
-def _file_key(field_name: str) -> str:
-    return _KEY_SPELLINGS.get(field_name, field_name)
+def _table(cfg: ExperimentConfig):
+    """``(file key, owner, Field, value)`` for every key of ``cfg``.
 
-
-def _field_name(file_key: str) -> str:
-    return _SPELLING_TO_FIELD.get(file_key, file_key)
+    The owner is the section name, the 1-based index of a field component,
+    or None for a top-level key.
+    """
+    for top in fields(cfg):
+        value = getattr(cfg, top.name)
+        if is_dataclass(value):
+            groups = [(top.name, top.name, value)]
+        elif isinstance(value, tuple):
+            groups = [(f"{top.name}.{i}", i, comp)
+                      for i, comp in enumerate(value, start=1)]
+        else:
+            yield _spelling(top), None, top, value
+            continue
+        for prefix, owner, obj in groups:
+            for f in fields(obj):
+                yield f"{prefix}.{_spelling(f)}", owner, f, getattr(obj, f.name)
 
 
 def _parse_value(key: str, raw: str, typ):
-    raw = raw.strip()
     try:
         if typ is bool:
             if raw.lower() in ("true", "1", "yes", "on"):
@@ -211,10 +224,10 @@ def _parse_value(key: str, raw: str, typ):
         raise ValidationError(f"key '{key}': cannot parse {raw!r} as {typ.__name__}") from exc
 
 
-def _optional_float(key: str, raw: str):
-    if raw.strip().lower() in ("none", ""):
-        return None
-    return _parse_value(key, raw, float)
+def _component_index(key: str) -> int:
+    section, _, rest = key.partition(".")
+    index = rest.partition(".")[0]
+    return int(index) if section == "field" and index.isdecimal() else 0
 
 
 def parse_config(text: str):
@@ -240,176 +253,74 @@ def parse_config(text: str):
             raise ParseError(f"duplicate key '{key}'", line=lineno)
         explicit[key] = value
 
-    sections: dict[str, dict] = {name: {} for name in _SECTION_TYPES}
-    scalars: dict[str, object] = {}
-    field_entries: dict[int, dict] = {}
-    field_count = 1
-
-    known_field_fields = {f.name: f for f in fields(FieldComponentConfig)}
-
+    field_count = _parse_value("field.count", explicit.get("field.count", "1"),
+                               int)
+    if field_count < 1:
+        raise ValidationError("field.count must be >= 1")
+    field_count = max([field_count, *map(_component_index, explicit)])
+    skeleton = ExperimentConfig(field=(FieldComponentConfig(),) * field_count)
+    table = {key: (owner, f) for key, owner, f, _ in _table(skeleton)}
+    values: dict = {owner: {} for owner, _ in table.values()}
     for key, raw in explicit.items():
         if key == "field.count":
-            field_count = _parse_value(key, raw, int)
-            if field_count < 1:
-                raise ValidationError("field.count must be >= 1")
             continue
-        if key in _SCALAR_KEYS:
-            attr, typ = _SCALAR_KEYS[key]
-            scalars[attr] = _parse_value(key, raw, typ)
-            continue
-        parts = key.split(".")
-        if parts[0] == "field" and len(parts) == 3:
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ValidationError(f"unknown key '{key}'") from None
-            fname = _field_name(parts[2])
-            if fname not in known_field_fields:
-                raise ValidationError(f"unknown key '{key}'")
-            f = known_field_fields[fname]
-            if fname == "area_pi":
-                val = _optional_float(key, raw)
-            else:
-                val = _parse_value(key, raw, f.type if isinstance(f.type, type)
-                                   else {"str": str, "float": float, "int": int,
-                                         "bool": bool}.get(str(f.type), float))
-            field_entries.setdefault(idx, {})[fname] = val
-            continue
-        if len(parts) == 2 and parts[0] in _SECTION_TYPES:
-            cls, attr = _SECTION_TYPES[parts[0]]
-            fmap = {f.name: f for f in fields(cls)}
-            fname = _field_name(parts[1])
-            if fname not in fmap:
-                raise ValidationError(f"unknown key '{key}'")
-            f = fmap[fname]
-            if cls is EmitterConfig and fname in ("t1_ns", "gamma1_mhz",
-                                                  "gamma2_mhz"):
-                val = _optional_float(key, raw)
-            elif cls is TraceConfig and fname == "t_end_ns":
-                val = _optional_float(key, raw)
-            else:
-                typ = f.type if isinstance(f.type, type) else {
-                    "str": str, "float": float, "int": int, "bool": bool,
-                }.get(str(f.type).replace(" | None", ""), float)
-                val = _parse_value(key, raw, typ)
-            sections[parts[0]][fname] = val
-            continue
-        raise ValidationError(f"unknown key '{key}'")
+        if key not in table:
+            raise ValidationError(f"unknown key '{key}'")
+        owner, f = table[key]
+        if f.metadata.get("optional") and raw.lower() == "none":
+            values[owner][f.name] = None
+        else:
+            values[owner][f.name] = _parse_value(
+                key, raw, float if f.default is None else type(f.default))
 
-    if field_entries:
-        field_count = max(field_count, max(field_entries))
-    for idx in field_entries:
-        if not 1 <= idx <= field_count:
-            raise ValidationError(f"field index {idx} outside 1..{field_count}")
-
-    emitter_kwargs = sections["emitter"]
-    if ("t1_ns" in emitter_kwargs and emitter_kwargs["t1_ns"] is not None
-            and emitter_kwargs.get("gamma1_mhz") is not None):
-        raise ValidationError("give exactly one of emitter.T1_ns / emitter.Gamma1_MHz")
-    if emitter_kwargs.get("gamma1_mhz") is not None and "t1_ns" not in emitter_kwargs:
-        emitter_kwargs["t1_ns"] = None
-
-    cfg = ExperimentConfig(
-        emitter=EmitterConfig(**emitter_kwargs),
-        field=tuple(FieldComponentConfig(**field_entries.get(i, {}))
-                    for i in range(1, field_count + 1)),
-        detector=DetectorConfig(**sections["detector"]),
-        trace=TraceConfig(**sections["trace"]),
-        powerscan=PowerScanConfig(**sections["powerscan"]),
-        jitter=JitterConfig(**sections["jitter"]),
-        sweep=SweepConfig(**sections["sweep"]),
-        template=TemplateConfig(**sections["template"]),
-        fit=FitConfig(**sections["fit"]),
-        **scalars,
-    )
+    # A decay rate given alone replaces the default lifetime.
+    if values["emitter"].get("gamma1_mhz") is not None:
+        values["emitter"].setdefault("t1_ns", None)
+    cfg = replace(skeleton, **values[None], **{
+        f.name: replace(getattr(skeleton, f.name), **values[f.name])
+        for f in fields(skeleton) if is_dataclass(f.default)},
+        field=tuple(replace(comp, **values[i])
+                    for i, comp in enumerate(skeleton.field, start=1)))
     _validate_config(cfg)
 
     provenance = []
-    serialized = dict(_config_items(cfg))
-    for key, value in serialized.items():
+    for key, value in _config_items(cfg):
         if key not in explicit and key != "field.count":
             provenance.append(f"{key} = {value} (default)")
     return cfg, provenance
 
 
 def _validate_config(cfg: ExperimentConfig):
+    """Check every key against its table entry, then the rules that span keys."""
+    for key, _, f, value in _table(cfg):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value!r}")
+        check = f.metadata.get("check")
+        if value is not None and check and not check[0](value):
+            raise ValidationError(f"{key} {check[1]}, got {value!r}")
     e = cfg.emitter
     if (e.t1_ns is None) == (e.gamma1_mhz is None):
         raise ValidationError("give exactly one of emitter.T1_ns / emitter.Gamma1_MHz")
-    for name, val in (("emitter.T1_ns", e.t1_ns), ("emitter.Gamma1_MHz", e.gamma1_mhz),
-                      ("emitter.Gamma2_MHz", e.gamma2_mhz)):
-        if val is not None and val <= 0:
-            raise ValidationError(f"{name} must be > 0")
-    d = cfg.detector
-    if not 0 < d.efficiency <= 1:
-        raise ValidationError("detector.efficiency must be in (0, 1]")
-    for name, val in (("detector.dead_time_ns", d.dead_time_ns),
-                      ("detector.jitter_ps", d.jitter_ps)):
-        if val < 0:
-            raise ValidationError(f"{name} must be >= 0")
-    for name, val in (("detector.rep_period_us", d.rep_period_us),
-                      ("detector.bin_width_ns", d.bin_width_ns),
-                      ("trace.dt_out_ns", cfg.trace.dt_out_ns)):
-        if val <= 0:
-            raise ValidationError(f"{name} must be > 0")
-    if cfg.trace.n_pulses < 0:
-        raise ValidationError("trace.n_pulses must be >= 0")
-    for comp in cfg.field:
-        if comp.kind not in ("gaussian", "rectangular", "sampled"):
-            raise ValidationError(f"unknown field kind '{comp.kind}'")
+    for i, comp in enumerate(cfg.field, start=1):
         if comp.kind == "sampled" and not comp.file:
-            raise ValidationError("sampled field components need a file")
-        if comp.file_mode not in ("intensity", "amplitude"):
-            raise ValidationError("field file_mode must be intensity or amplitude")
-        if comp.peak_mhz < 0:
-            raise ValidationError("field peak_MHz must be >= 0")
-    if not 0 <= cfg.jitter.sigma_t_rel < 0.5:
-        raise ValidationError("jitter.sigma_t_rel must be in [0, 0.5)")
-    if cfg.powerscan.points < 2 or cfg.powerscan.samples < 1:
-        raise ValidationError("powerscan needs >= 2 points and >= 1 sample")
-    if cfg.sweep.det_points < 2 or cfg.sweep.amp_points < 1:
-        raise ValidationError("sweep needs >= 2 detuning points and >= 1 amplitude")
-    if cfg.template.ratio_db > 0 or cfg.template.third_ratio_db > 0:
-        raise ValidationError("template dB ratios must be <= 0")
-    if cfg.fit.model not in ("population", "first_detected"):
-        raise ValidationError("fit.model must be population or first_detected")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ValidationError("rng.seed must be in [0, 2^64)")
+            raise ValidationError(f"field.{i}: sampled components need a file")
 
 
 def _config_items(cfg: ExperimentConfig):
     """All keys of a config in file spelling, serialized values, sorted."""
-    items = []
-
-    def emit(section: str, obj):
-        for f in fields(obj):
-            val = getattr(obj, f.name)
-            if val == "":
-                continue  # empty strings (unset paths) are omitted
-            if val is None:
-                sval = "none"
-            elif isinstance(val, bool):
-                sval = "true" if val else "false"
-            elif isinstance(val, float):
-                sval = _fmt(val)
-            else:
-                sval = str(val)
-            items.append((f"{section}.{_file_key(f.name)}", sval))
-
-    emit("emitter", cfg.emitter)
-    items.append(("field.count", str(len(cfg.field))))
-    for i, comp in enumerate(cfg.field, start=1):
-        emit(f"field.{i}", comp)
-    emit("detector", cfg.detector)
-    emit("trace", cfg.trace)
-    emit("powerscan", cfg.powerscan)
-    emit("jitter", cfg.jitter)
-    emit("sweep", cfg.sweep)
-    emit("template", cfg.template)
-    emit("fit", cfg.fit)
-    items.append(("rng.seed", str(cfg.seed)))
-    items.append(("output.dir", cfg.output_dir))
-    items.append(("crosssection.amplitude_MHz", _fmt(cfg.crosssection_amp_mhz)))
+    items = [("field.count", str(len(cfg.field)))]
+    for key, _, _, val in _table(cfg):
+        if val == "":
+            continue  # empty strings (unset paths) are omitted
+        if val is None:
+            sval = "none"
+        elif isinstance(val, bool):
+            sval = "true" if val else "false"
+        elif isinstance(val, float):
+            sval = _fmt(val)
+        else:
+            sval = str(val)
+        items.append((key, sval))
     return sorted(items)
 
 
@@ -560,11 +471,15 @@ def ingest_trace(text_or_path, mode: str = "counts") -> TraceRecord:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header_lines, columns, names):
+def _write_csv(path: Path, header_lines, rows):
+    """'#'-prefixed header lines, then one comma-separated line per row.
+
+    Floats are written with 9 significant digits, integers as integers.
+    """
     lines = [f"# {h}" for h in header_lines]
-    lines.append("# " + ",".join(names))
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(x) for x in row))
+    for row in rows:
+        lines.append(",".join(str(int(x)) if isinstance(x, (int, np.integer))
+                              else _fmt(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -581,36 +496,6 @@ def write_manifest(path: Path, command: str, cfg_text: str, seed: int,
     if extra:
         doc["extra"] = extra
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def write_histogram_csv(path: Path, hist: TcspcHistogram, header_lines):
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(f"# n_pulses={hist.n_pulses}")
-    lines.append("# bin_start_ns,bin_end_ns,counts")
-    e = hist.bin_edges / NS
-    for i, c in enumerate(hist.counts):
-        lines.append(f"{_fmt(e[i])},{_fmt(e[i + 1])},{int(c)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_sweep_csv(path: Path, result: SweepResult, header_lines):
-    lines = [f"# {h}" for h in header_lines]
-    lines.append("# detuning_MHz," + ",".join(_fmt(d / MHZ)
-                                              for d in result.detunings))
-    lines.append("# amplitude_MHz rows follow, one per line: amplitude, signal...")
-    for i, a in enumerate(result.amplitudes):
-        row = ",".join(_fmt(x) for x in result.signal[i])
-        lines.append(f"{_fmt(a / MHZ)},{row}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_sweep_long(path: Path, result: SweepResult, header_lines):
-    lines = [f"# {h}" for h in header_lines]
-    lines.append("# detuning_MHz,amplitude_MHz,signal")
-    for i, a in enumerate(result.amplitudes):
-        for j, d in enumerate(result.detunings):
-            lines.append(f"{_fmt(d / MHZ)},{_fmt(a / MHZ)},{_fmt(result.signal[i, j])}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def read_sweep_long(path: Path) -> SweepResult:
@@ -690,20 +575,23 @@ def cmd_trace(args) -> int:
     header = [f"rabisim trace v{__version__}", f"field_hash={traj.field_hash}",
               f"detuning_MHz={_fmt(emitter.detuning / MHZ)}"]
     trace_path = out / "trace.csv"
-    _write_csv(trace_path, header,
-               (times / NS, traj.rho_ee, rates),
-               ("t_ns", "rho_ee", "emission_rate_per_s"))
+    _write_csv(trace_path, header + ["t_ns,rho_ee,emission_rate_per_s"],
+               zip(times / NS, traj.rho_ee, rates))
     outputs = [str(trace_path)]
     if detector is not None:
         hist = simulate_tcspc(emitter, field, detector, cfg.trace.n_pulses,
                               cfg.seed)
         hist_path = out / "histogram.csv"
-        write_histogram_csv(hist_path, hist, header + [f"seed={cfg.seed}"])
+        edges = hist.bin_edges / NS
+        _write_csv(hist_path, header + [f"seed={cfg.seed}",
+                                        f"n_pulses={hist.n_pulses}",
+                                        "bin_start_ns,bin_end_ns,counts"],
+                   zip(edges[:-1], edges[1:], hist.counts))
         outputs.append(str(hist_path))
         density = first_detected_density(times, rates, detector.efficiency)
         dens_path = out / "first_detected.csv"
-        _write_csv(dens_path, header, (times / NS, density),
-                   ("t_ns", "first_detected_density_per_s"))
+        _write_csv(dens_path, header + ["t_ns,first_detected_density_per_s"],
+                   zip(times / NS, density))
         outputs.append(str(dens_path))
     write_manifest(out / "trace_manifest.json", "trace", cfg_text, cfg.seed,
                    outputs, time.monotonic() - t_start)
@@ -720,8 +608,7 @@ def cmd_power_scan(args) -> int:
     if amps[0] == 0.0:
         amps = amps[1:]
     template = PowerScanTemplate(main_fwhm=ps.base_fwhm_ns * NS)
-    jm = JitterModel(sigma_t_rel=cfg.jitter.sigma_t_rel,
-                     edge_sigma=cfg.jitter.edge_ps * 1e-12)
+    jm = JitterModel(sigma_t_rel=cfg.jitter.sigma_t_rel)
     scan = averaged_power_scan(emitter, template, amps, jm, ps.samples,
                                cfg.seed,
                                rep_period=cfg.detector.rep_period_us * 1e-6)
@@ -730,9 +617,9 @@ def cmd_power_scan(args) -> int:
     header = [f"rabisim power-scan v{__version__}", f"seed={cfg.seed}",
               f"sigma_T_rel={_fmt(jm.sigma_t_rel)}",
               f"samples={ps.samples}"]
-    _write_csv(path, header,
-               (scan.amplitudes / MHZ, scan.signal, scan.stderr, scan.area_std),
-               ("amplitude_MHz", "signal", "stderr", "area_std_rad"))
+    _write_csv(path, header + ["amplitude_MHz,signal,stderr,area_std_rad"],
+               zip(scan.amplitudes / MHZ, scan.signal, scan.stderr,
+                   scan.area_std))
     write_manifest(out / "power_scan_manifest.json", "power-scan", cfg_text,
                    cfg.seed, [str(path)], time.monotonic() - t_start)
     print(f"power-scan: wrote {path}")
@@ -755,8 +642,15 @@ def cmd_sweep2d(args) -> int:
               f"chirp_MHz={_fmt(template.chirp / MHZ)}"]
     matrix_path = out / "sweep.csv"
     long_path = out / "sweep_long.csv"
-    write_sweep_csv(matrix_path, result, header)
-    write_sweep_long(long_path, result, header)
+    dets_mhz = result.detunings / MHZ
+    amps_mhz = result.amplitudes / MHZ
+    _write_csv(matrix_path, header + [
+        "detuning_MHz," + ",".join(_fmt(d) for d in dets_mhz),
+        "amplitude_MHz rows follow, one per line: amplitude, signal..."],
+        ((a, *row) for a, row in zip(amps_mhz, result.signal)))
+    _write_csv(long_path, header + ["detuning_MHz,amplitude_MHz,signal"],
+               ((d, a, x) for a, row in zip(amps_mhz, result.signal)
+                for d, x in zip(dets_mhz, row)))
     write_manifest(out / "sweep_manifest.json", "sweep2d", cfg_text, cfg.seed,
                    [str(matrix_path), str(long_path)],
                    time.monotonic() - t_start)
@@ -776,7 +670,7 @@ def cmd_cross_section(args) -> int:
     header = [f"rabisim cross-section v{__version__}",
               f"requested_amplitude_MHz={_fmt(amp / MHZ)}",
               f"row_amplitude_MHz={_fmt(actual / MHZ)}"]
-    _write_csv(path, header, (dets / MHZ, row), ("detuning_MHz", "signal"))
+    _write_csv(path, header + ["detuning_MHz,signal"], zip(dets / MHZ, row))
     write_manifest(out / "cross_section_manifest.json", "cross-section",
                    cfg_text, cfg.seed, [str(path)], time.monotonic() - t_start)
     print(f"cross-section: wrote {path} (row at {actual / MHZ:.6g} MHz)")
@@ -954,7 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> int:
     """Entry point used by tests: returns the process exit status.
 
-    0 success, 2 usage error, 3 validation/parse error, 4 numerical failure.
+    0 success, 2 usage error, else the ``exit_code`` of the error class (3
+    bad input, 4 numerical failure); other ValueErrors and a missing file
+    give 3.
     """
     parser = build_parser()
     try:
@@ -963,18 +859,9 @@ def run_command(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, NonMonotonicTime, OutOfRange,
-            FileNotFoundError, ValueError) as exc:
+    except (RabisimError, FileNotFoundError, ValueError) as exc:
         print(f"ERROR kind={type(exc).__name__} msg={exc}", file=sys.stderr)
-        return 3
-    except (StepFailure, InvariantBreach, NonConvergedQuadrature,
-            UnreachableArea, FitDiverged, SingularJacobian,
-            DegenerateTail) as exc:
-        print(f"ERROR kind={type(exc).__name__} msg={exc}", file=sys.stderr)
-        return 4
-    except RabisimError as exc:
-        print(f"ERROR kind={type(exc).__name__} msg={exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 3)
 
 
 def main() -> None:

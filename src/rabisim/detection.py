@@ -53,14 +53,14 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be >= 0")
-        if self.timing_jitter_sigma < 0:
-            raise ValueError("timing_jitter_sigma must be >= 0")
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be > 0")
-        if self.rep_period <= 0:
-            raise ValueError("rep_period must be > 0")
+        if not 0.0 <= self.dead_time < math.inf:
+            raise ValueError("dead_time must be finite and >= 0")
+        if not 0.0 <= self.timing_jitter_sigma < math.inf:
+            raise ValueError("timing_jitter_sigma must be finite and >= 0")
+        if not 0.0 < self.bin_width < math.inf:
+            raise ValueError("bin_width must be finite and > 0")
+        if not 0.0 < self.rep_period < math.inf:
+            raise ValueError("rep_period must be finite and > 0")
         if self.n_bins() < 1:
             raise ValueError("bin_width must not exceed rep_period "
                              "(the histogram would have no bins)")

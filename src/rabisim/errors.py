@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class RabisimError(Exception):
-    """Base class for all rabisim errors."""
+    """Base class for all rabisim errors.
+
+    ``exit_code`` is the CLI exit status: 4 for a numerical failure, 3 for
+    bad input (config, data or coordinates).
+    """
+
+    exit_code = 4
 
 
 class NonConvergedQuadrature(RabisimError):
@@ -38,6 +44,8 @@ class DegenerateTail(RabisimError):
 class ParseError(RabisimError):
     """Malformed config or data text; carries line information when known."""
 
+    exit_code = 3
+
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
@@ -48,10 +56,16 @@ class ParseError(RabisimError):
 class ValidationError(RabisimError):
     """Structurally valid input with an out-of-contract value or key."""
 
+    exit_code = 3
+
 
 class NonMonotonicTime(RabisimError):
     """A time series is not strictly increasing."""
 
+    exit_code = 3
+
 
 class OutOfRange(RabisimError):
     """A requested coordinate lies outside the available axis."""
+
+    exit_code = 3

@@ -32,13 +32,10 @@ _LN2x2 = 2.0 * math.log(2.0)
 class JitterModel:
     """Gaussian pulse-duration fluctuation, truncated to positive durations.
 
-    ``sigma_t_rel`` is the relative standard deviation of the duration;
-    ``edge_sigma`` records the per-edge timing fluctuation it derives from
-    (informational only).
+    ``sigma_t_rel`` is the relative standard deviation of the duration.
     """
 
     sigma_t_rel: float = 0.07
-    edge_sigma: float = 200e-12
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_t_rel < 0.5:

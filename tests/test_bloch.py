@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rabisim.bloch import (BlochState, EmitterModel,
-                           analytic_rabi, batch_step_count, integrate,
+                           analytic_rabi, batch_schedule, integrate,
                            integrate_population_batch, population_series_fixed,
                            steady_state)
 from rabisim.pulses import (DriveField, GaussianEnvelope, PhaseLaw,
@@ -162,14 +162,12 @@ def test_batch_integrator_matches_reference():
         env = GaussianEnvelope(peak=peak, fwhm=fwhm, center=0.0)
         fld = DriveField.single(env, PhaseLaw(chirp=chirp))
         sup = fld.support()
-        rate = math.hypot(em.detuning, peak) + abs(chirp) + em.gamma1
-        n = batch_step_count(sup[1] - sup[0], rate)
-
-        def omega(t):
-            return np.array([env.value(t) * np.exp(1j * chirp * t)])
-
-        rho_end, coh_end, integral, _ = integrate_population_batch(
-            omega, em.detuning, em.gamma1, em.gamma2, sup, n)
+        state = None
+        for a, b, n in batch_schedule(fld, sup, em.detuning, em.gamma1):
+            state = integrate_population_batch(
+                fld.rabi, np.array([em.detuning]), em.gamma1, em.gamma2,
+                (a, b), n, initial=state)
+        rho_end, coh_end, integral, _ = state
         ref = integrate(em, fld, BlochState(0.0), sup,
                         (sup[1] - sup[0]) / 3000)
         assert abs(rho_end[0] - ref.rho_ee[-1]) < 1e-5

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from rabisim.cli_io import (ExperimentConfig, MHZ, NS, build_drive_field,
-                            build_emitter, ingest_trace, parse_config,
-                            read_sweep_long, run_command, serialize_config)
-from rabisim.errors import (NonMonotonicTime, ParseError, ValidationError)
+from rabisim import errors
+from rabisim.cli_io import (ExperimentConfig, MHZ, NS, _table,
+                            build_drive_field, build_emitter, ingest_trace,
+                            parse_config, read_sweep_long, run_command,
+                            serialize_config)
+from rabisim.errors import (NonMonotonicTime, ParseError, RabisimError,
+                            ValidationError)
 from rabisim.fitting import trace_model
 from rabisim.pulses import GAUSSIAN_AREA_FACTOR, SampledEnvelope
 
@@ -85,6 +88,44 @@ output.dir = out
     assert provenance2 == []
 
 
+DEFAULT_ITEMS = [tuple(line.split(" = ", 1)) for line in
+                 serialize_config(ExperimentConfig()).splitlines()]
+FLOAT_KEYS = [key for key, _, f, _ in _table(ExperimentConfig())
+              if f.type.startswith("float")]
+
+
+def test_table_covers_every_serialized_key():
+    keys = {key for key, _ in DEFAULT_ITEMS}
+    assert set(FLOAT_KEYS) <= keys
+    assert {"detector.jitter_ps", "trace.t_start_ns", "emitter.Gamma1_MHz",
+            "crosssection.amplitude_MHz"} <= set(FLOAT_KEYS)
+    assert "rng.seed" in keys and "trace.n_pulses" not in FLOAT_KEYS
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_float_key_refuses_non_finite(key, bad):
+    with pytest.raises(ValidationError, match="finite"):
+        parse_config(f"{key} = {bad}\n")
+
+
+@pytest.mark.parametrize("key,value", DEFAULT_ITEMS)
+def test_key_set_to_its_default_round_trips(key, value):
+    cfg, provenance = parse_config(f"{key} = {value}\n")
+    assert cfg == ExperimentConfig()
+    assert not any(line.startswith(f"{key} = ") for line in provenance)
+
+
+def test_exit_code_lives_on_the_error_class():
+    input_errors = {"ParseError", "ValidationError", "NonMonotonicTime",
+                    "OutOfRange"}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, RabisimError)]
+    assert len(classes) == 12
+    for cls in classes:
+        assert cls.exit_code == (3 if cls.__name__ in input_errors else 4)
+
+
 def test_build_drive_field_with_area_target():
     cfg, _ = parse_config("field.1.kind = gaussian\nfield.1.fwhm_ns = 4\n"
                           "field.1.area_pi = 1\n")
@@ -138,6 +179,17 @@ def test_histogram_without_bins_is_refused(tmp_path, capsys):
                    f"output.dir = {tmp_path / 'out'}\n")
     assert run_command(["trace", "--config", str(cfg)]) == 3
     assert "ERROR kind=ValueError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["detector.jitter_ps",
+                                 "detector.dead_time_ns"])
+def test_infinite_detector_value_is_refused(tmp_path, capsys, key):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(TRACE_KEYS + f"{key} = inf\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert run_command(["trace", "--config", str(cfg)]) == 3
+    assert "ERROR kind=ValidationError" in capsys.readouterr().err
     assert not (tmp_path / "out" / "histogram.csv").exists()
 
 

@@ -234,6 +234,12 @@ def test_detector_validation():
         DetectorModel(efficiency=0.5, bin_width=0.0)
     with pytest.raises(ValueError, match="no bins"):
         DetectorModel(efficiency=0.5, bin_width=2e-6, rep_period=1.4e-6)
+    for name in ("dead_time", "timing_jitter_sigma", "bin_width", "rep_period"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                DetectorModel(efficiency=0.5, **{name: bad})
+    with pytest.raises(ValueError):
+        DetectorModel(efficiency=math.nan)
     det = DetectorModel(efficiency=0.5)
     assert det.n_bins() == 2800
 
