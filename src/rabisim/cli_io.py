@@ -568,8 +568,14 @@ def cmd_trace(args) -> int:
         t1 = cfg.trace.t_end_ns * NS
     else:
         t1 = (support[1] if support else t0) + 6.0 / emitter.gamma1
-    traj = integrate(emitter, field, BlochState(0.0), (t0, t1),
-                     cfg.trace.dt_out_ns * NS)
+    dt_out = cfg.trace.dt_out_ns * NS
+    # `integrate` samples every dt_out from t0: a window shorter than one
+    # output step would give a single row.
+    if not (t1 - t0) * (1.0 + 1e-12) >= dt_out:
+        raise ValidationError(
+            f"trace window [{_fmt(t0 / NS)}, {_fmt(t1 / NS)}] ns holds fewer "
+            f"than two rows at trace.dt_out_ns = {_fmt(cfg.trace.dt_out_ns)}")
+    traj = integrate(emitter, field, BlochState(0.0), (t0, t1), dt_out)
     times, rates = emission_rate(traj, emitter)
     out = _out_dir(cfg)
     header = [f"rabisim trace v{__version__}", f"field_hash={traj.field_hash}",

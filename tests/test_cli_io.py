@@ -193,6 +193,16 @@ def test_infinite_detector_value_is_refused(tmp_path, capsys, key):
     assert not (tmp_path / "out" / "histogram.csv").exists()
 
 
+@pytest.mark.parametrize("window", ["trace.dt_out_ns = 1000\n",
+                                    "trace.t_start_ns = 70\n"])
+def test_trace_with_fewer_than_two_rows_is_refused(tmp_path, capsys, window):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(TRACE_KEYS + window + f"output.dir = {tmp_path / 'out'}\n")
+    assert run_command(["trace", "--config", str(cfg)]) == 3
+    assert "ERROR kind=ValidationError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_seed_outside_64_bits_is_refused(tmp_path, capsys):
     assert parse_config(f"rng.seed = {2 ** 64 - 1}\n")[0].seed == 2 ** 64 - 1
     big = tmp_path / "big.cfg"

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from rabisim import jitter
 from rabisim.bloch import EmitterModel
 from rabisim.errors import FitDiverged
-from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
-                            averaged_power_scan, fit_power_scan,
-                            power_scan_model, sample_durations)
+from rabisim.jitter import (SCAN_BUCKETS, JitterModel, PowerScan,
+                            PowerScanTemplate, _duration_surrogate,
+                            averaged_power_scan, bucket_schedule, draw_moments,
+                            fit_power_scan, power_scan_model, sample_durations,
+                            solve_draws)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, RectangularEnvelope,
                             scale_to_area, DriveField, GaussianEnvelope)
 
@@ -52,6 +55,124 @@ def test_scan_no_jitter_deterministic_and_sample_count_independent():
     s2 = averaged_power_scan(EM, tpl, amps, off, n_samples=5, seed=99)
     assert np.array_equal(s1.signal, s2.signal)
     assert np.all(s1.stderr == 0.0)
+
+
+TPL = PowerScanTemplate(main_fwhm=4e-9)
+
+
+def _bucket(amps, model, n_samples, seed, first_point=0):
+    """Draws and a direct per-draw solver for one bucket of a scan."""
+    durations = np.vstack([
+        sample_durations(TPL.main_fwhm, model, seed, n_samples,
+                         point=first_point + i) for i in range(amps.size)])
+    plan = bucket_schedule(EM, TPL, amps, durations)
+    return durations, lambda t: solve_draws(EM, TPL, amps, t, plan, 1.4e-6)
+
+
+def test_surrogate_matches_direct_solves():
+    # The hardest bucket of a 12 pi scan: 20 amplitudes from 10 pi to 12 pi.
+    unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    amps = np.linspace(10.0, 12.0, 20) * math.pi * unit
+    durations, solve = _bucket(amps, JitterModel(0.07), 200, seed=3)
+    areas = amps[:, None] * GAUSSIAN_AREA_FACTOR * durations
+    direct, _ = solve(durations)
+    signal, peak, error = _duration_surrogate(
+        solve, durations, amps * GAUSSIAN_AREA_FACTOR)
+    assert signal.shape == peak.shape == durations.shape
+    assert np.all(error > 0)
+    want, got = draw_moments(direct, areas), draw_moments(signal, areas)
+    assert np.max(np.abs(got[0] - want[0])) < 1e-9
+    assert np.max(np.abs(got[1] - want[1])) < 1e-9
+    assert np.array_equal(got[2], want[2])
+
+
+def test_surrogate_doubles_on_nested_nodes_and_falls_back_to_draws(monkeypatch):
+    unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    amps = np.linspace(5.0, 6.0, 3) * math.pi * unit
+    durations, solve = _bucket(amps, JitterModel(0.07), 100, seed=4)
+    widths = []
+
+    def counted(t):
+        widths.append(t.shape[1])
+        return solve(t)
+
+    direct, _ = solve(durations)
+    monkeypatch.setattr(jitter, "_surrogate_degree", lambda spread: 4)
+    signal, _, error = _duration_surrogate(counted, durations,
+                                           amps * GAUSSIAN_AREA_FACTOR)
+    # Each doubling solves only the new (odd) nodes of the finer grid.
+    assert widths[0] == 5 and len(widths) >= 3
+    assert widths[1:] == [4 * 2 ** k for k in range(len(widths) - 1)]
+    assert np.max(np.abs(signal - direct)) <= np.min(error) < 1e-9
+    # A bucket with no more draws than nodes is solved draw by draw.
+    monkeypatch.setattr(jitter, "_surrogate_degree", lambda spread: 99)
+    widths.clear()
+    signal, _, error = _duration_surrogate(counted, durations,
+                                           amps * GAUSSIAN_AREA_FACTOR)
+    assert widths == [100]
+    assert np.array_equal(signal, direct) and np.all(error == 0.0)
+
+
+def test_interp_error_bounds_the_actual_error():
+    # One amplitude per bucket, so each scan point is one surrogate.
+    unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    amps = np.linspace(0.5, 6.0, SCAN_BUCKETS) * math.pi * unit
+    model = JitterModel(0.07)
+    scan = averaged_power_scan(EM, TPL, amps, model, n_samples=60, seed=2)
+    assert np.all(scan.interp_error > 0)
+    for i, amp in enumerate(amps):
+        durations, solve = _bucket(amps[i:i + 1], model, 60, seed=2,
+                                   first_point=i)
+        direct, _ = solve(durations)
+        signal, _, error = _duration_surrogate(
+            solve, durations, amp * GAUSSIAN_AREA_FACTOR)
+        assert error[0] == scan.interp_error[i]
+        assert np.max(np.abs(signal - direct)) <= error[0]
+        assert abs(scan.signal[i] - np.mean(direct)) <= error[0]
+    still = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=60,
+                                seed=2)
+    assert np.all(still.interp_error == 0.0)
+
+
+def test_negative_amplitudes_mirror_positive():
+    # The sign of the drive does not change the populations, so a scan over
+    # negative amplitudes must size its nodes from the area spread's
+    # magnitude and reproduce its positive mirror (2000 and 1300 MHz).
+    model = JitterModel(0.07)
+    for amp in (2.0 * math.pi * 2e9, 2.0 * math.pi * 1.3e9):
+        pos = averaged_power_scan(EM, TPL, [amp], model, n_samples=500, seed=1)
+        neg = averaged_power_scan(EM, TPL, [-amp], model, n_samples=500,
+                                  seed=1)
+        bound = pos.interp_error + neg.interp_error
+        assert np.all(bound > 0)
+        assert np.all(np.abs(neg.signal - pos.signal) <= bound)
+        assert np.all(np.abs(neg.stderr - pos.stderr) <= bound)
+        assert np.array_equal(neg.area_std, pos.area_std)
+
+
+def test_surrogate_rows_without_spread():
+    # At sigma = 3e-17 the first amplitude draws 40 equal durations while
+    # its bucket neighbour does not; that row is a constant interpolant.
+    amps = np.array([2e8, 3e8])
+    durations, solve = _bucket(amps, JitterModel(3e-17), 40, seed=1)
+    assert np.ptp(durations[0]) == 0.0 < np.ptp(durations[1])
+    direct, _ = solve(durations)
+    signal, _, error = _duration_surrogate(solve, durations,
+                                           amps * GAUSSIAN_AREA_FACTOR)
+    assert np.all(np.abs(signal - direct) <= error[:, None])
+
+
+def test_no_jitter_scan_is_one_direct_solve():
+    amps = np.linspace(2e8, 2e9, 2 * SCAN_BUCKETS)
+    scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=9,
+                               seed=1)
+    for rows in np.array_split(np.arange(amps.size), SCAN_BUCKETS):
+        base = np.full((rows.size, 1), 4e-9)
+        plan = bucket_schedule(EM, TPL, amps[rows], base)
+        signal, peak = solve_draws(EM, TPL, amps[rows], base, plan, 1.4e-6)
+        assert scan.signal[rows].tobytes() == signal[:, 0].tobytes()
+        # The peak is a mean over identical draws, exact to rounding.
+        assert scan.peak_excitation[rows] == pytest.approx(peak[:, 0], rel=1e-15)
 
 
 def test_scan_control_extrema_at_integer_pi():
@@ -158,3 +279,5 @@ def test_power_scan_validation():
     with pytest.raises(ValueError):
         PowerScan(amplitudes=np.array([1.0, 2.0]), signal=np.array([-1.0, 0.0]),
                   stderr=np.zeros(2), area_std=np.zeros(2))
+    with pytest.raises(ValueError, match="at least one amplitude"):
+        averaged_power_scan(EM, TPL, [], JitterModel(0.07), 10, seed=1)
