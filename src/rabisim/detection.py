@@ -149,6 +149,7 @@ class _JumpEngine:
             raise StepFailure("drive window requires an unreasonable step count")
         self.times = np.linspace(self.t0, self.grid_end, n_steps + 1)
         self.cum = self._cumulative_propagators(field, n_steps)
+        self._check_determinants()
         self.ground_restart = self._ground_restart_states()
         self._finish(field)
 
@@ -190,6 +191,27 @@ class _JumpEngine:
         for k in range(n_steps):
             cum[k + 1] = step[k] @ cum[k]
         return cum
+
+    def _check_determinants(self):
+        """Raise StepFailure if a table entry lost its rank or is not finite.
+
+        Restarts divide by det C_k, whose modulus is fixed by Liouville's
+        formula at exp(-(Gamma1 + gamma_phi)(t_k - t0) / 2). The product
+        computes it by cancellation, so on a long window it drifts off that
+        value and at last reaches 0 or NaN; past a relative drift of 1e-4 the
+        restart states are no longer trustworthy.
+        """
+        c = self.cum
+        det = np.abs(c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0])
+        liouville = np.exp(-0.5 * (self.gamma1 + self.gphi) * (self.times - self.t0))
+        drift = np.abs(det / liouville - 1.0)
+        ok = drift <= 1e-4  # False wherever the table holds NaN or inf
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise StepFailure(
+                f"jump-engine propagator lost its rank at t = {self.times[k]:.4g} s "
+                f"(|det| off its exact value by {drift[k]:.3g}); shorten the "
+                f"drive window")
 
     def _ground_restart_states(self) -> np.ndarray:
         # First column of C_k^{-1}: the grid-coordinate vector of a ground

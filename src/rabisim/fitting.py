@@ -249,6 +249,36 @@ def _count_oscillation_maxima(times, values, support):
     return max(count, 1)
 
 
+def _grid_start(model_values, scales, t0_grid, counts, sigma, b_init: float):
+    """Cheapest start ``[s, t0, b_init, c]`` on the (scale, t0) grid.
+
+    Per scale, one ``model_values(s, t0_grid)`` call gives the model at every
+    shift as rows; each row's norm c is solved linearly (floored at 1e-12)
+    and rows whose model is identically zero are skipped. Ties go to the
+    first grid point in scale-major order.
+    """
+    best_cost, x0 = np.inf, None
+    excess = counts - b_init
+    for s in scales:
+        m = model_values(s, t0_grid)
+        denom = np.einsum("ij,ij->i", m, m)
+        usable = denom > 0
+        norm = np.maximum(np.divide(m @ excess, denom, out=np.zeros_like(denom),
+                                    where=usable), 1e-12)
+        # In place: these (shifts, samples) rows are the fit's largest arrays.
+        r = norm[:, None] * m
+        r += b_init
+        r -= counts
+        r /= sigma
+        cost = np.where(usable, np.einsum("ij,ij->i", r, r), np.inf)
+        i = int(np.argmin(cost))
+        if cost[i] < best_cost:
+            best_cost, x0 = cost[i], np.array([s, t0_grid[i], b_init, norm[i]])
+    if x0 is None:
+        raise FitDiverged("no usable initialization found for the trace fit")
+    return x0
+
+
 def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
               emitter: EmitterModel, model: str = "population",
               efficiency: float = 0.02, t0_init: float | None = None,
@@ -297,7 +327,9 @@ def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
     decay = _tail_decay(emitter, model, efficiency)
 
     def model_values(s, t0):
-        return _interp_series(times - t0, trajectory_for(s), decay)
+        """Unit-norm model at one shift t0, or one row per shift of an array."""
+        return _interp_series(times - np.asarray(t0)[..., None],
+                              trajectory_for(s), decay)
 
     def residual_fn(params):
         s, t0, b, c = params
@@ -315,30 +347,15 @@ def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
     n_max = _count_oscillation_maxima(times, counts,
                                       (support[0] + rough_t0, support[1] + rough_t0))
     lo_area = max(2 * n_max - 1.5, 0.5)
-    candidates = [a for a in np.arange(lo_area, 2 * n_max + 1.75, 0.25)]
+    candidates = np.arange(lo_area, 2 * n_max + 1.75, 0.25)
     if t0_init is not None:
         t0_grid = np.array([t0_init])
     else:
         span_lo = times[0] - support[1]
         span_hi = times[-1] - 3.0 / emitter.gamma1 - support[1]
         t0_grid = np.linspace(span_lo, max(span_hi, span_lo + 1e-12), 241)
-    best = None
-    for n_half in candidates:
-        s_try = n_half * math.pi / unit_area
-        for t0_try in t0_grid:
-            m = model_values(s_try, t0_try)
-            denom = float(m @ m)
-            if denom <= 0:
-                continue
-            c_try = max(float(m @ (counts - b_init)) / denom, 1e-12)
-            x0 = np.array([s_try, t0_try, b_init, c_try])
-            r = residual_fn(x0)
-            cost = float(r @ r)
-            if best is None or cost < best[0]:
-                best = (cost, x0)
-    if best is None:
-        raise FitDiverged("no usable initialization found for the trace fit")
-    x0 = best[1]
+    x0 = _grid_start(model_values, candidates * math.pi / unit_area, t0_grid,
+                     counts, sigma, b_init)
 
     # The optimizer's finite-difference step rule assumes O(1) parameters,
     # so the problem is posed in scaled units (s in units of its init, t0

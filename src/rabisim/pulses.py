@@ -74,6 +74,8 @@ class RectangularEnvelope:
         half = 0.5 * self.duration
         return (self.center - half, self.center + half)
 
+    kinks = breakpoints
+
     def max_on(self, a: float, b: float) -> float:
         """Largest value on the open interval (a, b)."""
         half = 0.5 * self.duration
@@ -117,6 +119,8 @@ class GaussianEnvelope:
 
     def breakpoints(self):
         return ()
+
+    kinks = breakpoints
 
     def max_on(self, a: float, b: float) -> float:
         """Largest value on [a, b]: the peak, or the value at the nearer end."""
@@ -191,6 +195,10 @@ class SampledEnvelope:
 
     def breakpoints(self):
         return (float(self.times[0]), float(self.times[-1]))
+
+    def kinks(self):
+        """Every knot: the interpolant's slope changes at each sample."""
+        return self.times
 
     def max_on(self, a: float, b: float) -> float:
         """Largest value on [a, b]: an end value or an interior sample."""
@@ -289,6 +297,11 @@ class DriveField:
             pts.extend(comp.envelope.breakpoints())
         return tuple(sorted(set(pts)))
 
+    def kinks(self) -> np.ndarray:
+        """Sorted corners and jumps of the envelopes (breakpoints and more)."""
+        return np.unique(np.concatenate(
+            [np.asarray(c.envelope.kinks(), dtype=float) for c in self.components]))
+
     def max_amplitude(self) -> float:
         """Upper bound on |Omega(t)| (sum of component peaks)."""
         return float(sum(c.envelope.peak_value() for c in self.components))
@@ -317,42 +330,57 @@ class DriveField:
         return h.hexdigest()[:12]
 
 
-def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, eps, depth, max_depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    refined = left + right
-    err = refined - whole
-    if abs(err) <= 15.0 * eps:
-        return refined + err / 15.0
-    if depth >= max_depth:
-        raise NonConvergedQuadrature(
-            f"adaptive Simpson did not converge on [{a!r}, {b!r}] at depth {depth}"
-        )
-    half_eps = 0.5 * eps
-    return (_adaptive_simpson(f, a, fa, lm, flm, m, fm, left, half_eps, depth + 1, max_depth)
-            + _adaptive_simpson(f, m, fm, rm, frm, b, fb, right, half_eps, depth + 1, max_depth))
+# Embedded Gauss-Kronrod pair (Piessens et al., QUADPACK, Springer 1983): the
+# 15 Kronrod nodes on [-1, 1] contain the 7 Gauss-Legendre nodes, so one set
+# of integrand values gives K15 (exact to degree 23) and G7 (degree 13), and
+# |K15 - G7| bounds the error of K15 on a smooth segment.
+_K15_X = np.array([0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+                   0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+                   0.207784955007898468, 0.0])
+_K15_W = np.array([0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+                   0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+                   0.204432940075298892, 0.209482141084727828])
+_G7_W = np.array([0.129484966168869693, 0.279705391489276668, 0.381830050505118945,
+                  0.417959183673469388])
+_GK_NODES = np.concatenate([-_K15_X[:-1], _K15_X[::-1]])
+_K15_WEIGHTS = np.concatenate([_K15_W[:-1], _K15_W[::-1]])
+_G7_WEIGHTS = np.zeros(15)
+_G7_WEIGHTS[1::2] = np.concatenate([_G7_W[:-1], _G7_W[::-1]])
 
 
-def _integrate_segment(f, a, b, rel_tol, abs_floor, max_depth):
-    # Endpoint values are one-sided limits (nudged inward): segments are
-    # split at envelope breakpoints, so any jump discontinuity sits exactly
-    # on a segment boundary and must not leak its far-side value in.
-    nudge = 1e-9 * (b - a)
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a + nudge), f(m), f(b - nudge)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # Probe a few interior points so an all-zero Simpson estimate of a truly
-    # zero integrand returns immediately instead of recursing.
-    if whole == 0.0:
-        probes = a + (b - a) * np.linspace(1e-9, 1.0 - 1e-9, 17)
-        if all(f(p) == 0.0 for p in probes):
-            return 0.0
-    eps = max(rel_tol * abs(whole), abs_floor)
-    return _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, eps, 0, max_depth)
+def _area_and_slope(field: DriveField, detuning: float, t0: float, t1: float,
+                    s: float, rel_tol: float, max_depth: int):
+    """``A(s) = integral sqrt(detuning^2 + s^2 |Omega|^2) dt`` and dA/ds.
+
+    [t0, t1] is cut at the field's kinks, where |Omega| has corners, and at
+    its support edges, so that a pulse narrow against the window cannot fall
+    between the nodes of the first pass. Each pass evaluates the G7/K15 pair
+    on every open piece in one ``rabi`` call. A piece is done when K15 and G7
+    of A differ by at most its length's share of ``rel_tol`` times the
+    running total of A; the others are bisected, and a piece still open
+    after ``max_depth`` bisections raises.
+    """
+    inner = np.concatenate([field.kinks(), field.support(AREA_CUTOFF) or ()])
+    cuts = np.unique(np.concatenate([[t0, t1], inner[(inner > t0) & (inner < t1)]]))
+    a, b = cuts[:-1], cuts[1:]
+    det2, per_length = float(detuning) ** 2, rel_tol / (t1 - t0)
+    done = np.zeros(2)
+    for _ in range(max_depth + 1):
+        half = 0.5 * (b - a)
+        mod2 = np.abs(field.rabi((a + half)[:, None] + half[:, None] * _GK_NODES)) ** 2
+        root = np.sqrt(det2 + s * s * mod2)
+        slope = np.divide(s * mod2, root, out=np.zeros_like(root), where=root > 0)
+        kronrod = (np.stack([root, slope]) @ _K15_WEIGHTS) * half
+        err = np.abs(kronrod[0] - (root @ _G7_WEIGHTS) * half)
+        ok = err <= per_length * (done[0] + kronrod[0].sum()) * (b - a)
+        done += kronrod[:, ok].sum(axis=1)
+        if ok.all():
+            return done
+        a, b = a[~ok], b[~ok]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    raise NonConvergedQuadrature(
+        f"Gauss-Kronrod quadrature left {a.size} pieces open at depth {max_depth}")
 
 
 def pulse_area(field: DriveField, detuning: float = 0.0, window=None,
@@ -363,7 +391,8 @@ def pulse_area(field: DriveField, detuning: float = 0.0, window=None,
     explicitly for an all-zero field with nonzero detuning. Chirp enters only
     through |Omega| (unit-modulus phase factors), so single-component areas
     are chirp-independent while multi-component areas see the interference
-    of the components.
+    of the components. Cutting at every kink makes a piecewise-linear
+    |Omega| at zero detuning exact.
     """
     if window is None:
         window = field.support(AREA_CUTOFF)
@@ -372,32 +401,17 @@ def pulse_area(field: DriveField, detuning: float = 0.0, window=None,
     t0, t1 = float(window[0]), float(window[1])
     if not t0 < t1:
         raise ValueError("window must satisfy t0 < t1")
-    det2 = float(detuning) ** 2
-
-    def integrand(t):
-        return math.sqrt(det2 + abs(field.rabi(t)) ** 2)
-
-    cuts = [t0] + [b for b in field.breakpoints() if t0 < b < t1] + [t1]
-    # Absolute floor so near-zero tail segments cannot stall the recursion.
-    coarse = sum(
-        (b - a) / 6.0 * (integrand(a) + 4.0 * integrand(0.5 * (a + b)) + integrand(b))
-        for a, b in zip(cuts[:-1], cuts[1:])
-    )
-    abs_floor = rel_tol * max(abs(coarse), 1e-300) * 1e-3
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += _integrate_segment(integrand, a, b, rel_tol, abs_floor, max_depth)
-    return total
+    return float(_area_and_slope(field, detuning, t0, t1, 1.0, rel_tol, max_depth)[0])
 
 
 def scale_to_area(field: DriveField, target: float, detuning: float = 0.0,
                   window=None, rel_tol: float = 1e-6) -> DriveField:
     """Rescale all envelope peaks by a common factor so the area hits ``target``.
 
-    The area is monotone in the scale factor for any detuning (the integrand
-    ``sqrt(detuning^2 + s^2 |Omega|^2)`` increases with s), so a bisection on
-    s converges unconditionally once the target exceeds the detuning floor
-    ``|detuning| * (t1 - t0)``.
+    At zero detuning the area is ``s A(1)``, so one division gives s.
+    Otherwise A(s) is increasing and convex, rising from the detuning floor
+    ``|detuning| * (t1 - t0)`` at s = 0, so every Newton step lands at or
+    above the root and the next ones descend onto it.
     """
     if target <= 0:
         raise ValueError("target area must be > 0")
@@ -411,36 +425,20 @@ def scale_to_area(field: DriveField, target: float, detuning: float = 0.0,
         raise UnreachableArea(
             f"target area {target:g} below detuning floor {floor:g} of the window"
         )
-
     quad_tol = min(1e-8, rel_tol * 1e-2)
-
-    def area_at(s):
-        return pulse_area(field.scaled(s), detuning, (t0, t1), rel_tol=quad_tol)
-
-    base = area_at(1.0)
-    if base <= floor:
+    s = 1.0
+    area, slope = _area_and_slope(field, detuning, t0, t1, s, quad_tol, 40)
+    if area <= floor:
         raise ValueError("field has no area above the detuning floor at unit scale")
-
-    # Bracket the root: areas grow without bound in s.
-    s_hi = max(target / max(base - floor, 1e-300), 1.0)
-    while area_at(s_hi) < target:
-        s_hi *= 2.0
-        if s_hi > 1e18:
-            raise UnreachableArea("could not bracket the requested area")
-    s_lo = 0.0
-    s_mid = 0.5 * s_hi
-    for _ in range(200):
-        s_mid = 0.5 * (s_lo + s_hi)
-        a_mid = area_at(s_mid)
-        if abs(a_mid - target) <= rel_tol * target:
-            break
-        if a_mid < target:
-            s_lo = s_mid
-        else:
-            s_hi = s_mid
-    else:
-        raise NonConvergedQuadrature("area bisection failed to reach tolerance")
-    return field.scaled(s_mid)
+    if detuning == 0.0:
+        return field.scaled(target / area)
+    for _ in range(100):
+        if abs(area - target) <= rel_tol * target:
+            return field.scaled(s)
+        # Safeguard: roundoff must not drive s to zero or below.
+        s = max(s - (area - target) / slope, 0.5 * s)
+        area, slope = _area_and_slope(field, detuning, t0, t1, s, quad_tol, 40)
+    raise NonConvergedQuadrature("Newton iteration on the area scale did not converge")
 
 
 def photons_per_pulse(avg_power: float, rep_rate: float, wavelength: float) -> float:

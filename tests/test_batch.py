@@ -11,8 +11,9 @@ from rabisim.bloch import (BATCH_PIECES, MAX_BATCH_POINT_STEPS, BlochState,
 from rabisim.cli_io import run_command
 from rabisim.errors import StepFailure
 from rabisim.jitter import JitterModel, PowerScanTemplate, averaged_power_scan
-from rabisim.pulses import (DriveField, GaussianEnvelope, PhaseLaw,
-                            RectangularEnvelope)
+from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, SUPPORT_CUTOFF, DriveField,
+                            FieldComponent, GaussianEnvelope, PhaseLaw,
+                            RectangularEnvelope, SampledEnvelope)
 from rabisim.sweeps import CompositeFieldTemplate, sweep_2d
 
 TWO_PI = 2.0 * math.pi
@@ -91,6 +92,85 @@ def test_population_series_tail_is_exact_free_decay():
                        rtol=1e-14)
     ref = integrate(EM, field, BlochState(0.0), (0.0, 60e-9), 60e-9 / 6000)
     assert np.max(np.abs(rho - ref.rho_ee)) < 1e-6
+
+
+def series_reference(field, emitter, t_span, n_steps):
+    """The scalar RK4 loop that population_series_fixed replaced."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    times = np.linspace(t0, t1, n_steps + 1)
+    h = (t1 - t0) / n_steps
+    support = field.support(SUPPORT_CUTOFF)
+    n_drive = 0 if support is None else min(
+        n_steps, int(np.searchsorted(times, support[1])))
+    om_nodes = np.asarray(field.rabi(times[:n_drive + 1]), dtype=complex)
+    om_half = np.asarray(field.rabi(times[:n_drive] + 0.5 * h), dtype=complex)
+    g1, g2, det = emitter.gamma1, emitter.gamma2, emitter.detuning
+    rho_out = np.empty(n_steps + 1)
+    rho_out[0] = 0.0
+    y0 = y1 = y2 = 0.0
+
+    def deriv(rho, x, w, om):
+        inv = 2.0 * rho - 1.0
+        return (-g1 * rho + (om.real * w - om.imag * x),
+                -g2 * x - det * w + 0.5 * om.imag * inv,
+                det * x - g2 * w - 0.5 * om.real * inv)
+
+    for k in range(n_drive):
+        oa, om_m, ob = om_nodes[k], om_half[k], om_nodes[k + 1]
+        k1 = deriv(y0, y1, y2, oa)
+        k2 = deriv(y0 + 0.5 * h * k1[0], y1 + 0.5 * h * k1[1],
+                   y2 + 0.5 * h * k1[2], om_m)
+        k3 = deriv(y0 + 0.5 * h * k2[0], y1 + 0.5 * h * k2[1],
+                   y2 + 0.5 * h * k2[2], om_m)
+        k4 = deriv(y0 + h * k3[0], y1 + h * k3[1], y2 + h * k3[2], ob)
+        y0 += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        y1 += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        y2 += h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        rho_out[k + 1] = y0
+    rho_out[n_drive + 1:] = y0 * np.exp(-g1 * (times[n_drive + 1:] - times[n_drive]))
+    return times, rho_out
+
+
+def c10_envelope():
+    fwhm = 5.7 * math.pi / (TWO_PI * 370e6 * GAUSSIAN_AREA_FACTOR)
+    grid = np.arange(0.0, 40e-9, 0.05e-9)
+    return SampledEnvelope(grid, np.exp(-2.0 * math.log(2.0)
+                                        * ((grid - 14e-9) / fwhm) ** 2))
+
+
+@pytest.mark.parametrize("field, n_steps", [
+    (DriveField.single(GaussianEnvelope(peak=TWO_PI * 250e6, fwhm=4e-9,
+                                        center=12e-9)), 3000),
+    (DriveField.single(c10_envelope().scaled(TWO_PI * 370e6)), 4001),
+    (DriveField([
+        FieldComponent(GaussianEnvelope(peak=TWO_PI * 200e6, fwhm=4e-9,
+                                        center=12e-9), PhaseLaw(chirp=TWO_PI * 80e6)),
+        FieldComponent(RectangularEnvelope(peak=TWO_PI * 60e6, duration=10e-9,
+                                           center=15e-9),
+                       PhaseLaw(offset=0.7, chirp=-TWO_PI * 30e6))]), 2500),
+], ids=["detuned_gaussian", "c10_sampled", "chirped_two_component"])
+def test_series_scan_matches_scalar_rk4(field, n_steps):
+    times, rho = population_series_fixed(field, EM, (0.0, 60e-9), n_steps)
+    ref_times, ref = series_reference(field, EM, (0.0, 60e-9), n_steps)
+    assert np.array_equal(times, ref_times)
+    assert np.max(np.abs(rho - ref)) < 1e-12
+
+
+def test_series_fourth_order_vs_reference():
+    field = DriveField.single(GaussianEnvelope(peak=TWO_PI * 300e6, fwhm=3e-9,
+                                               center=10e-9))
+    # Both solvers drop the drive outside its support, which moves rho_ee by
+    # ~1e-7, so the window is the support itself.
+    span = field.support()
+    ref = integrate(EM, field, BlochState(0.0), span, (span[1] - span[0]) / 40,
+                    rtol=1e-9)
+    errors = []
+    for n_steps in (200, 400, 800):
+        _, rho = population_series_fixed(field, EM, span, n_steps)
+        errors.append(np.max(np.abs(rho[::n_steps // 40] - ref.rho_ee)))
+    assert errors[0] < 1e-3
+    # Fourth order gives 16; 12 means order >= 3.5.
+    assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0, errors
 
 
 def test_absurd_sweep_fails_within_budget_before_allocating():

@@ -203,6 +203,19 @@ def test_trace_with_fewer_than_two_rows_is_refused(tmp_path, capsys, window):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+def test_rank_lost_jump_table_is_a_step_failure(tmp_path, capsys):
+    # A 1 us drive window: |det C_k| of the cumulative propagators decays
+    # like exp(-Gamma1 t) and reaches 0, which made the restarts NaN.
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("field.1.kind = rectangular\nfield.1.duration_ns = 2000\n"
+                   "field.1.peak_MHz = 5\ntrace.n_pulses = 1000\n"
+                   "detector.rep_period_us = 3\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert run_command(["trace", "--config", str(cfg)]) == 4
+    assert "ERROR kind=StepFailure" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "histogram.csv").exists()
+
+
 def test_seed_outside_64_bits_is_refused(tmp_path, capsys):
     assert parse_config(f"rng.seed = {2 ** 64 - 1}\n")[0].seed == 2 ** 64 - 1
     big = tmp_path / "big.cfg"

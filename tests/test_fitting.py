@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rabisim import fitting
 from rabisim.bloch import EmitterModel
 from rabisim.errors import DegenerateTail, SingularJacobian
 from rabisim.fitting import (FitProblem, FitResult, _jacobian, fit_trace,
@@ -194,6 +195,46 @@ def test_fit_trace_reparametrization_invariance():
     fit2 = fit_trace(data_t, counts, env.scaled(4.2), EM)
     assert fit2.omega_max == pytest.approx(fit1.omega_max, rel=1e-9)
     assert fit2.area == pytest.approx(fit1.area, rel=1e-9)
+
+
+def grid_start_reference(model_values, scales, t0_grid, counts, sigma, b_init):
+    """The per-point loop that _grid_start replaced."""
+    best = None
+    for s in scales:
+        for t0 in t0_grid:
+            m = model_values(s, t0)
+            denom = float(m @ m)
+            if denom <= 0:
+                continue
+            c = max(float(m @ (counts - b_init)) / denom, 1e-12)
+            r = (c * m + b_init - counts) / sigma
+            cost = float(r @ r)
+            if best is None or cost < best[0]:
+                best = (cost, np.array([s, t0, b_init, c]))
+    return best[1]
+
+
+@pytest.mark.parametrize("peak_mhz", [370.0, 162.0], ids=["5.7pi", "2.5pi"])
+def test_grid_start_picks_the_reference_grid_point(peak_mhz, monkeypatch):
+    env = make_envelope()
+    data_t = np.arange(0.25e-9, 95e-9, 0.5e-9)
+    expected = trace_model(data_t, env, EM, 2 * math.pi * peak_mhz * 1e6,
+                           3.1e-9, 40.0, 1e5)
+    counts = np.random.default_rng(11).poisson(expected).astype(float)
+    grid_start = fitting._grid_start
+    calls = []
+
+    def spy(*args):
+        calls.append((args, grid_start(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fitting, "_grid_start", spy)
+    fit_trace(data_t, counts, env, EM)
+    (args, x0), = calls
+    assert len(args[1]) >= 4 and len(args[2]) == 241
+    ref = grid_start_reference(*args)
+    assert x0[:3].tolist() == ref[:3].tolist()
+    assert x0[3] == pytest.approx(ref[3], rel=1e-12)
 
 
 def test_fit_trace_rejects_short_tail():

@@ -73,6 +73,63 @@ def test_pulse_area_raises_when_depth_exhausted():
         pulse_area(f, max_depth=1)
 
 
+def gaussian_samples(n=401, peak=1.25e9, fwhm=4e-9):
+    t = np.linspace(-10e-9, 10e-9, n)
+    return SampledEnvelope(t, peak * np.exp(-2.0 * math.log(2.0) * (t / fwhm) ** 2))
+
+
+def test_sampled_area_cuts_at_every_knot():
+    # |Omega| is linear between knots, so the trapezoid rule is exact; a rule
+    # that straddles the knots misses it by ~2e-7.
+    env = gaussian_samples()
+    field = DriveField.single(env, PhaseLaw(chirp=TWO_PI * 50e6))
+    assert np.array_equal(field.kinks(), env.times)
+    assert field.breakpoints() == (env.times[0], env.times[-1])
+    exact = np.trapezoid(env.amplitudes, env.times)
+    assert pulse_area(field) == pytest.approx(exact, rel=1e-12)
+
+
+def test_area_closed_forms_to_1e_10():
+    det = TWO_PI * 80e6
+    rect = RectangularEnvelope(peak=TWO_PI * 100e6, duration=7e-9, center=1e-9)
+    assert pulse_area(DriveField.single(rect), det) == pytest.approx(
+        math.hypot(det, rect.peak) * rect.duration, rel=1e-10)
+    gauss = GaussianEnvelope(peak=9.4e8, fwhm=3.1e-9, center=2e-9)
+    assert pulse_area(DriveField.single(gauss)) == pytest.approx(
+        gauss.peak * gauss.fwhm * GAUSSIAN_AREA_FACTOR, rel=1e-10)
+
+
+def test_detuned_sampled_area_meets_rel_tol():
+    # Reference: 8-node Gauss-Legendre on 16 equal pieces of every knot
+    # interval, on which sqrt(det^2 + |Omega|^2) is smooth.
+    env = gaussian_samples(n=201)
+    det = TWO_PI * 60e6
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(env.times[0], env.times[-1], 16 * (env.times.size - 1) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = edges[:-1, None] + half * (nodes + 1.0)
+    ref = float(np.sum(half * weights * np.sqrt(det ** 2 + env.value(t) ** 2)))
+    window = (env.times[0], env.times[-1])
+    for rel_tol in (1e-6, 1e-8, 1e-10):
+        area = pulse_area(DriveField.single(env), det, window, rel_tol=rel_tol)
+        assert area == pytest.approx(ref, rel=rel_tol)
+
+
+def test_scale_to_area_hits_target():
+    # At zero detuning the area is linear in the scale: one division.
+    target = 5.7 * math.pi
+    for env in (GaussianEnvelope(peak=1.0, fwhm=4e-9),
+                RectangularEnvelope(peak=1.0, duration=4e-9)):
+        scaled = scale_to_area(DriveField.single(env), target)
+        assert pulse_area(scaled) == pytest.approx(target, rel=1e-12)
+    env = gaussian_samples()
+    det = TWO_PI * 40e6
+    window = (-10e-9, 10e-9)
+    for field in (DriveField.single(env), DriveField.single(env.scaled(1e-3))):
+        scaled = scale_to_area(field, target, det, window)
+        assert pulse_area(scaled, det, window) == pytest.approx(target, rel=1e-6)
+
+
 def test_scale_to_area_rectangular_inversion():
     f = DriveField.single(RectangularEnvelope(peak=1.0, duration=4e-9, center=0.0))
     scaled = scale_to_area(f, math.pi)
