@@ -3,10 +3,10 @@
 Config files are line-oriented ``section.key = value`` text: '#' starts a
 comment, blank lines are ignored, unknown keys are rejected. Times are
 given in ns and frequencies in MHz (converted to SI at this boundary
-only). Every command writes its outputs as '#'-headed CSV with 9
-significant digits plus a JSON run manifest that echoes the fully
-resolved config, so any run can be reproduced bit-identically from its
-manifest.
+only). Every command writes '#'-headed CSV with 9 significant digits (or
+a text/JSON report) plus a JSON run manifest that lists its outputs and
+echoes the fully resolved config, so any run can be reproduced
+bit-identically from its manifest.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from .errors import (NonMonotonicTime, ParseError, RabisimError,
 from .fitting import fit_trace
 from .jitter import (JitterModel, PowerScan, PowerScanTemplate,
                      averaged_power_scan, fit_power_scan)
-from .pulses import (DriveField, FieldComponent, GaussianEnvelope, PhaseLaw,
-                     RectangularEnvelope, SampledEnvelope, photons_per_pulse,
-                     pulse_area, scale_to_area)
+from .pulses import (PLANCK, SPEED_OF_LIGHT, DriveField, FieldComponent,
+                     GaussianEnvelope, PhaseLaw, RectangularEnvelope,
+                     SampledEnvelope, photons_per_pulse, scale_to_area)
+from .selftest import run_selftest
 from .sweeps import (CompositeFieldTemplate, SweepResult, ThirdComponent,
                      cross_section, sweep_2d)
 
@@ -484,39 +485,27 @@ def _write_csv(path: Path, header_lines, rows):
 
 
 def write_manifest(path: Path, command: str, cfg_text: str, seed: int,
-                   outputs: list[str], wall_time: float, extra: dict | None = None):
+                   outputs: list[str], defaults: list[str], wall_time: float):
     doc = {
         "command": command,
         "version": __version__,
         "seed": seed,
         "config": cfg_text,
+        "defaults": defaults,
         "outputs": outputs,
         "wall_time_s": wall_time,
     }
-    if extra:
-        doc["extra"] = extra
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_sweep_long(path: Path) -> SweepResult:
-    det, amp, sig = [], [], []
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        d, a, s = (float(x) for x in line.split(","))
-        det.append(d)
-        amp.append(a)
-        sig.append(s)
-    det = np.asarray(det) * MHZ
-    amp = np.asarray(amp) * MHZ
-    sig = np.asarray(sig)
-    dets = np.unique(det)
-    amps = np.unique(amp)
+    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if rows.shape[1] != 3:
+        raise ParseError("long-format sweep file needs three columns")
+    dets, di = np.unique(rows[:, 0] * MHZ, return_inverse=True)
+    amps, ai = np.unique(rows[:, 1] * MHZ, return_inverse=True)
     matrix = np.full((amps.size, dets.size), np.nan)
-    di = np.searchsorted(dets, det)
-    ai = np.searchsorted(amps, amp)
-    matrix[ai, di] = sig
+    matrix[ai, di] = rows[:, 2]
     if np.any(np.isnan(matrix)):
         raise ParseError("long-format sweep file does not cover a full grid")
     return SweepResult(detunings=dets, amplitudes=amps, signal=matrix)
@@ -532,6 +521,12 @@ def write_report(path_txt: Path, path_json: Path, payload: dict, header_lines):
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each command is ``cmd_*(args, cfg, out) -> (paths written, summary)``: it
+# builds the domain objects and writes its files into ``out``. run_command
+# loads the config, makes ``out``, then writes the manifest
+# ``<command>_manifest.json`` ('-' as '_'), which lists the paths written and
+# the keys left at their defaults, and prints the summary.
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> tuple[ExperimentConfig, list[str], str]:
@@ -542,21 +537,23 @@ def _load_config(args) -> tuple[ExperimentConfig, list[str], str]:
     cfg, provenance = parse_config(text)
     if getattr(args, "out", None):
         cfg = replace(cfg, output_dir=args.out)
+        provenance = [p for p in provenance if not p.startswith("output.dir =")]
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
         _validate_config(cfg)
+        provenance = [p for p in provenance if not p.startswith("rng.seed =")]
     return cfg, provenance, serialize_config(cfg)
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _header(args) -> str:
+    return f"rabisim {args.command} v{__version__}"
 
 
-def cmd_trace(args) -> int:
-    t_start = time.monotonic()
-    cfg, _, cfg_text = _load_config(args)
+def _wrote(paths) -> str:
+    return "wrote " + ", ".join(map(str, paths))
+
+
+def cmd_trace(args, cfg, out):
     base_dir = Path(args.config).parent if args.config else None
     emitter = build_emitter(cfg)
     field = build_drive_field(cfg, base_dir)
@@ -577,37 +574,29 @@ def cmd_trace(args) -> int:
             f"than two rows at trace.dt_out_ns = {_fmt(cfg.trace.dt_out_ns)}")
     traj = integrate(emitter, field, BlochState(0.0), (t0, t1), dt_out)
     times, rates = emission_rate(traj, emitter)
-    out = _out_dir(cfg)
-    header = [f"rabisim trace v{__version__}", f"field_hash={traj.field_hash}",
+    header = [_header(args), f"field_hash={traj.field_hash}",
               f"detuning_MHz={_fmt(emitter.detuning / MHZ)}"]
     trace_path = out / "trace.csv"
     _write_csv(trace_path, header + ["t_ns,rho_ee,emission_rate_per_s"],
                zip(times / NS, traj.rho_ee, rates))
-    outputs = [str(trace_path)]
-    if detector is not None:
-        hist = simulate_tcspc(emitter, field, detector, cfg.trace.n_pulses,
-                              cfg.seed)
-        hist_path = out / "histogram.csv"
-        edges = hist.bin_edges / NS
-        _write_csv(hist_path, header + [f"seed={cfg.seed}",
-                                        f"n_pulses={hist.n_pulses}",
-                                        "bin_start_ns,bin_end_ns,counts"],
-                   zip(edges[:-1], edges[1:], hist.counts))
-        outputs.append(str(hist_path))
-        density = first_detected_density(times, rates, detector.efficiency)
-        dens_path = out / "first_detected.csv"
-        _write_csv(dens_path, header + ["t_ns,first_detected_density_per_s"],
-                   zip(times / NS, density))
-        outputs.append(str(dens_path))
-    write_manifest(out / "trace_manifest.json", "trace", cfg_text, cfg.seed,
-                   outputs, time.monotonic() - t_start)
-    print(f"trace: wrote {', '.join(outputs)}")
-    return 0
+    if detector is None:
+        return [trace_path], _wrote([trace_path])
+    hist = simulate_tcspc(emitter, field, detector, cfg.trace.n_pulses, cfg.seed)
+    hist_path = out / "histogram.csv"
+    edges = hist.bin_edges / NS
+    _write_csv(hist_path, header + [f"seed={cfg.seed}",
+                                    f"n_pulses={hist.n_pulses}",
+                                    "bin_start_ns,bin_end_ns,counts"],
+               zip(edges[:-1], edges[1:], hist.counts))
+    density = first_detected_density(times, rates, detector.efficiency)
+    dens_path = out / "first_detected.csv"
+    _write_csv(dens_path, header + ["t_ns,first_detected_density_per_s"],
+               zip(times / NS, density))
+    outputs = [trace_path, hist_path, dens_path]
+    return outputs, _wrote(outputs)
 
 
-def cmd_power_scan(args) -> int:
-    t_start = time.monotonic()
-    cfg, _, cfg_text = _load_config(args)
+def cmd_power_scan(args, cfg, out):
     emitter = build_emitter(cfg)
     ps = cfg.powerscan
     amps = np.linspace(ps.amp_min_mhz, ps.amp_max_mhz, ps.points) * MHZ
@@ -618,23 +607,16 @@ def cmd_power_scan(args) -> int:
     scan = averaged_power_scan(emitter, template, amps, jm, ps.samples,
                                cfg.seed,
                                rep_period=cfg.detector.rep_period_us * 1e-6)
-    out = _out_dir(cfg)
     path = out / "power_scan.csv"
-    header = [f"rabisim power-scan v{__version__}", f"seed={cfg.seed}",
-              f"sigma_T_rel={_fmt(jm.sigma_t_rel)}",
-              f"samples={ps.samples}"]
+    header = [_header(args), f"seed={cfg.seed}",
+              f"sigma_T_rel={_fmt(jm.sigma_t_rel)}", f"samples={ps.samples}"]
     _write_csv(path, header + ["amplitude_MHz,signal,stderr,area_std_rad"],
                zip(scan.amplitudes / MHZ, scan.signal, scan.stderr,
                    scan.area_std))
-    write_manifest(out / "power_scan_manifest.json", "power-scan", cfg_text,
-                   cfg.seed, [str(path)], time.monotonic() - t_start)
-    print(f"power-scan: wrote {path}")
-    return 0
+    return [path], _wrote([path])
 
 
-def cmd_sweep2d(args) -> int:
-    t_start = time.monotonic()
-    cfg, _, cfg_text = _load_config(args)
+def cmd_sweep2d(args, cfg, out):
     emitter = build_emitter(cfg)
     template = build_template(cfg)
     sw = cfg.sweep
@@ -642,9 +624,7 @@ def cmd_sweep2d(args) -> int:
     amps = np.linspace(sw.amp_min_mhz, sw.amp_max_mhz, sw.amp_points) * MHZ
     result = sweep_2d(emitter, template, dets, amps,
                       rep_period=cfg.detector.rep_period_us * 1e-6)
-    out = _out_dir(cfg)
-    header = [f"rabisim sweep2d v{__version__}",
-              f"ratio_dB={_fmt(template.ratio_db)}",
+    header = [_header(args), f"ratio_dB={_fmt(template.ratio_db)}",
               f"chirp_MHz={_fmt(template.chirp / MHZ)}"]
     matrix_path = out / "sweep.csv"
     long_path = out / "sweep_long.csv"
@@ -657,35 +637,22 @@ def cmd_sweep2d(args) -> int:
     _write_csv(long_path, header + ["detuning_MHz,amplitude_MHz,signal"],
                ((d, a, x) for a, row in zip(amps_mhz, result.signal)
                 for d, x in zip(dets_mhz, row)))
-    write_manifest(out / "sweep_manifest.json", "sweep2d", cfg_text, cfg.seed,
-                   [str(matrix_path), str(long_path)],
-                   time.monotonic() - t_start)
-    print(f"sweep2d: wrote {matrix_path}, {long_path}")
-    return 0
+    return [matrix_path, long_path], _wrote([matrix_path, long_path])
 
 
-def cmd_cross_section(args) -> int:
-    t_start = time.monotonic()
-    cfg, _, cfg_text = _load_config(args)
+def cmd_cross_section(args, cfg, out):
     amp = (args.amplitude_mhz if args.amplitude_mhz is not None
            else cfg.crosssection_amp_mhz) * MHZ
     result = read_sweep_long(Path(args.source))
     dets, row, actual = cross_section(result, amp)
-    out = _out_dir(cfg)
     path = out / "cross_section.csv"
-    header = [f"rabisim cross-section v{__version__}",
-              f"requested_amplitude_MHz={_fmt(amp / MHZ)}",
+    header = [_header(args), f"requested_amplitude_MHz={_fmt(amp / MHZ)}",
               f"row_amplitude_MHz={_fmt(actual / MHZ)}"]
     _write_csv(path, header + ["detuning_MHz,signal"], zip(dets / MHZ, row))
-    write_manifest(out / "cross_section_manifest.json", "cross-section",
-                   cfg_text, cfg.seed, [str(path)], time.monotonic() - t_start)
-    print(f"cross-section: wrote {path} (row at {actual / MHZ:.6g} MHz)")
-    return 0
+    return [path], f"{_wrote([path])} (row at {actual / MHZ:.6g} MHz)"
 
 
-def cmd_fit_trace(args) -> int:
-    t_start = time.monotonic()
-    cfg, _, cfg_text = _load_config(args)
+def cmd_fit_trace(args, cfg, out):
     emitter = build_emitter(cfg)
     data = ingest_trace(Path(args.data).read_text())
     pulse = ingest_trace(Path(args.pulse).read_text(), mode=args.pulse_mode)
@@ -696,7 +663,6 @@ def cmd_fit_trace(args) -> int:
     fit = fit_trace(data.times_ns * NS, data.values, envelope, emitter,
                     model=cfg.fit.model, efficiency=cfg.detector.efficiency,
                     max_iter=cfg.fit.max_iter)
-    out = _out_dir(cfg)
     payload = {
         "omega_max_rad_s": fit.omega_max,
         "omega_max_over_2pi_MHz": fit.omega_max / MHZ,
@@ -710,20 +676,13 @@ def cmd_fit_trace(args) -> int:
         "status": fit.result.status,
         "n_iter": fit.result.n_iter,
     }
-    write_report(out / "fit_trace.txt", out / "fit_trace.json", payload,
-                 [f"rabisim fit-trace v{__version__}"])
-    write_manifest(out / "fit_trace_manifest.json", "fit-trace", cfg_text,
-                   cfg.seed, [str(out / "fit_trace.txt"),
-                              str(out / "fit_trace.json")],
-                   time.monotonic() - t_start)
-    print(f"fit-trace: Omega_max/2pi = {fit.omega_max / MHZ:.4g} MHz, "
-          f"area = {fit.area / math.pi:.4g} pi")
-    return 0
+    paths = [out / "fit_trace.txt", out / "fit_trace.json"]
+    write_report(*paths, payload, [_header(args)])
+    return paths, (f"Omega_max/2pi = {fit.omega_max / MHZ:.4g} MHz, "
+                   f"area = {fit.area / math.pi:.4g} pi")
 
 
-def cmd_fit_power_scan(args) -> int:
-    t_start = time.monotonic()
-    cfg, _, cfg_text = _load_config(args)
+def cmd_fit_power_scan(args, cfg, out):
     rows = np.loadtxt(args.data, delimiter=",", comments="#", ndmin=2)
     if rows.shape[1] < 2:
         raise ParseError("power-scan file needs amplitude and signal columns")
@@ -732,7 +691,6 @@ def cmd_fit_power_scan(args) -> int:
         stderr=rows[:, 2] if rows.shape[1] > 2 else np.zeros(rows.shape[0]),
         area_std=rows[:, 3] if rows.shape[1] > 3 else np.zeros(rows.shape[0]))
     fit = fit_power_scan(scan, max_iter=cfg.fit.max_iter)
-    out = _out_dir(cfg)
     payload = {
         "period_MHz": fit.period / MHZ,
         "pi_pulse_amplitude_MHz": fit.pi_pulse_amplitude / MHZ,
@@ -744,54 +702,34 @@ def cmd_fit_power_scan(args) -> int:
         "cost": fit.result.cost,
         "status": fit.result.status,
     }
-    write_report(out / "fit_power_scan.txt", out / "fit_power_scan.json",
-                 payload, [f"rabisim fit-power-scan v{__version__}"])
-    write_manifest(out / "fit_power_scan_manifest.json", "fit-power-scan",
-                   cfg_text, cfg.seed,
-                   [str(out / "fit_power_scan.txt")],
-                   time.monotonic() - t_start)
-    print(f"fit-power-scan: period = {fit.period / MHZ:.5g} MHz, "
-          f"pi-pulse at {fit.pi_pulse_amplitude / MHZ:.5g} MHz")
-    return 0
+    paths = [out / "fit_power_scan.txt", out / "fit_power_scan.json"]
+    write_report(*paths, payload, [_header(args)])
+    return paths, (f"period = {fit.period / MHZ:.5g} MHz, "
+                   f"pi-pulse at {fit.pi_pulse_amplitude / MHZ:.5g} MHz")
 
 
-def cmd_pi_pulse(args) -> int:
-    from scipy.constants import c as c_light, h as h_planck
-
-    t_start = time.monotonic()
+def cmd_pi_pulse(args, cfg, out):
     duration = args.t_ns * NS
     rep_rate = args.rep_khz * 1e3
     wavelength = args.wavelength_nm * 1e-9
     omega_pi = math.pi / duration
-    photon_energy_power = args.photons * rep_rate * h_planck * c_light / wavelength
-    check = photons_per_pulse(photon_energy_power, rep_rate, wavelength)
+    power = args.photons * rep_rate * PLANCK * SPEED_OF_LIGHT / wavelength
+    check = photons_per_pulse(power, rep_rate, wavelength)
     payload = {
         "pulse_duration_ns": args.t_ns,
         "rep_rate_kHz": args.rep_khz,
         "wavelength_nm": args.wavelength_nm,
         "photons_per_pulse": args.photons,
-        "avg_power_W": photon_energy_power,
+        "avg_power_W": power,
         "rect_pi_omega_rad_s": omega_pi,
         "rect_pi_omega_over_2pi_MHz": omega_pi / MHZ,
         "photons_check": check,
     }
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(out / "pi_pulse.txt", out / "pi_pulse.json", payload,
-                 [f"rabisim pi-pulse v{__version__}"])
-    write_manifest(out / "pi_pulse_manifest.json", "pi-pulse",
-                   "", 0, [str(out / "pi_pulse.txt")],
-                   time.monotonic() - t_start)
-    print(f"pi-pulse: average power {photon_energy_power:.6g} W delivers "
-          f"{check:.6g} photons/pulse; rectangular-equivalent "
-          f"Omega/2pi = {omega_pi / MHZ:.6g} MHz")
-    return 0
-
-
-def cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-
-    return run_selftest(verbose=True)
+    paths = [out / "pi_pulse.txt", out / "pi_pulse.json"]
+    write_report(*paths, payload, [_header(args)])
+    return paths, (f"average power {power:.6g} W delivers "
+                   f"{check:.6g} photons/pulse; rectangular-equivalent "
+                   f"Omega/2pi = {omega_pi / MHZ:.6g} MHz")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -800,53 +738,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pulsed two-level emitter simulations and fits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="config file (key = value lines)")
-        p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--seed", type=int, help="override rng.seed")
+    def command(name, fn, help_text, common=True):
+        p = sub.add_parser(name, help=help_text)
+        if common:
+            p.add_argument("--config", help="config file (key = value lines)")
+            p.add_argument("--out", help="output directory (overrides output.dir)")
+            p.add_argument("--seed", type=int, help="override rng.seed")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("trace", help="excited-population trace (+ optional MC histogram)")
-    add_common(p)
-    p.set_defaults(fn=cmd_trace)
+    command("trace", cmd_trace, "excited-population trace (+ optional MC histogram)")
+    command("power-scan", cmd_power_scan, "jitter-averaged signal vs drive amplitude")
+    command("sweep2d", cmd_sweep2d, "detuning x amplitude fluorescence map")
 
-    p = sub.add_parser("power-scan", help="jitter-averaged signal vs drive amplitude")
-    add_common(p)
-    p.set_defaults(fn=cmd_power_scan)
-
-    p = sub.add_parser("sweep2d", help="detuning x amplitude fluorescence map")
-    add_common(p)
-    p.set_defaults(fn=cmd_sweep2d)
-
-    p = sub.add_parser("cross-section", help="extract one amplitude row of a sweep")
-    add_common(p)
+    p = command("cross-section", cmd_cross_section,
+                "extract one amplitude row of a sweep")
     p.add_argument("--source", required=True, help="sweep_long.csv from sweep2d")
     p.add_argument("--amplitude-mhz", type=float, dest="amplitude_mhz")
-    p.set_defaults(fn=cmd_cross_section)
 
-    p = sub.add_parser("fit-trace", help="fit a decay histogram with Bloch dynamics")
-    add_common(p)
+    p = command("fit-trace", cmd_fit_trace, "fit a decay histogram with Bloch dynamics")
     p.add_argument("--data", required=True, help="two-column histogram (t_ns, counts)")
     p.add_argument("--pulse", required=True, help="measured pulse file (t_ns, value)")
     p.add_argument("--pulse-mode", default="intensity",
                    choices=("intensity", "amplitude"))
-    p.set_defaults(fn=cmd_fit_trace)
 
-    p = sub.add_parser("fit-power-scan", help="fit the washout model to a power scan")
-    add_common(p)
+    p = command("fit-power-scan", cmd_fit_power_scan,
+                "fit the washout model to a power scan")
     p.add_argument("--data", required=True, help="power_scan.csv")
-    p.set_defaults(fn=cmd_fit_power_scan)
 
-    p = sub.add_parser("pi-pulse", help="pi-pulse photon/power bookkeeping")
+    p = command("pi-pulse", cmd_pi_pulse, "pi-pulse photon/power bookkeeping",
+                common=False)
     p.add_argument("--t-ns", type=float, required=True, dest="t_ns")
     p.add_argument("--wavelength-nm", type=float, required=True,
                    dest="wavelength_nm")
     p.add_argument("--rep-khz", type=float, required=True, dest="rep_khz")
     p.add_argument("--photons", type=float, default=500.0)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_pi_pulse)
 
-    p = sub.add_parser("selftest", help="run the analytic-oracle checks")
-    p.set_defaults(fn=cmd_selftest)
+    command("selftest", None, "run the analytic-oracle checks", common=False)
 
     return parser
 
@@ -864,7 +793,18 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        if args.command == "selftest":
+            return run_selftest(verbose=True)
+        t_start = time.monotonic()
+        cfg, defaults, cfg_text = _load_config(args)
+        out = Path(cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, summary = args.fn(args, cfg, out)
+        write_manifest(out / f"{args.command.replace('-', '_')}_manifest.json",
+                       args.command, cfg_text, cfg.seed, list(map(str, outputs)),
+                       defaults, time.monotonic() - t_start)
+        print(f"{args.command}: {summary}")
+        return 0
     except (RabisimError, FileNotFoundError, ValueError) as exc:
         print(f"ERROR kind={type(exc).__name__} msg={exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)

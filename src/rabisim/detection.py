@@ -126,8 +126,7 @@ class _JumpEngine:
     """Cumulative-propagator tables for one (emitter, field, window) config."""
 
     def __init__(self, emitter: EmitterModel, field: DriveField,
-                 t0: float, t_limit: float,
-                 phase_step: float = ENGINE_PHASE_STEP):
+                 t0: float, t_limit: float):
         self.emitter = emitter
         self.gamma1 = emitter.gamma1
         self.gphi = emitter.pure_dephasing
@@ -144,7 +143,8 @@ class _JumpEngine:
         self.grid_end = min(support[1], t_limit)
         rate = (math.hypot(emitter.detuning, field.max_amplitude())
                 + field.max_abs_chirp() + emitter.gamma1 + emitter.gamma2)
-        n_steps = max(64, int(math.ceil((self.grid_end - self.t0) * rate / phase_step)))
+        n_steps = max(64, int(math.ceil(
+            (self.grid_end - self.t0) * rate / ENGINE_PHASE_STEP)))
         if n_steps > 8_000_000:
             raise StepFailure("drive window requires an unreasonable step count")
         self.times = np.linspace(self.t0, self.grid_end, n_steps + 1)

@@ -347,6 +347,19 @@ _K15_WEIGHTS = np.concatenate([_K15_W[:-1], _K15_W[::-1]])
 _G7_WEIGHTS = np.zeros(15)
 _G7_WEIGHTS[1::2] = np.concatenate([_G7_W[:-1], _G7_W[::-1]])
 
+#: Pieces whose nodes are evaluated together: bounds the quadrature's
+#: transient heap (about 750 B per piece) however many knots a pulse has.
+AREA_CHUNK = 4096
+
+
+def _gk_pieces(field: DriveField, det2: float, s: float, a, half):
+    """Rows K15 of A, K15 of dA/ds and |K15 - G7| of A on [a, a + 2 half]."""
+    mod2 = np.abs(field.rabi((a + half)[:, None] + half[:, None] * _GK_NODES)) ** 2
+    root = np.sqrt(det2 + s * s * mod2)
+    slope = np.divide(s * mod2, root, out=np.zeros_like(root), where=root > 0)
+    kronrod = (np.stack([root, slope]) @ _K15_WEIGHTS) * half
+    return np.vstack([kronrod, np.abs(kronrod[0] - (root @ _G7_WEIGHTS) * half)])
+
 
 def _area_and_slope(field: DriveField, detuning: float, t0: float, t1: float,
                     s: float, rel_tol: float, max_depth: int):
@@ -355,10 +368,11 @@ def _area_and_slope(field: DriveField, detuning: float, t0: float, t1: float,
     [t0, t1] is cut at the field's kinks, where |Omega| has corners, and at
     its support edges, so that a pulse narrow against the window cannot fall
     between the nodes of the first pass. Each pass evaluates the G7/K15 pair
-    on every open piece in one ``rabi`` call. A piece is done when K15 and G7
-    of A differ by at most its length's share of ``rel_tol`` times the
-    running total of A; the others are bisected, and a piece still open
-    after ``max_depth`` bisections raises.
+    on every open piece, ``AREA_CHUNK`` pieces per ``rabi`` call, and keeps
+    three numbers per piece. A piece is done when K15 and G7 of A differ by
+    at most its length's share of ``rel_tol`` times the running total of A;
+    the others are bisected, and a piece still open after ``max_depth``
+    bisections raises.
     """
     inner = np.concatenate([field.kinks(), field.support(AREA_CUTOFF) or ()])
     cuts = np.unique(np.concatenate([[t0, t1], inner[(inner > t0) & (inner < t1)]]))
@@ -367,11 +381,10 @@ def _area_and_slope(field: DriveField, detuning: float, t0: float, t1: float,
     done = np.zeros(2)
     for _ in range(max_depth + 1):
         half = 0.5 * (b - a)
-        mod2 = np.abs(field.rabi((a + half)[:, None] + half[:, None] * _GK_NODES)) ** 2
-        root = np.sqrt(det2 + s * s * mod2)
-        slope = np.divide(s * mod2, root, out=np.zeros_like(root), where=root > 0)
-        kronrod = (np.stack([root, slope]) @ _K15_WEIGHTS) * half
-        err = np.abs(kronrod[0] - (root @ _G7_WEIGHTS) * half)
+        rows = np.concatenate([
+            _gk_pieces(field, det2, s, a[i:i + AREA_CHUNK], half[i:i + AREA_CHUNK])
+            for i in range(0, a.size, AREA_CHUNK)], axis=1)
+        kronrod, err = rows[:2], rows[2]
         ok = err <= per_length * (done[0] + kronrod[0].sum()) * (b - a)
         done += kronrod[:, ok].sum(axis=1)
         if ok.all():

@@ -282,13 +282,18 @@ def test_sweep_and_cross_section_commands(tmp_path):
                         "--amplitude-mhz", "9000"]) == 3
 
 
-def test_fit_trace_command(tmp_path):
+def write_fit_trace_inputs(directory):
+    """A measured pulse and a synthetic histogram at Omega_max/2pi = 300 MHz.
+
+    Returns the fit-trace arguments that name them.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
     fwhm = 5.116e-9
     grid = np.arange(0.0, 30e-9, 0.1e-9)
     shape = np.exp(-2 * math.log(2) * ((grid - 12e-9) / fwhm) ** 2)
     pulse_lines = ["# measured pulse (intensity)"]
     pulse_lines += [f"{t / NS:.6f} {v:.9g}" for t, v in zip(grid, shape ** 2)]
-    (tmp_path / "pulse.csv").write_text("\n".join(pulse_lines) + "\n")
+    (directory / "pulse.csv").write_text("\n".join(pulse_lines) + "\n")
 
     from rabisim.bloch import EmitterModel
 
@@ -300,15 +305,77 @@ def test_fit_trace_command(tmp_path):
     counts = np.random.default_rng(8).poisson(expected)
     data_lines = ["# synthetic histogram"]
     data_lines += [f"{t / NS:.6f} {int(c)}" for t, c in zip(data_t, counts)]
-    (tmp_path / "data.csv").write_text("\n".join(data_lines) + "\n")
+    (directory / "data.csv").write_text("\n".join(data_lines) + "\n")
+    return ["--data", str(directory / "data.csv"),
+            "--pulse", str(directory / "pulse.csv")]
 
+
+def test_fit_trace_command(tmp_path):
     cfg = tmp_path / "f.cfg"
     cfg.write_text(f"output.dir = {tmp_path / 'out'}\n")
     assert run_command(["fit-trace", "--config", str(cfg),
-                        "--data", str(tmp_path / "data.csv"),
-                        "--pulse", str(tmp_path / "pulse.csv")]) == 0
+                        *write_fit_trace_inputs(tmp_path)]) == 0
     payload = json.loads((tmp_path / "out" / "fit_trace.json").read_text())
     assert payload["omega_max_over_2pi_MHz"] == pytest.approx(300.0, rel=0.02)
+
+
+# Small runs of every command that writes files; the config also makes the
+# inputs of the commands that read a file.
+SMALL_RUNS = {
+    "trace": TRACE_KEYS,
+    "power-scan": "powerscan.points = 41\npowerscan.samples = 20\n"
+                  "powerscan.amp_max_MHz = 600\n",
+    "sweep2d": "sweep.det_points = 5\nsweep.amp_points = 2\n"
+               "template.center_ns = 200\n",
+}
+SMALL_RUNS["cross-section"] = SMALL_RUNS["sweep2d"]
+SMALL_RUNS["fit-power-scan"] = SMALL_RUNS["power-scan"]
+
+
+@pytest.mark.parametrize("command", ["trace", "power-scan", "sweep2d",
+                                     "cross-section", "fit-trace",
+                                     "fit-power-scan", "pi-pulse"])
+def test_manifest_lists_every_file_written(tmp_path, command):
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUNS.get(command, ""))
+    if command == "pi-pulse":
+        argv = ["--t-ns", "4", "--wavelength-nm", "589", "--rep-khz", "700"]
+    else:
+        argv = ["--config", str(cfg)]
+    if command == "cross-section":
+        assert run_command(["sweep2d", "--config", str(cfg),
+                            "--out", str(inputs)]) == 0
+        argv += ["--source", str(inputs / "sweep_long.csv")]
+    elif command == "fit-power-scan":
+        assert run_command(["power-scan", "--config", str(cfg),
+                            "--out", str(inputs)]) == 0
+        argv += ["--data", str(inputs / "power_scan.csv")]
+    elif command == "fit-trace":
+        argv += write_fit_trace_inputs(inputs)
+    assert run_command([command, *argv, "--out", str(out)]) == 0
+    manifest_path = out / f"{command.replace('-', '_')}_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == command
+    assert sorted(manifest["outputs"]) == sorted(
+        str(path) for path in out.iterdir() if path != manifest_path)
+
+
+def test_manifest_lists_defaulted_keys(tmp_path):
+    assert run_command(["trace", "--out", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "trace_manifest.json").read_text())
+    assert "emitter.T1_ns = 9.5 (default)" in manifest["defaults"]
+
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("emitter.T1_ns = 9.5\ntrace.t_end_ns = 30\n")
+    assert run_command(["trace", "--config", str(cfg), "--seed", "3",
+                        "--out", str(tmp_path / "b")]) == 0
+    manifest = json.loads((tmp_path / "b" / "trace_manifest.json").read_text())
+    keys = {line.partition(" = ")[0] for line in manifest["defaults"]}
+    assert "emitter.detuning_MHz" in keys
+    # Set in the file, or on the command line: not defaults.
+    assert not keys & {"emitter.T1_ns", "trace.t_end_ns", "rng.seed",
+                       "output.dir"}
 
 
 def test_manifest_rerun_reproduces_outputs(tmp_path):

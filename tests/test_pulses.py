@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ def test_sampled_area_cuts_at_every_knot():
     assert field.breakpoints() == (env.times[0], env.times[-1])
     exact = np.trapezoid(env.amplitudes, env.times)
     assert pulse_area(field) == pytest.approx(exact, rel=1e-12)
+
+
+def test_sampled_area_heap_stays_bounded():
+    # The nodes of a pass are evaluated a chunk of pieces at a time: one
+    # array of all of them would take about 750 B per knot, 75 MB here.
+    env = gaussian_samples(n=100_000)
+    tracemalloc.start()
+    try:
+        area = pulse_area(DriveField.single(env))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert area == pytest.approx(np.trapezoid(env.amplitudes, env.times),
+                                 rel=1e-12)
+    assert peak < 16e6
 
 
 def test_area_closed_forms_to_1e_10():
