@@ -111,11 +111,10 @@ class BlochTrajectory:
         return self.state(-1)
 
 
-def _free_evolution(emitter: EmitterModel, rho: float, coh: complex, tau: float):
-    """Exact drive-free evolution over a lag tau >= 0."""
-    rho2 = rho * math.exp(-emitter.gamma1 * tau)
-    coh2 = coh * np.exp((1j * emitter.detuning - emitter.gamma2) * tau)
-    return rho2, coh2
+def _free_evolution(emitter: EmitterModel, rho, coh, tau):
+    """Exact drive-free evolution over lags tau >= 0 (scalars or arrays)."""
+    return (rho * np.exp(-emitter.gamma1 * tau),
+            coh * np.exp((1j * emitter.detuning - emitter.gamma2) * tau))
 
 
 def _rhs(t, y, field: DriveField, g1: float, g2: float, det: float):
@@ -136,11 +135,11 @@ def integrate(emitter: EmitterModel, field: DriveField, initial: BlochState,
     """Integrate the Bloch equations, sampling the solution every ``dt_out``.
 
     Internal stepping is the adaptive embedded Runge-Kutta pair DOP853 with
-    dense output at the requested grid. The drive-free lead-in before any
-    envelope exceeds ``SUPPORT_CUTOFF`` of its peak is advanced with the
-    exact free-evolution formula; rectangular edges and sampled-grid
-    boundaries split the integration so discontinuities land on segment
-    endpoints.
+    dense output at the requested grid, over the span where some envelope
+    exceeds ``SUPPORT_CUTOFF`` of its peak. Before and after that span the
+    evolution is drive-free and takes the exact free-evolution formula.
+    Rectangular edges and sampled-grid boundaries split the integration so
+    discontinuities land on segment endpoints.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if dt_out <= 0:
@@ -154,22 +153,20 @@ def integrate(emitter: EmitterModel, field: DriveField, initial: BlochState,
     coh = np.empty(n_out, dtype=complex)
 
     support = field.support(SUPPORT_CUTOFF)
-    t_active = t1 if support is None else min(max(support[0], t0), t1)
+    t_on, t_off = (t1, t1) if support is None else (
+        min(max(s, t0), t1) for s in support)
 
-    drive_phase = t_active < t1
-    lead = times <= t_active if drive_phase else np.ones(n_out, dtype=bool)
-    if np.any(lead):
-        tau = times[lead] - t0
-        rho[lead] = initial.rho_ee * np.exp(-emitter.gamma1 * tau)
-        coh[lead] = initial.coherence * np.exp(
-            (1j * emitter.detuning - emitter.gamma2) * tau)
+    drive_phase = t_on < t_off
+    lead = times <= t_on if drive_phase else np.ones(n_out, dtype=bool)
+    rho[lead], coh[lead] = _free_evolution(
+        emitter, initial.rho_ee, initial.coherence, times[lead] - t0)
 
     if drive_phase:
         r0, c0 = _free_evolution(emitter, initial.rho_ee, initial.coherence,
-                                 t_active - t0)
+                                 t_on - t0)
         y = np.array([r0, c0.real, c0.imag])
-        cuts = [t_active] + [b for b in field.breakpoints()
-                             if t_active < b < t1] + [t1]
+        cuts = [t_on] + [b for b in field.breakpoints()
+                         if t_on < b < t_off] + [t_off]
         max_step = max(field.min_feature_time() / 4.0, 4.0 * dt_out * 1e-3)
         out_idx = np.nonzero(~lead)[0]
         out_times = times[~lead]
@@ -180,40 +177,28 @@ def integrate(emitter: EmitterModel, field: DriveField, initial: BlochState,
             # assign a point to both neighboring segments.
             end = int(np.searchsorted(out_times, b + fuzz, side="right"))
             sel = np.minimum(out_times[pos:end], b)
+            # The segment end is evaluated too: it carries the state on.
+            t_eval = sel if sel.size and sel[-1] == b else np.append(sel, b)
             sol = solve_ivp(
-                _rhs, (a, b), y, method="DOP853", t_eval=sel if sel.size else None,
+                _rhs, (a, b), y, method="DOP853", t_eval=t_eval,
                 rtol=rtol, atol=atol, max_step=max_step,
                 args=(field, emitter.gamma1, emitter.gamma2, emitter.detuning),
             )
             if not sol.success:
                 raise StepFailure(f"integration failed on [{a!r}, {b!r}]: {sol.message}")
-            if sel.size:
-                idx = out_idx[pos:end]
-                rho[idx] = sol.y[0]
-                coh[idx] = sol.y[1] + 1j * sol.y[2]
-                pos = end
-                y = _advance_to(sol, b, field, emitter)
-            else:
-                y = sol.y[:, -1]
-        if pos != out_idx.size:
-            raise StepFailure("output grid not fully covered by segments")
+            idx = out_idx[pos:end]
+            rho[idx] = sol.y[0, :sel.size]
+            coh[idx] = sol.y[1, :sel.size] + 1j * sol.y[2, :sel.size]
+            pos = end
+            y = sol.y[:, -1]
+        tail = out_idx[pos:]
+        rho[tail], coh[tail] = _free_evolution(
+            emitter, y[0], complex(y[1], y[2]), times[tail] - t_off)
 
     _check_invariants(rho, coh)
     return BlochTrajectory(times=times, rho_ee=rho, coherence=coh,
                            detuning=emitter.detuning,
                            field_hash=field.content_hash())
-
-
-def _advance_to(sol, b, field, emitter):
-    """State at segment end; re-integrate the remainder if t_eval stopped short."""
-    if sol.t[-1] == b:
-        return sol.y[:, -1]
-    tail = solve_ivp(_rhs, (sol.t[-1], b), sol.y[:, -1], method="DOP853",
-                     rtol=1e-10, atol=1e-13,
-                     args=(field, emitter.gamma1, emitter.gamma2, emitter.detuning))
-    if not tail.success:
-        raise StepFailure(f"segment closure failed: {tail.message}")
-    return tail.y[:, -1]
 
 
 def _check_invariants(rho, coh, tol: float = 1e-6):
@@ -372,26 +357,15 @@ def emitted_photons_per_period(rho_end, window_integral, gamma1: float,
     return gamma1 * np.asarray(window_integral) + np.asarray(rho_end) * tail_factor
 
 
-def _rk4_step_maps(om_nodes, om_half, h: float, g1: float, g2: float,
-                   det: float) -> np.ndarray:
-    """Classical RK4 steps of the Bloch equations as 4x4 maps on (rho_ee, x, w, 1).
+def _rk4_step_maps(a_nodes, a_half, h: float) -> np.ndarray:
+    """Classical RK4 steps of a linear ODE y' = A(t) y as n x n matrices.
 
-    Step k sees the drive ``om_nodes[k]``, ``om_half[k]``, ``om_nodes[k + 1]``
-    at its start, midpoint and end, with Bloch generators A0, Am, A1:
+    Step k sees the generators ``a_nodes[k]``, ``a_half[k]``,
+    ``a_nodes[k + 1]`` at its start, midpoint and end, A0, Am, A1:
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A0, K2 = Am (I + h/2 K1),
     K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).
     """
-    def generators(om):
-        omr, omi = om.real, om.imag
-        a = np.zeros(om.shape + (4, 4))
-        a[:, 0, 0] = -g1
-        a[:, 0, 1], a[:, 0, 2] = -omi, omr
-        a[:, 1, 0], a[:, 1, 1], a[:, 1, 2], a[:, 1, 3] = omi, -g2, -det, -0.5 * omi
-        a[:, 2, 0], a[:, 2, 1], a[:, 2, 2], a[:, 2, 3] = -omr, det, -g2, 0.5 * omr
-        return a
-
-    eye = np.eye(4)
-    a_nodes, a_half = generators(om_nodes), generators(om_half)
+    eye = np.eye(a_nodes.shape[-1])
     k = a_half @ (eye + 0.5 * h * a_nodes[:-1])
     maps = a_nodes[:-1] + 2.0 * k
     k = a_half @ (eye + 0.5 * h * k)
@@ -400,6 +374,19 @@ def _rk4_step_maps(om_nodes, om_half, h: float, g1: float, g2: float,
     maps *= h / 6.0
     maps += eye
     return maps
+
+
+def _bloch_generators(field: DriveField, ts, emitter: EmitterModel) -> np.ndarray:
+    """Bloch equations at times ``ts`` as 4x4 generators on (rho_ee, x, w, 1)."""
+    om = np.asarray(field.rabi(ts), dtype=complex)
+    g1, g2, det = emitter.gamma1, emitter.gamma2, emitter.detuning
+    omr, omi = om.real, om.imag
+    a = np.zeros(om.shape + (4, 4))
+    a[:, 0, 0] = -g1
+    a[:, 0, 1], a[:, 0, 2] = -omi, omr
+    a[:, 1, 0], a[:, 1, 1], a[:, 1, 2], a[:, 1, 3] = omi, -g2, -det, -0.5 * omi
+    a[:, 2, 0], a[:, 2, 1], a[:, 2, 2], a[:, 2, 3] = -omr, det, -g2, 0.5 * omr
+    return a
 
 
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
@@ -442,9 +429,8 @@ def population_series_fixed(field: DriveField, emitter: EmitterModel, t_span,
     n_drive = 0 if support is None else min(
         n_steps, int(np.searchsorted(times, support[1])))
     nodes = _prefix_products(_rk4_step_maps(
-        np.asarray(field.rabi(times[:n_drive + 1]), dtype=complex),
-        np.asarray(field.rabi(times[:n_drive] + 0.5 * h), dtype=complex),
-        h, emitter.gamma1, emitter.gamma2, emitter.detuning))
+        _bloch_generators(field, times[:n_drive + 1], emitter),
+        _bloch_generators(field, times[:n_drive] + 0.5 * h, emitter), h))
     rho_out = np.empty(n_steps + 1)
     rho_out[0] = 0.0
     # The ground state is (0, 0, 0, 1), so rho_ee is each product's corner.

@@ -8,11 +8,13 @@ state. Re-excitation within the pulse is therefore captured exactly,
 unlike thinning of the mean emission rate.
 
 The engine precomputes cumulative 2x2 propagators C_k on a fine time grid
-covering the drive window. Because the conditional evolution is linear,
-the survival curve of a segment restarted in state psi at node k is
-``|C_m C_k^{-1} psi|^2`` for m >= k, which is monotone non-increasing, so
-jump nodes are located by vectorized binary search across an entire batch
-of pulse periods at once. Outside the drive window the evolution is
+covering the drive window: RK4 step matrices from the fit series' step-map
+builder (``bloch._rk4_step_maps``), multiplied up by its log2(n)-level
+prefix scan (``bloch._prefix_products``). Because the conditional evolution
+is linear, the survival curve of a segment restarted in state psi at node k
+is ``|C_m C_k^{-1} psi|^2`` for m >= k, which is monotone non-increasing,
+so jump nodes are located by vectorized binary search across an entire
+batch of pulse periods at once. Outside the drive window the evolution is
 drive-free and handled in closed form. All randomness comes from
 counter-based streams keyed by (pulse index, draw index), which makes
 results independent of chunking and evaluation order.
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import rng
-from .bloch import BlochState, BlochTrajectory, EmitterModel
+from .bloch import (BlochState, BlochTrajectory, EmitterModel, _prefix_products,
+                    _rk4_step_maps)
 from .errors import StepFailure
 from .pulses import DriveField, SUPPORT_CUTOFF
 
@@ -123,7 +126,12 @@ def first_detected_density(times, rates, efficiency: float):
 # ---------------------------------------------------------------------------
 
 class _JumpEngine:
-    """Cumulative-propagator tables for one (emitter, field, window) config."""
+    """Cumulative-propagator tables for one (emitter, field, window) config.
+
+    C_k = M_{k-1} ... M_0 with C_0 = I, where M_k is the RK4 step of the
+    no-jump amplitude equation psi' = A(t) psi. A drive outside the window
+    gives the one-node table C_0 = I.
+    """
 
     def __init__(self, emitter: EmitterModel, field: DriveField,
                  t0: float, t_limit: float):
@@ -132,65 +140,39 @@ class _JumpEngine:
         self.gphi = emitter.pure_dephasing
         self.t0 = float(t0)
         self.t_limit = float(t_limit)
-        support = field.support(SUPPORT_CUTOFF)
-        if support is None or support[0] >= t_limit or support[1] <= t0:
-            self.grid_end = self.t0
-            self.times = np.array([self.t0])
-            self.cum = np.eye(2, dtype=complex)[None, :, :]
-            self.ground_restart = np.array([[1.0 + 0j, 0.0 + 0j]])
-            self._finish(field)
-            return
-        self.grid_end = min(support[1], t_limit)
-        rate = (math.hypot(emitter.detuning, field.max_amplitude())
-                + field.max_abs_chirp() + emitter.gamma1 + emitter.gamma2)
-        n_steps = max(64, int(math.ceil(
-            (self.grid_end - self.t0) * rate / ENGINE_PHASE_STEP)))
-        if n_steps > 8_000_000:
-            raise StepFailure("drive window requires an unreasonable step count")
-        self.times = np.linspace(self.t0, self.grid_end, n_steps + 1)
-        self.cum = self._cumulative_propagators(field, n_steps)
-        self._check_determinants()
-        self.ground_restart = self._ground_restart_states()
-        self._finish(field)
-
-    def _finish(self, field: DriveField):
-        # Survival of a ground start at node 0, forced monotone against
-        # step-level roundoff so searchsorted stays well-defined.
-        g = self.cum[:, :, 0]
-        self.ground_norm = np.minimum.accumulate(
-            np.abs(g[:, 0]) ** 2 + np.abs(g[:, 1]) ** 2)
         self.field_hash = field.content_hash()
+        support = field.support(SUPPORT_CUTOFF)
+        driven = support is not None and support[0] < t_limit and support[1] > t0
+        grid_end = min(support[1], t_limit) if driven else self.t0
+        n_steps = 0
+        if driven:
+            rate = (math.hypot(emitter.detuning, field.max_amplitude())
+                    + field.max_abs_chirp() + emitter.gamma1 + emitter.gamma2)
+            n_steps = max(64, int(math.ceil(
+                (grid_end - self.t0) * rate / ENGINE_PHASE_STEP)))
+            if n_steps > 8_000_000:
+                raise StepFailure("drive window requires an unreasonable step count")
+        self.times = np.linspace(self.t0, grid_end, n_steps + 1)
+        h = (grid_end - self.t0) / max(n_steps, 1)
+        steps = _rk4_step_maps(self._generators(field, self.times),
+                               self._generators(field, self.times[:-1] + 0.5 * h), h)
+        c = self.cum = np.concatenate(
+            (np.eye(2, dtype=complex)[None], _prefix_products(steps)))
+        self.det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
+        self._check_determinants()
+        n = self.times.size
+        self.ground_restart = self.to_grid_coords(
+            np.arange(n), np.tile([1.0 + 0j, 0j], (n, 1)))
 
-    def _cumulative_propagators(self, field: DriveField, n_steps: int) -> np.ndarray:
-        det = self.emitter.detuning
-        t = self.times
-        h = t[1] - t[0]
-
-        def a_matrix(ts):
-            om = np.asarray(field.rabi(ts), dtype=complex)
-            n = om.shape[0]
-            a = np.empty((n, 2, 2), dtype=complex)
-            a[:, 0, 0] = -0.25 * self.gphi
-            a[:, 0, 1] = -0.5j * om
-            a[:, 1, 0] = -0.5j * np.conj(om)
-            a[:, 1, 1] = -1j * det - 0.5 * self.gamma1 - 0.25 * self.gphi
-            return a
-
-        a0 = a_matrix(t[:-1])
-        am = a_matrix(t[:-1] + 0.5 * h)
-        a1 = a_matrix(t[1:])
-        eye = np.eye(2, dtype=complex)[None, :, :]
-        k1 = a0
-        k2 = am @ (eye + 0.5 * h * k1)
-        k3 = am @ (eye + 0.5 * h * k2)
-        k4 = a1 @ (eye + h * k3)
-        step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        cum = np.empty((n_steps + 1, 2, 2), dtype=complex)
-        cum[0] = np.eye(2)
-        for k in range(n_steps):
-            cum[k + 1] = step[k] @ cum[k]
-        return cum
+    def _generators(self, field: DriveField, ts: np.ndarray) -> np.ndarray:
+        """A(t) of the no-jump amplitude equation, one 2x2 matrix per time."""
+        om = np.asarray(field.rabi(ts), dtype=complex)
+        a = np.empty((om.shape[0], 2, 2), dtype=complex)
+        a[:, 0, 0] = -0.25 * self.gphi
+        a[:, 0, 1] = -0.5j * om
+        a[:, 1, 0] = -0.5j * np.conj(om)
+        a[:, 1, 1] = -1j * self.emitter.detuning - 0.5 * self.gamma1 - 0.25 * self.gphi
+        return a
 
     def _check_determinants(self):
         """Raise StepFailure if a table entry lost its rank or is not finite.
@@ -201,10 +183,8 @@ class _JumpEngine:
         value and at last reaches 0 or NaN; past a relative drift of 1e-4 the
         restart states are no longer trustworthy.
         """
-        c = self.cum
-        det = np.abs(c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0])
         liouville = np.exp(-0.5 * (self.gamma1 + self.gphi) * (self.times - self.t0))
-        drift = np.abs(det / liouville - 1.0)
+        drift = np.abs(np.abs(self.det) / liouville - 1.0)
         ok = drift <= 1e-4  # False wherever the table holds NaN or inf
         if not ok.all():
             k = int(np.argmin(ok))
@@ -213,20 +193,10 @@ class _JumpEngine:
                 f"(|det| off its exact value by {drift[k]:.3g}); shorten the "
                 f"drive window")
 
-    def _ground_restart_states(self) -> np.ndarray:
-        # First column of C_k^{-1}: the grid-coordinate vector of a ground
-        # restart at node k.
-        c = self.cum
-        det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
-        w = np.empty((c.shape[0], 2), dtype=complex)
-        w[:, 0] = c[:, 1, 1] / det
-        w[:, 1] = -c[:, 1, 0] / det
-        return w
-
     def to_grid_coords(self, nodes: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """C_node^{-1} psi for per-row nodes and physical states psi (B, 2)."""
         c = self.cum[nodes]
-        det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
+        det = self.det[nodes]
         w = np.empty_like(psi)
         w[:, 0] = (c[:, 1, 1] * psi[:, 0] - c[:, 0, 1] * psi[:, 1]) / det
         w[:, 1] = (c[:, 0, 0] * psi[:, 1] - c[:, 1, 0] * psi[:, 0]) / det
@@ -326,8 +296,8 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
                     frac = np.log(n1 / np.maximum(rj, 1e-300)) / np.log(
                         np.maximum(n1 / np.maximum(n2, 1e-300), 1.0 + 1e-15))
                 frac = np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
-                dt_grid = engine.times[1] - engine.times[0]
-                t_jump = engine.times[m - 1] + frac * dt_grid
+                t_jump = engine.times[m - 1] + frac * (engine.times[m]
+                                                       - engine.times[m - 1])
 
                 if gphi > 0.0:
                     psi = engine.state_at(m, wj)
@@ -363,58 +333,42 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
             cg2 = np.abs(tail_amp[rows, 0]) ** 2
             ce2 = np.abs(tail_amp[rows, 1]) ** 2
             rr = r[rows]
-            if gphi == 0.0:
-                never = rr <= cg2 * (1.0 + 1e-15)
-                tau = np.full(rows.size, np.inf)
-                can = ~never
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    tau[can] = np.log(ce2[can] / (rr[can] - cg2[can])) / gamma1
-                tau = np.maximum(tau, 0.0)
-                t_jump = tail_t[rows] + tau
-                late = t_jump > engine.t_limit
-                done = never | late
-                er = rows[~done]
+            tau = _tail_jump_time(cg2, ce2, rr, gamma1, gphi)
+            t_jump = tail_t[rows] + tau
+            late = t_jump > engine.t_limit
+            in_tail[rows[late]] = False
+            live = rows[~late]
+            if live.size:
+                tl = tau[~late]
+                e_g = np.abs(tail_amp[live, 0]) ** 2 * np.exp(-0.5 * gphi * tl)
+                e_e = (np.abs(tail_amp[live, 1]) ** 2
+                       * np.exp(-(gamma1 + 0.5 * gphi) * tl))
+                w_emit = gamma1 * e_e
+                w_deph = 0.5 * gphi * (e_g + e_e)
+                draws[live] += 1
+                u = rng.uniform(seed, rng.STREAM_JUMP, pulse_ids[live],
+                                draws[live])
+                emit = u * (w_emit + w_deph) < w_emit
+                er = live[emit]
                 if er.size:
                     out_pulse.append(pulse_ids[er])
-                    out_time.append(t_jump[~done])
-                in_tail[rows] = False
-            else:
-                tau = _tail_jump_time(cg2, ce2, rr, gamma1, gphi)
-                t_jump = tail_t[rows] + tau
-                late = t_jump > engine.t_limit
-                in_tail[rows[late]] = False
-                live = rows[~late]
-                if live.size:
-                    tl = tau[~late]
-                    e_g = np.abs(tail_amp[live, 0]) ** 2 * np.exp(-0.5 * gphi * tl)
-                    e_e = (np.abs(tail_amp[live, 1]) ** 2
-                           * np.exp(-(gamma1 + 0.5 * gphi) * tl))
-                    w_emit = gamma1 * e_e
-                    w_deph = 0.5 * gphi * (e_g + e_e)
-                    draws[live] += 1
-                    u = rng.uniform(seed, rng.STREAM_JUMP, pulse_ids[live],
-                                    draws[live])
-                    emit = u * (w_emit + w_deph) < w_emit
-                    er = live[emit]
-                    if er.size:
-                        out_pulse.append(pulse_ids[er])
-                        out_time.append(t_jump[~late][emit])
-                        in_tail[er] = False  # ground + no drive: no more photons
-                    dr = live[~emit]
-                    if dr.size:
-                        amp = tail_amp[dr]
-                        decay = np.exp(-0.25 * gphi * tl[~emit])
-                        amp[:, 0] *= decay
-                        amp[:, 1] *= -decay * np.exp(
-                            (-1j * engine.emitter.detuning
-                             - 0.5 * gamma1) * tl[~emit])
-                        norm = np.sqrt(np.abs(amp[:, 0]) ** 2
-                                       + np.abs(amp[:, 1]) ** 2)
-                        tail_amp[dr] = amp / norm[:, None]
-                        tail_t[dr] = t_jump[~late][~emit]
-                        draws[dr] += 1
-                        r[dr] = rng.uniform(seed, rng.STREAM_JUMP,
-                                            pulse_ids[dr], draws[dr])
+                    out_time.append(t_jump[~late][emit])
+                    in_tail[er] = False  # ground + no drive: no more photons
+                dr = live[~emit]
+                if dr.size:
+                    amp = tail_amp[dr]
+                    decay = np.exp(-0.25 * gphi * tl[~emit])
+                    amp[:, 0] *= decay
+                    amp[:, 1] *= -decay * np.exp(
+                        (-1j * engine.emitter.detuning
+                         - 0.5 * gamma1) * tl[~emit])
+                    norm = np.sqrt(np.abs(amp[:, 0]) ** 2
+                                   + np.abs(amp[:, 1]) ** 2)
+                    tail_amp[dr] = amp / norm[:, None]
+                    tail_t[dr] = t_jump[~late][~emit]
+                    draws[dr] += 1
+                    r[dr] = rng.uniform(seed, rng.STREAM_JUMP,
+                                        pulse_ids[dr], draws[dr])
     else:
         raise StepFailure("jump simulation exceeded the wave limit")
 
@@ -429,9 +383,18 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
 
 
 def _tail_jump_time(cg2, ce2, r, gamma1: float, gphi: float) -> np.ndarray:
-    """Solve |cg|^2 e^{-g_phi tau/2} + |ce|^2 e^{-(Gamma1+g_phi/2) tau} = r."""
+    """Solve |cg|^2 e^{-g_phi tau/2} + |ce|^2 e^{-(Gamma1+g_phi/2) tau} = r.
+
+    Without dephasing the root is closed-form, and infinite where the norm
+    never falls to r (r <= |cg|^2).
+    """
+    if gphi == 0.0:
+        tau = np.full(r.shape, np.inf)
+        can = r > cg2 * (1.0 + 1e-15)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau[can] = np.log(ce2[can] / (r[can] - cg2[can])) / gamma1
+        return np.maximum(tau, 0.0)
     n0 = cg2 + ce2
-    tau = np.zeros_like(r)
     lam_slow = 0.5 * gphi
     lam_fast = gamma1 + 0.5 * gphi
     # Bisection on a strictly decreasing function; upper bound from the
@@ -446,8 +409,7 @@ def _tail_jump_time(cg2, ce2, r, gamma1: float, gphi: float) -> np.ndarray:
         hi = np.where(high, hi, mid)
         if np.max(hi - lo) < 1e-16 * np.max(hi + 1.0):
             break
-    tau = 0.5 * (lo + hi)
-    return tau
+    return 0.5 * (lo + hi)
 
 
 def simulate_photon_stream(emitter: EmitterModel, field: DriveField, t_span,

@@ -191,3 +191,23 @@ def test_trajectory_metadata():
     assert traj.field_hash == fld.content_hash()
     assert traj.detuning == em.detuning
     assert isinstance(traj.final_state, BlochState)
+
+
+def test_integrate_is_exact_free_evolution_after_the_support():
+    em = EmitterModel(gamma1=1.0 / 9.5e-9, gamma2=0.8 / 9.5e-9,
+                      detuning=TWO_PI * 40e6)
+    fld = DriveField.single(GaussianEnvelope(peak=TWO_PI * 200e6, fwhm=3e-9,
+                                             center=8e-9))
+    t_off = fld.support()[1]
+    traj = integrate(em, fld, BlochState(0.0), (0.0, 60e-9), 0.05e-9)
+    # The same DOP853 run, stopped at the end of the support.
+    end = integrate(em, fld, BlochState(0.0), (0.0, t_off), t_off / 400)
+    after = traj.times > t_off
+    assert 0 < np.count_nonzero(after) < traj.times.size
+    tau = traj.times[after] - t_off
+    rho, coh = end.final_state.rho_ee, end.final_state.coherence
+    assert np.allclose(traj.rho_ee[after], rho * np.exp(-em.gamma1 * tau),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(traj.coherence[after],
+                       coh * np.exp((1j * em.detuning - em.gamma2) * tau),
+                       rtol=1e-12, atol=0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ def test_rank_lost_jump_table_is_a_step_failure(tmp_path, capsys):
     assert run_command(["trace", "--config", str(cfg)]) == 4
     assert "ERROR kind=StepFailure" in capsys.readouterr().err
     assert not (tmp_path / "out" / "histogram.csv").exists()
+
+
+def test_attosecond_pulse_trace_finishes(tmp_path):
+    # DOP853 steps only the pulse's support; the decay after it is closed
+    # form. Stepping the whole window at max_step ~ 1e-13 s ran for minutes.
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(f"field.1.fwhm_ns = 1e-9\noutput.dir = {tmp_path / 'out'}\n")
+    start = time.monotonic()
+    assert run_command(["trace", "--config", str(cfg)]) == 0
+    assert time.monotonic() - start < 5.0
+    rows = np.loadtxt(tmp_path / "out" / "trace.csv", delimiter=",",
+                      comments="#", ndmin=2)
+    assert rows.shape[0] > 1 and np.all(np.isfinite(rows))
 
 
 def test_seed_outside_64_bits_is_refused(tmp_path, capsys):

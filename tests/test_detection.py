@@ -7,11 +7,11 @@ from scipy import stats
 from rabisim import detection
 from rabisim.bloch import BlochState, EmitterModel, integrate, steady_state
 from rabisim.detection import (DetectorModel, _JumpEngine,
-                               _emission_times_batch, emission_rate,
-                               first_detected_density, simulate_photon_stream,
-                               simulate_tcspc)
-from rabisim.pulses import (DriveField, GaussianEnvelope, RectangularEnvelope,
-                            scale_to_area)
+                               _emission_times_batch, _tail_jump_time,
+                               emission_rate, first_detected_density,
+                               simulate_photon_stream, simulate_tcspc)
+from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
+                            PhaseLaw, RectangularEnvelope, scale_to_area)
 
 TWO_PI = 2.0 * math.pi
 T1 = 9.5e-9
@@ -285,3 +285,91 @@ def test_jump_engine_with_pure_dephasing_matches_master_equation():
     expected = em.gamma1 * np.trapezoid(traj.rho_ee, traj.times)
     sigma = np.std(counts) / math.sqrt(ids.size)
     assert abs(np.mean(counts) - expected) < 4.0 * sigma + 0.03 * expected
+
+
+def cumulative_reference(emitter, field, times):
+    """The sequential RK4 product loop the engine's prefix scan replaced."""
+    h = times[1] - times[0]
+    gphi = emitter.pure_dephasing
+
+    def a_matrix(ts):
+        om = np.asarray(field.rabi(ts), dtype=complex)
+        a = np.empty((om.shape[0], 2, 2), dtype=complex)
+        a[:, 0, 0] = -0.25 * gphi
+        a[:, 0, 1] = -0.5j * om
+        a[:, 1, 0] = -0.5j * np.conj(om)
+        a[:, 1, 1] = -1j * emitter.detuning - 0.5 * emitter.gamma1 - 0.25 * gphi
+        return a
+
+    a0 = a_matrix(times[:-1])
+    am = a_matrix(times[:-1] + 0.5 * h)
+    a1 = a_matrix(times[1:])
+    eye = np.eye(2, dtype=complex)[None, :, :]
+    k1 = a0
+    k2 = am @ (eye + 0.5 * h * k1)
+    k3 = am @ (eye + 0.5 * h * k2)
+    k4 = a1 @ (eye + h * k3)
+    step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    cum = np.empty((times.size, 2, 2), dtype=complex)
+    cum[0] = np.eye(2)
+    for k in range(times.size - 1):
+        cum[k + 1] = step[k] @ cum[k]
+    return cum
+
+
+@pytest.mark.parametrize("emitter, field, t_limit, nodes", [
+    (EmitterModel(gamma1=1.0 / T1, gamma2=1.3 / T1, detuning=TWO_PI * 60e6),
+     DriveField([
+         FieldComponent(GaussianEnvelope(peak=TWO_PI * 200e6, fwhm=4e-9,
+                                         center=12e-9),
+                        PhaseLaw(chirp=TWO_PI * 80e6)),
+         FieldComponent(RectangularEnvelope(peak=TWO_PI * 60e6,
+                                            duration=10e-9, center=15e-9),
+                        PhaseLaw(offset=0.7, chirp=-TWO_PI * 30e6))]),
+     200e-9, None),
+    (EM, DriveField.single(RectangularEnvelope(peak=TWO_PI * 150e6,
+                                               duration=570e-9,
+                                               center=285e-9)),
+     1.4e-6, 12_546),
+], ids=["detuned_dephased_chirped", "rectangle_570ns"])
+def test_engine_table_matches_sequential_product(emitter, field, t_limit, nodes):
+    engine = _JumpEngine(emitter, field, 0.0, t_limit)
+    if nodes is not None:
+        assert engine.times.size == nodes
+    ref = cumulative_reference(emitter, field, engine.times)
+    err = np.max(np.abs(engine.cum - ref), axis=(1, 2))
+    scale = np.max(np.abs(ref), axis=(1, 2))
+    assert np.max(err) <= 1e-13 * np.max(scale)
+    # Per node the two products part by roundoff that grows with the node
+    # count (2.4e-13 after 12,545 steps), well under n * eps.
+    assert np.max(err / scale) <= 1e-12
+
+
+def test_tail_jump_time_without_dephasing_is_the_closed_form():
+    gen = np.random.default_rng(8)
+    cg2 = gen.uniform(0.0, 1.0, 2000)
+    ce2 = 1.0 - cg2
+    r = gen.uniform(0.0, 1.0, 2000)
+    r[:3] = cg2[:3]  # a norm that ends exactly at r never crosses it
+    never = r <= cg2 * (1.0 + 1e-15)
+    assert 3 <= np.count_nonzero(never) < r.size
+    old = np.full(r.size, np.inf)
+    old[~never] = np.log(ce2[~never] / (r[~never] - cg2[~never])) / EM.gamma1
+    old = np.maximum(old, 0.0)
+    tau = _tail_jump_time(cg2, ce2, r, EM.gamma1, 0.0)
+    assert np.array_equal(tau, old)
+    assert np.all(np.isinf(tau[never]))
+    norm = cg2[~never] + ce2[~never] * np.exp(-EM.gamma1 * tau[~never])
+    assert np.allclose(norm, r[~never], rtol=1e-9)
+
+
+@pytest.mark.parametrize("field", [
+    ZERO_FIELD,
+    DriveField.single(GaussianEnvelope(peak=1e9, fwhm=5e-9, center=3e-6)),
+], ids=["zero_drive", "drive_after_window"])
+def test_undriven_engine_is_one_node(field):
+    engine = _JumpEngine(EM, field, 0.0, 2e-6)
+    assert engine.times.tolist() == [0.0]
+    assert engine.last_node == 0
+    assert np.array_equal(engine.cum, np.eye(2)[None])
+    assert np.array_equal(engine.ground_restart, [[1.0, 0.0]])
