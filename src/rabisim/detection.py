@@ -12,12 +12,17 @@ covering the drive window: RK4 step matrices from the fit series' step-map
 builder (``bloch._rk4_step_maps``), multiplied up by its log2(n)-level
 prefix scan (``bloch._prefix_products``). Because the conditional evolution
 is linear, the survival curve of a segment restarted in state psi at node k
-is ``|C_m C_k^{-1} psi|^2`` for m >= k, which is monotone non-increasing,
-so jump nodes are located by vectorized binary search across an entire
-batch of pulse periods at once. Outside the drive window the evolution is
-drive-free and handled in closed form. All randomness comes from
-counter-based streams keyed by (pulse index, draw index), which makes
-results independent of chunking and evaluation order.
+is ``|C_m w|^2`` with ``w = C_k^{-1} psi``, for m >= k, and it is monotone
+non-increasing. The engine keeps each node's Gram matrix C_m^H C_m as four
+reals, so that ``|C_m w|^2 = gram[m] . quad(w)``: each trajectory carries
+the four reals ``quad(w)`` of its segment, and a survival value costs one
+4-vector dot product. In the first wave every trajectory holds the same
+initial state, so the whole batch shares one survival curve and all first
+jumps are placed by one ``searchsorted``; later segments are located by
+vectorized binary search on the Gram table across the batch. Outside the
+drive window the evolution is drive-free and handled in closed form. All
+randomness comes from counter-based streams keyed by (pulse index, draw
+index), which makes results independent of chunking and evaluation order.
 """
 
 from __future__ import annotations
@@ -130,7 +135,8 @@ class _JumpEngine:
 
     C_k = M_{k-1} ... M_0 with C_0 = I, where M_k is the RK4 step of the
     no-jump amplitude equation psi' = A(t) psi. A drive outside the window
-    gives the one-node table C_0 = I.
+    gives the one-node table C_0 = I. ``gram`` holds C_k^H C_k as four reals
+    per node and ``ground_quad`` the ``_quad`` of each ground restart.
     """
 
     def __init__(self, emitter: EmitterModel, field: DriveField,
@@ -163,6 +169,12 @@ class _JumpEngine:
         n = self.times.size
         self.ground_restart = self.to_grid_coords(
             np.arange(n), np.tile([1.0 + 0j, 0j], (n, 1)))
+        self.ground_quad = _quad(self.ground_restart)
+        # Gram matrix C^H C as 4 reals, dotted with _quad(w) to give |C w|^2.
+        g01 = c[:, 0, 0].conj() * c[:, 0, 1] + c[:, 1, 0].conj() * c[:, 1, 1]
+        self.gram = np.stack((_abs2(c[:, 0, 0]) + _abs2(c[:, 1, 0]),
+                              _abs2(c[:, 0, 1]) + _abs2(c[:, 1, 1]),
+                              2.0 * g01.real, -2.0 * g01.imag), axis=1)
 
     def _generators(self, field: DriveField, ts: np.ndarray) -> np.ndarray:
         """A(t) of the no-jump amplitude equation, one 2x2 matrix per time."""
@@ -210,13 +222,42 @@ class _JumpEngine:
         out[:, 1] = c[:, 1, 0] * w[:, 0] + c[:, 1, 1] * w[:, 1]
         return out
 
-    def norm_at(self, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
-        psi = self.state_at(nodes, w)
-        return np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
+    def survival(self, nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """|C_node w|^2 per row, from the rows' ``q = _quad(w)`` (B, 4)."""
+        return np.einsum("ij,ij->i", np.take(self.gram, nodes, axis=0), q)
 
     @property
     def last_node(self) -> int:
         return self.times.size - 1
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real ** 2 + z.imag ** 2
+
+
+def _quad(w: np.ndarray) -> np.ndarray:
+    """(|w0|^2, |w1|^2, Re w0* w1, Im w0* w1) per row of w (B, 2).
+
+    With gram[m] = (G00, G11, 2 Re G01, -2 Im G01) of G = C_m^H C_m,
+    ``gram[m] . _quad(w) = w^H G w = |C_m w|^2``.
+    """
+    z = w[:, 0].conj() * w[:, 1]
+    return np.stack((_abs2(w[:, 0]), _abs2(w[:, 1]), z.real, z.imag), axis=1)
+
+
+def _initial_amplitudes(initial: BlochState) -> np.ndarray:
+    """Normalized amplitudes (c_g, c_e) of a pure initial state."""
+    purity = initial.rho_ee * (1.0 - initial.rho_ee) - abs(initial.coherence) ** 2
+    if abs(purity) > 1e-9:
+        raise ValueError("jump unraveling needs a pure initial state")
+    cg = math.sqrt(max(1.0 - initial.rho_ee, 0.0))
+    ce_mag = math.sqrt(max(initial.rho_ee, 0.0))
+    if ce_mag > 0 and abs(initial.coherence) > 0:
+        ce = initial.coherence.conjugate() / cg if cg > 0 else ce_mag
+    else:
+        ce = ce_mag
+    psi0 = np.array([cg, ce], dtype=complex)
+    return psi0 / math.sqrt(abs(psi0[0]) ** 2 + abs(psi0[1]) ** 2)
 
 
 def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
@@ -230,27 +271,18 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
     b = pulse_ids.size
     if b == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    purity = initial.rho_ee * (1.0 - initial.rho_ee) - abs(initial.coherence) ** 2
-    if abs(purity) > 1e-9:
-        raise ValueError("jump unraveling needs a pure initial state")
-    cg = math.sqrt(max(1.0 - initial.rho_ee, 0.0))
-    ce_mag = math.sqrt(max(initial.rho_ee, 0.0))
-    if ce_mag > 0 and abs(initial.coherence) > 0:
-        ce = initial.coherence.conjugate() / cg if cg > 0 else ce_mag
-    else:
-        ce = ce_mag
-    psi0 = np.array([cg, ce], dtype=complex)
-    psi0 /= math.sqrt(abs(psi0[0]) ** 2 + abs(psi0[1]) ** 2)
-
+    psi0 = _initial_amplitudes(initial)
     gamma1 = engine.gamma1
     gphi = engine.gphi
     n_last = engine.last_node
 
-    # Per-trajectory segment state.
+    # Per-trajectory segment state: start node, grid coordinates w and their
+    # survival coefficients q = _quad(w).
     in_grid = np.ones(b, dtype=bool) if n_last > 0 else np.zeros(b, dtype=bool)
     node = np.zeros(b, dtype=np.int64)
-    w = np.tile(engine.to_grid_coords(np.zeros(1, dtype=np.int64),
-                                      psi0[None, :])[0], (b, 1))
+    w0 = engine.to_grid_coords(np.zeros(1, dtype=np.int64), psi0[None, :])
+    w = np.tile(w0[0], (b, 1))
+    q = np.tile(_quad(w0)[0], (b, 1))
     in_tail = ~in_grid
     tail_amp = np.tile(psi0, (b, 1))
     tail_t = np.full(b, engine.t0)
@@ -260,38 +292,43 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
     out_pulse: list[np.ndarray] = []
     out_time: list[np.ndarray] = []
 
-    for _ in range(_WAVE_LIMIT):
+    for wave in range(_WAVE_LIMIT):
         if not (np.any(in_grid) or np.any(in_tail)):
             break
 
         if np.any(in_grid):
             rows = np.nonzero(in_grid)[0]
-            wr = w[rows]
-            n_end = engine.norm_at(np.full(rows.size, n_last, dtype=np.int64), wr)
-            to_tail = n_end > r[rows]
+            to_tail = q[rows] @ engine.gram[n_last] > r[rows]
             # Grid survivors hand their unnormalized state to the tail phase.
             tr = rows[to_tail]
             if tr.size:
-                tail_amp[tr] = engine.state_at(
-                    np.full(tr.size, n_last, dtype=np.int64), w[tr])
+                # C w per row; einsum, because a threaded BLAS spends far more
+                # on a (B, 2) x (2, 2) complex matmul than the product costs.
+                tail_amp[tr] = np.einsum("ij,kj->ik", w[tr], engine.cum[n_last])
                 tail_t[tr] = engine.times[-1]
                 in_grid[tr] = False
                 in_tail[tr] = True
             jr = rows[~to_tail]
             if jr.size:
-                lo = node[jr].copy()
-                hi = np.full(jr.size, n_last, dtype=np.int64)
-                wj = w[jr]
-                while np.any(lo < hi):
-                    mid = (lo + hi) // 2
-                    nm = engine.norm_at(mid, wj)
-                    below = nm <= r[jr]
-                    hi = np.where(below, mid, hi)
-                    lo = np.where(below, lo, mid + 1)
-                m = hi
-                n1 = engine.norm_at(m - 1, wj)
-                n2 = engine.norm_at(m, wj)
                 rj = r[jr]
+                if wave == 0:
+                    # Every row still holds w0 from node 0, so all share one
+                    # non-increasing survival curve: find its first node <= r.
+                    curve = engine.gram @ q[0]
+                    m = np.searchsorted(-curve, -rj)
+                    n1, n2 = curve[m - 1], curve[m]
+                else:
+                    qj = q[jr]
+                    lo = node[jr]
+                    hi = np.full(jr.size, n_last, dtype=np.int64)
+                    while np.any(lo < hi):
+                        mid = (lo + hi) // 2
+                        below = engine.survival(mid, qj) <= rj
+                        hi = np.where(below, mid, hi)
+                        lo = np.where(below, lo, mid + 1)
+                    m = hi
+                    n1 = engine.survival(m - 1, qj)
+                    n2 = engine.survival(m, qj)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     frac = np.log(n1 / np.maximum(rj, 1e-300)) / np.log(
                         np.maximum(n1 / np.maximum(n2, 1e-300), 1.0 + 1e-15))
@@ -300,7 +337,7 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
                                                        - engine.times[m - 1])
 
                 if gphi > 0.0:
-                    psi = engine.state_at(m, wj)
+                    psi = engine.state_at(m, w[jr])
                     w_emit = gamma1 * np.abs(psi[:, 1]) ** 2
                     w_deph = 0.5 * gphi * (np.abs(psi[:, 0]) ** 2
                                            + np.abs(psi[:, 1]) ** 2)
@@ -316,6 +353,7 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
                     out_time.append(t_jump[emit])
                     node[er] = m[emit]
                     w[er] = engine.ground_restart[m[emit]]
+                    q[er] = engine.ground_quad[m[emit]]
                 dr = jr[~emit]
                 if dr.size:
                     psi_d = engine.state_at(m[~emit], w[dr])
@@ -325,6 +363,7 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
                     psi_d /= norm[:, None]
                     node[dr] = m[~emit]
                     w[dr] = engine.to_grid_coords(m[~emit], psi_d)
+                    q[dr] = _quad(w[dr])
                 draws[jr] += 1
                 r[jr] = rng.uniform(seed, rng.STREAM_JUMP, pulse_ids[jr], draws[jr])
 
@@ -378,7 +417,10 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
     else:
         pulses = np.empty(0, dtype=np.int64)
         times = np.empty(0)
-    order = np.lexsort((times, pulses))
+    # Each wave appends a pulse's emissions later than its earlier ones, and
+    # tail emissions come after grid emissions, so a stable sort by pulse
+    # leaves every pulse's times ascending.
+    order = np.argsort(pulses, kind="stable")
     return pulses[order], times[order]
 
 
@@ -410,6 +452,31 @@ def _tail_jump_time(cg2, ce2, r, gamma1: float, gphi: float) -> np.ndarray:
         if np.max(hi - lo) < 1e-16 * np.max(hi + 1.0):
             break
     return 0.5 * (lo + hi)
+
+
+def _dead_time_mask(abs_sorted: np.ndarray, dead: float) -> np.ndarray:
+    """Detections a non-paralyzable dead time lets through.
+
+    ``abs_sorted`` ascends. Detection i is kept when it comes at or after
+    t_k + dead, where t_k is the last detection kept before it. One at or
+    after its predecessor + dead is therefore always kept and starts a
+    cluster; inside a cluster the kept ones are its start s, nxt[s],
+    nxt[nxt[s]], ..., where nxt[i] is the first detection at or after
+    abs_sorted[i] + dead, and the chain ends on the next start. Round k of
+    the pointer doubling below marks each chain's members 2^k to 2^(k+1) - 1
+    links from its start, so a round that marks nothing new has marked all.
+    """
+    n = abs_sorted.size
+    keep = np.zeros(n + 1, dtype=bool)  # slot n: past the last detection
+    keep[0] = True
+    keep[1:n] = abs_sorted[1:] >= abs_sorted[:-1] + dead
+    jump = np.append(np.searchsorted(abs_sorted, abs_sorted + dead), n)
+    while True:
+        land = jump[keep]
+        if keep[land].all():
+            return keep[:n]
+        keep[land] = True
+        jump = jump[jump]
 
 
 def simulate_photon_stream(emitter: EmitterModel, field: DriveField, t_span,
@@ -476,16 +543,7 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
     if detector.dead_time > 0 and pulses.size:
         abs_t = pulses * detector.rep_period + times
         order = np.argsort(abs_t, kind="stable")
-        keep = np.zeros(order.size, dtype=bool)
-        blocked_until = -math.inf
-        dead = detector.dead_time
-        abs_sorted = abs_t[order]
-        for i in range(order.size):
-            ti = abs_sorted[i]
-            if ti >= blocked_until:
-                keep[i] = True
-                blocked_until = ti + dead
-        sel = order[keep]
+        sel = order[_dead_time_mask(abs_t[order], detector.dead_time)]
         pulses, times = pulses[sel], times[sel]
 
     n_bins = detector.n_bins()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rabisim import detection
+from rabisim import detection, rng
 from rabisim.bloch import BlochState, EmitterModel, integrate, steady_state
-from rabisim.detection import (DetectorModel, _JumpEngine,
-                               _emission_times_batch, _tail_jump_time,
+from rabisim.detection import (DetectorModel, _JumpEngine, _dead_time_mask,
+                               _emission_times_batch, _initial_amplitudes,
+                               _quad, _tail_jump_time,
                                emission_rate, first_detected_density,
                                simulate_photon_stream, simulate_tcspc)
 from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
@@ -373,3 +374,187 @@ def test_undriven_engine_is_one_node(field):
     assert engine.last_node == 0
     assert np.array_equal(engine.cum, np.eye(2)[None])
     assert np.array_equal(engine.ground_restart, [[1.0, 0.0]])
+
+
+def reference_emissions(engine, seed, pulse_ids, initial):
+    """One trajectory at a time, locating each jump node by the per-row
+    bisection on |C_m w|^2 that the engine's Gram-table search replaced."""
+    n_last = engine.last_node
+    gamma1, gphi = engine.gamma1, engine.gphi
+
+    def at(m, w):
+        return engine.state_at(np.array([m]), w[None])[0]
+
+    def norm(m, w):
+        psi = at(m, w)
+        return np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2
+
+    def grid_coords(m, psi):
+        return engine.to_grid_coords(np.array([m]), psi[None])[0]
+
+    out_pulse, out_time = [], []
+    for pid in pulse_ids:
+        draw = 0
+
+        def uniform():
+            return rng.uniform(seed, rng.STREAM_JUMP, pid, draw)
+
+        r = uniform()
+        node, w = 0, grid_coords(0, _initial_amplitudes(initial))
+        tail_t, amp = engine.t0, _initial_amplitudes(initial)
+        while n_last > 0:
+            if norm(n_last, w) > r:
+                tail_t, amp = engine.times[-1], at(n_last, w)
+                break
+            lo, hi = node, n_last
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if norm(mid, w) <= r:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            n1, n2 = norm(hi - 1, w), norm(hi, w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                frac = np.log(n1 / max(r, 1e-300)) / np.log(
+                    max(n1 / max(n2, 1e-300), 1.0 + 1e-15))
+            frac = np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
+            t = engine.times[hi - 1] + frac * (engine.times[hi]
+                                              - engine.times[hi - 1])
+            psi = at(hi, w)
+            emit = True
+            if gphi > 0.0:
+                draw += 1
+                w_emit = gamma1 * np.abs(psi[1]) ** 2
+                w_deph = 0.5 * gphi * (np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2)
+                emit = uniform() * (w_emit + w_deph) < w_emit
+            if emit:
+                out_pulse.append(pid)
+                out_time.append(t)
+                psi = np.array([1.0 + 0j, 0j])
+            else:
+                psi = np.array([psi[0], -psi[1]])
+                psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+            node, w = hi, grid_coords(hi, psi)
+            draw += 1
+            r = uniform()
+        while True:
+            cg2, ce2 = np.abs(amp[0]) ** 2, np.abs(amp[1]) ** 2
+            tau = _tail_jump_time(np.array([cg2]), np.array([ce2]),
+                                  np.array([r]), gamma1, gphi)[0]
+            if tail_t + tau > engine.t_limit:
+                break
+            e_g = cg2 * np.exp(-0.5 * gphi * tau)
+            e_e = ce2 * np.exp(-(gamma1 + 0.5 * gphi) * tau)
+            w_emit, w_deph = gamma1 * e_e, 0.5 * gphi * (e_g + e_e)
+            draw += 1
+            if uniform() * (w_emit + w_deph) < w_emit:
+                out_pulse.append(pid)
+                out_time.append(tail_t + tau)
+                break
+            decay = np.exp(-0.25 * gphi * tau)
+            amp = np.array([amp[0] * decay, -amp[1] * decay * np.exp(
+                (-1j * engine.emitter.detuning - 0.5 * gamma1) * tau)])
+            amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
+            tail_t += tau
+            draw += 1
+            r = uniform()
+    return np.array(out_pulse, dtype=np.int64), np.array(out_time)
+
+
+GAUSS_7PI = fig2a_field(center=10e-9)
+RECT_PLUS_GAUSS = DriveField([
+    FieldComponent(RectangularEnvelope(peak=3.0 * EM.gamma1, duration=40e-9,
+                                       center=25e-9)),
+    FieldComponent(GaussianEnvelope(peak=TWO_PI * 150e6, fwhm=3e-9,
+                                    center=30e-9), PhaseLaw(offset=0.4))])
+
+
+@pytest.mark.parametrize("gamma2", [0.5 / T1, 1.2 / T1], ids=["gphi0", "dephased"])
+@pytest.mark.parametrize("initial", [
+    BlochState(0.0), BlochState(0.3, math.sqrt(0.21) * complex(math.cos(0.8),
+                                                               math.sin(0.8)))],
+    ids=["ground", "superposition"])
+@pytest.mark.parametrize("field", [GAUSS_7PI, RECT_PLUS_GAUSS],
+                         ids=["gaussian", "rect_plus_gaussian"])
+def test_gram_search_matches_per_row_bisection(gamma2, initial, field):
+    # The shared first-wave curve and the Gram-table bisection evaluate
+    # |C_m w|^2 in another order than the per-row reference, so grid jump
+    # times may move by roundoff; nodes, and hence pulse ids, must not.
+    emitter = EmitterModel(gamma1=1.0 / T1, gamma2=gamma2)
+    engine = _JumpEngine(emitter, field, 0.0, 80e-9)
+    ids = np.arange(1000, 1250, dtype=np.int64)
+    pulses, times = _emission_times_batch(engine, 31, ids, initial)
+    ref_pulses, ref_times = reference_emissions(engine, 31, ids, initial)
+    assert np.array_equal(pulses, ref_pulses)
+    assert np.array_equal(np.bincount(pulses - 1000, minlength=ids.size),
+                          np.bincount(ref_pulses - 1000, minlength=ids.size))
+    assert np.max(np.bincount(pulses - 1000)) >= 3  # restarts are exercised
+    step = engine.times[1] - engine.times[0]
+    grid = ref_times <= engine.times[-1]
+    assert np.max(np.abs(times - ref_times)[grid]) <= 1e-6 * step
+    # Drive-free tail jumps come from _tail_jump_time in both; with
+    # dephasing its bisection stops once the widest bracket of the batch is
+    # below 1e-16 (1 + tau) s, so one row alone may stop ~1e-16 s elsewhere.
+    assert np.max(np.abs(times - ref_times)[~grid]) <= 1e-15
+
+
+def test_gram_table_gives_the_propagated_norm():
+    engine = _JumpEngine(EmitterModel(gamma1=1.0 / T1, gamma2=1.4 / T1),
+                         RECT_PLUS_GAUSS, 0.0, 150e-9)
+    gen = np.random.default_rng(4)
+    nodes = gen.integers(0, engine.times.size, 500)
+    w = gen.normal(size=(500, 2)) + 1j * gen.normal(size=(500, 2))
+    psi = engine.state_at(nodes, w)
+    exact = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
+    assert np.allclose(engine.survival(nodes, _quad(w)), exact,
+                       rtol=1e-12, atol=0.0)
+
+
+def test_emission_output_is_pulse_major_and_time_ascending():
+    # The batch is ordered by a stable sort on pulse id alone, which is
+    # right only because every wave appends a pulse's emissions after its
+    # earlier ones; pin that on a re-exciting, dephased drive.
+    emitter = EmitterModel(gamma1=1.0 / T1, gamma2=1.4 / T1)
+    fld = DriveField.single(RectangularEnvelope(peak=4.0 * EM.gamma1,
+                                                duration=150e-9, center=75e-9))
+    engine = _JumpEngine(emitter, fld, 0.0, 400e-9)
+    pulses, times = _emission_times_batch(engine, 9, np.arange(3000,
+                                                               dtype=np.int64))
+    assert np.max(np.bincount(pulses)) >= 5
+    assert np.any(times > engine.times[-1])  # tail emissions are present
+    order = np.lexsort((times, pulses))
+    assert np.array_equal(order, np.arange(pulses.size))
+
+
+def dead_time_reference(abs_sorted, dead):
+    """The per-detection loop the array passes of _dead_time_mask replaced."""
+    keep = np.zeros(abs_sorted.size, dtype=bool)
+    blocked_until = -math.inf
+    for i, t in enumerate(abs_sorted):
+        if t >= blocked_until:
+            keep[i] = True
+            blocked_until = t + dead
+    return keep
+
+
+@pytest.mark.parametrize("dead, period", [
+    (70e-9, 1.4e-6), (150e-9, 100e-9), (0.0, 100e-9), (600e-9, 1.4e-6)],
+    ids=["c07", "longer_than_period", "zero", "longer_than_emission"])
+def test_dead_time_mask_matches_per_detection_loop(dead, period):
+    # eta = 1 streams: every emission, re-excited ones included, is detected.
+    fld = DriveField.single(RectangularEnvelope(peak=4.0 * EM.gamma1,
+                                                duration=60e-9, center=30e-9))
+    engine = _JumpEngine(EM, fld, 0.0, period)
+    pulses, times = _emission_times_batch(engine, 3, np.arange(4000,
+                                                               dtype=np.int64))
+    gen = np.random.default_rng(2)
+    times = times + 50e-12 * gen.normal(size=times.size)
+    abs_t = np.sort(pulses * period + times)
+    keep = _dead_time_mask(abs_t, dead)
+    ref = dead_time_reference(abs_t, dead)
+    assert np.array_equal(keep, ref)
+    assert 0 < np.count_nonzero(keep) <= abs_t.size
+    # Ties and gaps near the dead time itself.
+    grid = np.sort(np.round(gen.uniform(0.0, 2e-6, 3000), 9))
+    for d in (dead, 1e-9, 2e-9):
+        assert np.array_equal(_dead_time_mask(grid, d), dead_time_reference(grid, d))
