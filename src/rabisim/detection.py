@@ -298,7 +298,14 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
 
         if np.any(in_grid):
             rows = np.nonzero(in_grid)[0]
-            to_tail = q[rows] @ engine.gram[n_last] > r[rows]
+            if wave == 0:
+                # Every row still holds w0 from node 0, so all share one
+                # non-increasing survival curve; the grid-end test reads it
+                # too, so a jump row's first node <= r is on the grid.
+                curve = engine.gram @ q[0]
+                to_tail = curve[n_last] > r[rows]
+            else:
+                to_tail = q[rows] @ engine.gram[n_last] > r[rows]
             # Grid survivors hand their unnormalized state to the tail phase.
             tr = rows[to_tail]
             if tr.size:
@@ -312,9 +319,6 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
             if jr.size:
                 rj = r[jr]
                 if wave == 0:
-                    # Every row still holds w0 from node 0, so all share one
-                    # non-increasing survival curve: find its first node <= r.
-                    curve = engine.gram @ q[0]
                     m = np.searchsorted(-curve, -rj)
                     n1, n2 = curve[m - 1], curve[m]
                 else:
@@ -454,31 +458,6 @@ def _tail_jump_time(cg2, ce2, r, gamma1: float, gphi: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _dead_time_mask(abs_sorted: np.ndarray, dead: float) -> np.ndarray:
-    """Detections a non-paralyzable dead time lets through.
-
-    ``abs_sorted`` ascends. Detection i is kept when it comes at or after
-    t_k + dead, where t_k is the last detection kept before it. One at or
-    after its predecessor + dead is therefore always kept and starts a
-    cluster; inside a cluster the kept ones are its start s, nxt[s],
-    nxt[nxt[s]], ..., where nxt[i] is the first detection at or after
-    abs_sorted[i] + dead, and the chain ends on the next start. Round k of
-    the pointer doubling below marks each chain's members 2^k to 2^(k+1) - 1
-    links from its start, so a round that marks nothing new has marked all.
-    """
-    n = abs_sorted.size
-    keep = np.zeros(n + 1, dtype=bool)  # slot n: past the last detection
-    keep[0] = True
-    keep[1:n] = abs_sorted[1:] >= abs_sorted[:-1] + dead
-    jump = np.append(np.searchsorted(abs_sorted, abs_sorted + dead), n)
-    while True:
-        land = jump[keep]
-        if keep[land].all():
-            return keep[:n]
-        keep[land] = True
-        jump = jump[jump]
-
-
 def simulate_photon_stream(emitter: EmitterModel, field: DriveField, t_span,
                            seed: int, initial: BlochState = BlochState(0.0),
                            pulse_index: int = 0) -> np.ndarray:
@@ -543,7 +522,16 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
     if detector.dead_time > 0 and pulses.size:
         abs_t = pulses * detector.rep_period + times
         order = np.argsort(abs_t, kind="stable")
-        sel = order[_dead_time_mask(abs_t[order], detector.dead_time)]
+        keep = np.zeros(order.size, dtype=bool)
+        blocked_until = -math.inf
+        dead = detector.dead_time
+        abs_sorted = abs_t[order]
+        for i in range(order.size):
+            ti = abs_sorted[i]
+            if ti >= blocked_until:
+                keep[i] = True
+                blocked_until = ti + dead
+        sel = order[keep]
         pulses, times = pulses[sel], times[sel]
 
     n_bins = detector.n_bins()

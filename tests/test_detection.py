@@ -6,7 +6,7 @@ from scipy import stats
 
 from rabisim import detection, rng
 from rabisim.bloch import BlochState, EmitterModel, integrate, steady_state
-from rabisim.detection import (DetectorModel, _JumpEngine, _dead_time_mask,
+from rabisim.detection import (DetectorModel, _JumpEngine,
                                _emission_times_batch, _initial_amplitudes,
                                _quad, _tail_jump_time,
                                emission_rate, first_detected_density,
@@ -526,35 +526,29 @@ def test_emission_output_is_pulse_major_and_time_ascending():
     assert np.array_equal(order, np.arange(pulses.size))
 
 
-def dead_time_reference(abs_sorted, dead):
-    """The per-detection loop the array passes of _dead_time_mask replaced."""
-    keep = np.zeros(abs_sorted.size, dtype=bool)
-    blocked_until = -math.inf
-    for i, t in enumerate(abs_sorted):
-        if t >= blocked_until:
-            keep[i] = True
-            blocked_until = t + dead
-    return keep
+def test_first_draw_at_the_grid_end_survival(monkeypatch):
+    # First draws within a few ulps of the survival at the last node sit on
+    # the edge of the grid-end test: a row whose survival falls to r on the
+    # grid must find its jump node there, one that outlives it must not.
+    engine = _JumpEngine(EM, GAUSS_7PI, 0.0, 80e-9)
+    w0 = engine.to_grid_coords(np.zeros(1, dtype=np.int64),
+                               _initial_amplitudes(BlochState(0.0))[None])
+    s_end = engine.survival(np.array([engine.last_node]), _quad(w0))[0]
+    edge = s_end + np.arange(-4, 5) * np.spacing(s_end)
+    true_uniform = rng.uniform
 
+    def uniform(seed, stream, counter, draw):
+        u = true_uniform(seed, stream, counter, draw)
+        return np.where(np.asarray(draw) == 0,
+                        edge[np.asarray(counter) % edge.size], u)
 
-@pytest.mark.parametrize("dead, period", [
-    (70e-9, 1.4e-6), (150e-9, 100e-9), (0.0, 100e-9), (600e-9, 1.4e-6)],
-    ids=["c07", "longer_than_period", "zero", "longer_than_emission"])
-def test_dead_time_mask_matches_per_detection_loop(dead, period):
-    # eta = 1 streams: every emission, re-excited ones included, is detected.
-    fld = DriveField.single(RectangularEnvelope(peak=4.0 * EM.gamma1,
-                                                duration=60e-9, center=30e-9))
-    engine = _JumpEngine(EM, fld, 0.0, period)
-    pulses, times = _emission_times_batch(engine, 3, np.arange(4000,
-                                                               dtype=np.int64))
-    gen = np.random.default_rng(2)
-    times = times + 50e-12 * gen.normal(size=times.size)
-    abs_t = np.sort(pulses * period + times)
-    keep = _dead_time_mask(abs_t, dead)
-    ref = dead_time_reference(abs_t, dead)
-    assert np.array_equal(keep, ref)
-    assert 0 < np.count_nonzero(keep) <= abs_t.size
-    # Ties and gaps near the dead time itself.
-    grid = np.sort(np.round(gen.uniform(0.0, 2e-6, 3000), 9))
-    for d in (dead, 1e-9, 2e-9):
-        assert np.array_equal(_dead_time_mask(grid, d), dead_time_reference(grid, d))
+    monkeypatch.setattr(rng, "uniform", uniform)
+    ids = np.arange(9 * 40, dtype=np.int64)
+    pulses, times = _emission_times_batch(engine, 5, ids)
+    assert np.all(np.isfinite(times))
+    first = np.unique(pulses, return_index=True)
+    first_time = dict(zip(first[0], times[first[1]]))
+    to_tail = ids[ids % edge.size <= 2]  # r < s_end by 2 ulps or more
+    on_grid = ids[ids % edge.size >= 4]
+    assert all(first_time.get(p, np.inf) > engine.times[-1] for p in to_tail)
+    assert all(first_time[p] <= engine.times[-1] for p in on_grid)
