@@ -297,11 +297,11 @@ def integrate_population_batch(omega_of_t, detuning, gamma1: float, gamma2: floa
                                t_span, n_steps: int, initial=None):
     """Vectorized fixed-step Bloch integration over one schedule segment.
 
-    ``omega_of_t(t)`` returns the complex Rabi frequency for every batch
-    member at scalar time t (shape (B,) or scalar); ``detuning`` is scalar
-    or (B,). The drive is sampled as one-sided limits inside ``t_span``, so
-    a jump on either end costs no order. ``initial`` is the tuple a previous
-    segment returned; None starts from the ground state. Returns
+    ``omega_of_t(t)``, e.g. a batch ``DriveField.rabi``, returns every batch
+    member's Rabi frequency at scalar time t; it and ``detuning`` broadcast
+    to the batch shape. The drive is sampled as one-sided limits inside
+    ``t_span``, so a jump on either end costs no order. ``initial`` is the
+    tuple a previous segment returned; None starts from the ground state. Returns
     ``(rho_end, rho12_end, integral, rho_peak)`` where ``integral`` is the
     time integral of rho_ee since the start and ``rho_peak`` the largest
     excited population reached on the step grid.

@@ -443,18 +443,20 @@ def _tail_jump_time(cg2, ce2, r, gamma1: float, gphi: float) -> np.ndarray:
     n0 = cg2 + ce2
     lam_slow = 0.5 * gphi
     lam_fast = gamma1 + 0.5 * gphi
-    # Bisection on a strictly decreasing function; upper bound from the
-    # slow eigenvalue alone.
+    # Bisection on a strictly decreasing function, upper bound from the slow
+    # eigenvalue alone. Once a row's midpoint rounds onto its bracket, more
+    # steps keep that midpoint, so stopping when every row's has makes no
+    # root depend on its batch.
     hi = np.log(np.maximum(n0 / r, 1.0)) / lam_slow + 1.0 / lam_slow
     lo = np.zeros_like(r)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
         val = cg2 * np.exp(-lam_slow * mid) + ce2 * np.exp(-lam_fast * mid)
         high = val > r
         lo = np.where(high, mid, lo)
         hi = np.where(high, hi, mid)
-        if np.max(hi - lo) < 1e-16 * np.max(hi + 1.0):
-            break
     return 0.5 * (lo + hi)
 
 

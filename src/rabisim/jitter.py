@@ -23,11 +23,9 @@ from .bloch import (BATCH_PIECES, EmitterModel, batch_schedule,
                     check_batch_work, emitted_photons_per_period,
                     integrate_population_batch)
 from .errors import FitDiverged
-from .pulses import (DriveField, Envelope, FieldComponent, GAUSSIAN_AREA_FACTOR,
-                     GaussianEnvelope)
+from .pulses import (DriveField, FieldComponent, GAUSSIAN_AREA_FACTOR,
+                     GaussianEnvelope, RectangularEnvelope)
 from . import fitting
-
-_LN2x2 = 2.0 * math.log(2.0)
 
 #: Groups of neighboring amplitudes a power scan solves together.
 SCAN_BUCKETS = 12
@@ -81,18 +79,21 @@ class PowerScan:
 class PowerScanTemplate:
     """Scan pulse: a Gaussian main pulse plus an optional pedestal.
 
-    The pedestal envelope's amplitude is *relative*: its effective peak is
-    ``pedestal.peak * amplitude`` at each scan point (modulator leakage
-    scales with the drive).
+    The pedestal is a Gaussian or rectangular envelope whose amplitude is
+    *relative*: its effective peak is ``pedestal.peak * |amplitude|`` at each
+    scan point (modulator leakage scales with the drive).
     """
 
     main_fwhm: float = 4e-9
     center: float = 0.0
-    pedestal: Envelope | None = None
+    pedestal: GaussianEnvelope | RectangularEnvelope | None = None
 
     def __post_init__(self):
         if self.main_fwhm <= 0:
             raise ValueError("main_fwhm must be > 0")
+        if self.pedestal is not None and not isinstance(
+                self.pedestal, (GaussianEnvelope, RectangularEnvelope)):
+            raise ValueError("the pedestal must be a Gaussian or rectangular envelope")
 
 
 def sample_durations(base_t: float, model: JitterModel, seed: int, n: int,
@@ -184,21 +185,29 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
                      interp_error=error)
 
 
+def draw_field(template: PowerScanTemplate, amps, durations) -> DriveField:
+    """Batch field of a bucket's draws: row i of ``durations`` holds the main
+    pulse FWHMs at peak ``|amps[i]|``, and the pedestal scales with it (the
+    sign of a drive does not change the populations)."""
+    peaks = np.abs(amps)[:, None]
+    comps = [FieldComponent(GaussianEnvelope(peaks, durations, template.center))]
+    if template.pedestal is not None:
+        comps.append(FieldComponent(template.pedestal.scaled(peaks)))
+    return DriveField(comps)
+
+
 def bucket_schedule(emitter: EmitterModel, template: PowerScanTemplate,
                     amps: np.ndarray, durations: np.ndarray):
     """Pulse window and step schedule ``((w0, w1), schedule)`` of one bucket.
 
-    The widest draw at unit peak spans every member's window; scaled to the
-    bucket's top amplitude it bounds every member's drive.
+    The draw field of all of the bucket's draws spans and bounds every
+    duration between a row's shortest and longest draw. A bucket of zero
+    amplitudes has no drive; it takes its draws' window at any peak.
     """
-    comps = [FieldComponent(GaussianEnvelope(1.0, float(np.max(durations)),
-                                             template.center))]
-    if template.pedestal is not None:
-        comps.append(FieldComponent(template.pedestal))
-    unit = DriveField(comps)
-    window = unit.support()
-    return window, batch_schedule(unit.scaled(float(np.max(np.abs(amps)))),
-                                  window, emitter.detuning, emitter.gamma1)
+    field = draw_field(template, amps, durations)
+    window = field.support() or draw_field(template, [1.0], durations).support()
+    return window, batch_schedule(field, window, emitter.detuning,
+                                  emitter.gamma1)
 
 
 def solve_draws(emitter: EmitterModel, template: PowerScanTemplate,
@@ -211,20 +220,11 @@ def solve_draws(emitter: EmitterModel, template: PowerScanTemplate,
     per amplitude.
     """
     (w0, w1), schedule = plan
-    amps = np.asarray(amps, dtype=float)[:, None]
-    center, ped = template.center, template.pedestal
-    inv_w2 = 1.0 / durations ** 2
-
-    def omega(t):
-        main = amps * np.exp(-_LN2x2 * (t - center) ** 2 * inv_w2)
-        if ped is not None:
-            main = main + amps * ped.value(t)
-        return main
-
+    drive = draw_field(template, amps, durations).rabi
     state = None
     for a, b, n_steps in schedule:
         state = integrate_population_batch(
-            omega, emitter.detuning, emitter.gamma1, emitter.gamma2,
+            drive, emitter.detuning, emitter.gamma1, emitter.gamma2,
             (a, b), n_steps, initial=state)
     rho_end, _, integral, rho_peak = state
     return (emitted_photons_per_period(rho_end, integral, emitter.gamma1,
@@ -335,9 +335,10 @@ def _duration_surrogate(solve, durations: np.ndarray, area_rate: np.ndarray):
         signal, peak = _interleave(signal, f_signal), _interleave(peak, f_peak)
         n *= 2
     error = 2.0 * tail + (n + 1) * np.finfo(float).eps * scale
-    # Each row's [lo, hi] maps onto [-1, 1]; a row without spread sits at 0.
+    # Each row's [lo, hi] maps onto [-1, 1], clipped against roundoff on
+    # spans of a few ulps; a row without spread sits at 0.
     span = np.where(hi > lo, hi - lo, 1.0)[:, None]
-    x = (2.0 * durations - (lo + hi)[:, None]) / span
+    x = np.clip((2.0 * durations - (lo + hi)[:, None]) / span, -1.0, 1.0)
     return (chebval(x, coef.T[..., None], tensor=False),
             chebval(x, _chebyshev_coefficients(peak).T[..., None], tensor=False),
             error)

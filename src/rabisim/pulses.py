@@ -10,6 +10,11 @@ Gaussian widths are quoted as the FWHM of the *intensity* profile (the
 usual convention for measured pulse durations), so the amplitude envelope
 is ``exp(-2 ln2 (t-c)^2 / w^2)`` and a resonant Gaussian pulse has area
 ``peak * w * sqrt(pi / (2 ln2))``.
+
+A Gaussian's ``peak`` and ``fwhm`` and a rectangle's ``peak`` may hold one
+value per batch member, so that one :class:`DriveField` describes a whole
+scan or map: values broadcast against a scalar t, and ``support`` (hull),
+``max_on``, ``peak_value`` and ``feature_time`` bound every member.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ AREA_CUTOFF = 1e-14
 GAUSSIAN_AREA_FACTOR = math.sqrt(math.pi / (2.0 * math.log(2.0)))
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
+def _require_finite(name: str, value) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -47,28 +52,23 @@ def _require_finite(name: str, value: float) -> float:
 class RectangularEnvelope:
     """Flat-top pulse: ``peak`` on [center - duration/2, center + duration/2]."""
 
-    peak: float
+    peak: float | np.ndarray
     duration: float
     center: float = 0.0
 
     def __post_init__(self):
-        if _require_finite("peak", self.peak) < 0:
+        if np.any(_require_finite("peak", self.peak) < 0):
             raise ValueError("peak amplitude must be >= 0")
         if _require_finite("duration", self.duration) <= 0:
             raise ValueError("duration must be > 0")
         _require_finite("center", self.center)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        half = 0.5 * self.duration
-        inside = np.abs(t - self.center) <= half
+        inside = np.abs(t - self.center) <= 0.5 * self.duration
         return np.where(inside, self.peak, 0.0)
 
     def support(self, cutoff: float = SUPPORT_CUTOFF):
-        if self.peak == 0.0:
-            return None
-        half = 0.5 * self.duration
-        return (self.center - half, self.center + half)
+        return self.breakpoints() if np.any(self.peak) else None
 
     def breakpoints(self):
         half = 0.5 * self.duration
@@ -78,16 +78,16 @@ class RectangularEnvelope:
 
     def max_on(self, a: float, b: float) -> float:
         """Largest value on the open interval (a, b)."""
-        half = 0.5 * self.duration
-        return self.peak if a < self.center + half and b > self.center - half else 0.0
+        lo, hi = self.breakpoints()
+        return self.peak_value() if a < hi and b > lo else 0.0
 
     def feature_time(self) -> float:
         return self.duration
 
     def peak_value(self) -> float:
-        return self.peak
+        return float(np.max(self.peak))
 
-    def scaled(self, factor: float) -> "RectangularEnvelope":
+    def scaled(self, factor) -> "RectangularEnvelope":
         return replace(self, peak=self.peak * factor)
 
 
@@ -95,26 +95,27 @@ class RectangularEnvelope:
 class GaussianEnvelope:
     """Gaussian pulse whose *intensity* profile has the given FWHM."""
 
-    peak: float
-    fwhm: float
+    peak: float | np.ndarray
+    fwhm: float | np.ndarray
     center: float = 0.0
 
     def __post_init__(self):
-        if _require_finite("peak", self.peak) < 0:
+        if np.any(_require_finite("peak", self.peak) < 0):
             raise ValueError("peak amplitude must be >= 0")
-        if _require_finite("fwhm", self.fwhm) <= 0:
+        if np.any(_require_finite("fwhm", self.fwhm) <= 0):
             raise ValueError("fwhm must be > 0")
         _require_finite("center", self.center)
+        # -2 ln2 / fwhm^2, kept: value() is a batch kernel's per-step call.
+        object.__setattr__(self, "_rate", -2.0 * math.log(2.0) / (self.fwhm * self.fwhm))
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        x = (t - self.center) / self.fwhm
-        return self.peak * np.exp(-2.0 * math.log(2.0) * x * x)
+        return self.peak * np.exp(self._rate * (t - self.center) ** 2)
 
     def support(self, cutoff: float = SUPPORT_CUTOFF):
-        if self.peak == 0.0:
+        if not np.any(self.peak):
             return None
-        half = self.fwhm * math.sqrt(math.log(1.0 / cutoff) / (2.0 * math.log(2.0)))
+        half = float(np.max(self.fwhm)) * math.sqrt(
+            math.log(1.0 / cutoff) / (2.0 * math.log(2.0)))
         return (self.center - half, self.center + half)
 
     def breakpoints(self):
@@ -123,17 +124,16 @@ class GaussianEnvelope:
     kinks = breakpoints
 
     def max_on(self, a: float, b: float) -> float:
-        """Largest value on [a, b]: the peak, or the value at the nearer end."""
-        gap = max(a - self.center, self.center - b, 0.0) / self.fwhm
-        return self.peak * math.exp(-2.0 * math.log(2.0) * gap * gap)
+        """Largest value on [a, b]: the value at its point nearest the center."""
+        return float(np.max(self.value(min(max(self.center, a), b))))
 
     def feature_time(self) -> float:
-        return self.fwhm
+        return float(np.min(self.fwhm))
 
     def peak_value(self) -> float:
-        return self.peak
+        return float(np.max(self.peak))
 
-    def scaled(self, factor: float) -> "GaussianEnvelope":
+    def scaled(self, factor) -> "GaussianEnvelope":
         return replace(self, peak=self.peak * factor)
 
 
@@ -179,7 +179,6 @@ class SampledEnvelope:
                 f"max={float(np.max(self.amplitudes))!r})")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         return np.interp(t, self.times, self.amplitudes, left=0.0, right=0.0)
 
     def support(self, cutoff: float = SUPPORT_CUTOFF):
@@ -238,7 +237,6 @@ class PhaseLaw:
         _require_finite("chirp", self.chirp)
 
     def phase(self, t):
-        t = np.asarray(t, dtype=float)
         return self.offset + self.chirp * t
 
 
@@ -271,17 +269,15 @@ class DriveField:
         return f"DriveField({list(self.components)!r})"
 
     def rabi(self, t):
-        """Complex Rabi frequency at time(s) ``t`` (rad/s)."""
-        t = np.asarray(t, dtype=float)
-        total = np.zeros(t.shape, dtype=complex)
+        """Rabi frequency at time(s) ``t`` (rad/s); real if no component has a phase."""
+        total = None
         for comp in self.components:
-            amp = comp.envelope.value(t)
+            term = comp.envelope.value(t)
             ph = comp.phase
-            if ph.offset == 0.0 and ph.chirp == 0.0:
-                total = total + amp
-            else:
-                total = total + amp * np.exp(1j * ph.phase(t))
-        return total if total.shape else complex(total)
+            if ph.offset != 0.0 or ph.chirp != 0.0:
+                term = term * np.exp(1j * ph.phase(t))
+            total = term if total is None else total + term
+        return total
 
     def support(self, cutoff: float = SUPPORT_CUTOFF):
         """Hull of the component supports, or None for an all-zero field."""

@@ -90,9 +90,10 @@ class SweepResult:
             raise ValueError("signal must be >= 0")
 
 
-def build_composite(template: CompositeFieldTemplate, scale: float) -> DriveField:
-    """Drive field at a given main-component peak amplitude (rad/s)."""
-    if scale < 0:
+def build_composite(template: CompositeFieldTemplate, scale) -> DriveField:
+    """Drive field at a given main-component peak amplitude (rad/s), or one
+    per batch member for an array ``scale``."""
+    if np.any(scale < 0):
         raise ValueError("scale must be >= 0")
     comps = []
     if template.main_enabled:
@@ -134,22 +135,19 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     if amplitudes.size > 1 and np.any(np.diff(amplitudes) <= 0):
         raise ValueError("amplitude axis must be strictly increasing")
 
-    # Every row's drive is its amplitude times this unit-peak field.
-    unit = build_composite(template, 1.0)
-    t0, t1 = unit.support()
-    schedule = batch_schedule(
-        unit.scaled(float(np.max(np.abs(amplitudes)))), (t0, t1),
-        float(np.max(np.abs(detunings))), emitter.gamma1)
+    # One row per |amplitude| (the sign of a drive does not change the
+    # populations). Zero amplitudes alone take the window of any peak.
+    field = build_composite(template, np.abs(amplitudes)[:, None])
+    t0, t1 = field.support() or build_composite(template, 1.0).support()
+    schedule = batch_schedule(field, (t0, t1),
+                              float(np.max(np.abs(detunings))), emitter.gamma1)
     check_batch_work(sum(n for _, _, n in schedule) * amplitudes.size
                      * detunings.size)
-
-    def omega(t):
-        return amplitudes[:, None] * unit.rabi(t)
 
     state = None
     for a, b, n_steps in schedule:
         state = integrate_population_batch(
-            omega, detunings[None, :], emitter.gamma1, emitter.gamma2,
+            field.rabi, detunings[None, :], emitter.gamma1, emitter.gamma2,
             (a, b), n_steps, initial=state)
     rho_end, _, integral, _ = state
     signal = emitted_photons_per_period(rho_end, integral, emitter.gamma1,

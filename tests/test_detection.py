@@ -492,10 +492,25 @@ def test_gram_search_matches_per_row_bisection(gamma2, initial, field):
     step = engine.times[1] - engine.times[0]
     grid = ref_times <= engine.times[-1]
     assert np.max(np.abs(times - ref_times)[grid]) <= 1e-6 * step
-    # Drive-free tail jumps come from _tail_jump_time in both; with
-    # dephasing its bisection stops once the widest bracket of the batch is
-    # below 1e-16 (1 + tau) s, so one row alone may stop ~1e-16 s elsewhere.
+    # Drive-free tail jumps come from _tail_jump_time in both, from grid-end
+    # states that the batch and the reference form in another order.
     assert np.max(np.abs(times - ref_times)[~grid]) <= 1e-15
+
+
+def test_dephased_emission_times_do_not_depend_on_the_batch():
+    # With pure dephasing the tail jump times come from a bisection; a row
+    # must stop on its own bracket, not on the widest one of its batch.
+    emitter = EmitterModel(gamma1=1.0 / T1, gamma2=1.2 / T1)
+    fld = DriveField.single(RectangularEnvelope(peak=3.0 * EM.gamma1,
+                                                duration=100e-9, center=50e-9))
+    engine = _JumpEngine(emitter, fld, 0.0, 300e-9)
+    alone = _emission_times_batch(engine, 3, np.arange(100, dtype=np.int64))
+    pulses, times = _emission_times_batch(engine, 3,
+                                          np.arange(2000, dtype=np.int64))
+    inside = pulses < 100
+    assert np.count_nonzero(alone[1] > engine.times[-1]) >= 40  # tail jumps
+    assert np.array_equal(alone[0], pulses[inside])
+    assert alone[1].tobytes() == times[inside].tobytes()
 
 
 def test_gram_table_gives_the_propagated_norm():

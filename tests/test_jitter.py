@@ -12,7 +12,8 @@ from rabisim.jitter import (SCAN_BUCKETS, JitterModel, PowerScan,
                             fit_power_scan, power_scan_model, sample_durations,
                             solve_draws)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, RectangularEnvelope,
-                            scale_to_area, DriveField, GaussianEnvelope)
+                            SampledEnvelope, scale_to_area, DriveField,
+                            GaussianEnvelope)
 
 EM = EmitterModel.from_lifetime(9.5e-9)
 
@@ -151,15 +152,39 @@ def test_negative_amplitudes_mirror_positive():
 
 
 def test_surrogate_rows_without_spread():
-    # At sigma = 3e-17 the first amplitude draws 40 equal durations while
-    # its bucket neighbour does not; that row is a constant interpolant.
-    amps = np.array([2e8, 3e8])
-    durations, solve = _bucket(amps, JitterModel(3e-17), 40, seed=1)
-    assert np.ptp(durations[0]) == 0.0 < np.ptp(durations[1])
-    direct, _ = solve(durations)
-    signal, _, error = _duration_surrogate(solve, durations,
-                                           amps * GAUSSIAN_AREA_FACTOR)
-    assert np.all(np.abs(signal - direct) <= error[:, None])
+    # Rows whose draws span a few ulps at most. At sigma = 3e-17 the first
+    # amplitude draws 40 equal durations while its bucket neighbour does
+    # not; that row is a constant interpolant. Elsewhere roundoff in the
+    # node variable puts end draws just outside [-1, 1], where the
+    # Chebyshev series grows fast.
+    for amps in ([2e8, 3e8], [1e9, 2e9], [5e9, 6e9]):
+        amps = np.array(amps)
+        for sigma, seed in ((3e-17, 1), (3e-16, 4), (3e-16, 5), (1e-15, 3),
+                            (1e-15, 4), (1e-15, 5)):
+            durations, solve = _bucket(amps, JitterModel(sigma), 40, seed=seed)
+            spread = np.ptp(durations, axis=1)
+            assert np.all(spread <= 32 * np.spacing(TPL.main_fwhm))
+            if sigma == 3e-17:
+                assert spread[0] == 0.0 < spread[1]
+            direct, _ = solve(durations)
+            signal, _, error = _duration_surrogate(solve, durations,
+                                                   amps * GAUSSIAN_AREA_FACTOR)
+            assert np.all(np.abs(signal - direct) <= error[:, None])
+
+
+def test_zero_amplitude_bucket_is_dark():
+    # One amplitude per bucket: the zero bucket has no drive and no support.
+    amps = [-1e9, 0.0, 1e9]
+    scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples=30,
+                               seed=1)
+    assert scan.signal[1] == 0.0 == scan.peak_excitation[1]
+    assert np.all(scan.signal[[0, 2]] > 0.5)
+
+
+def test_pedestal_must_be_gaussian_or_rectangular():
+    samples = SampledEnvelope(np.linspace(-5e-9, 5e-9, 11), np.ones(11))
+    with pytest.raises(ValueError):
+        PowerScanTemplate(pedestal=samples)
 
 
 def test_no_jitter_scan_is_one_direct_solve():

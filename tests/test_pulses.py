@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from rabisim.bloch import batch_schedule
 from rabisim.errors import NonConvergedQuadrature, UnreachableArea
 from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
                             GAUSSIAN_AREA_FACTOR, PhaseLaw,
@@ -301,3 +303,36 @@ def test_max_on_bounds_every_envelope():
     assert rect.max_on(0.0, 1e-9) == 0.0 and rect.max_on(-10e-9, -4e-9) == 0.0
     field = DriveField([(gauss, PhaseLaw(chirp=1e9)), (rect, PhaseLaw())])
     assert field.max_amplitude_on(-3e-9, 2e-9) == pytest.approx(3.5)
+
+
+_MEMBERS = st.lists(st.tuples(st.floats(0.0, 1e10), st.floats(1e-10, 5e-8),
+                              st.floats(0.0, 1e9)), min_size=1, max_size=5)
+
+
+def _gauss_rect_field(peak, fwhm, rect_peak):
+    return DriveField([
+        FieldComponent(GaussianEnvelope(peak, fwhm, center=2e-9),
+                       PhaseLaw(offset=0.3, chirp=TWO_PI * 70e6)),
+        FieldComponent(RectangularEnvelope(rect_peak, duration=30e-9,
+                                           center=-5e-9))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=_MEMBERS, t=st.floats(-1e-7, 1e-7))
+def test_batch_field_members_match_their_scalar_fields(members, t):
+    # One batch field holds a parameter per member; each member must give
+    # the bits of the scalar field built from its own parameters, and the
+    # batch bound must cover every member on each piece of the batch schedule.
+    peak, fwhm, rect = (np.array(col)[:, None] for col in zip(*members))
+    batch = _gauss_rect_field(peak, fwhm, rect)
+    values = batch.rabi(t)
+    assert values.shape == (len(members), 1)
+    for i, (p, w, r) in enumerate(members):
+        alone = _gauss_rect_field(p, w, r).rabi(t)
+        assert np.asarray(alone).tobytes() == values[i].tobytes()
+
+    window = batch.support()
+    assume(window is not None)
+    for a, b, _ in batch_schedule(batch, window, 0.0, 1e8):
+        sampled = np.abs(batch.rabi(np.linspace(a, b, 35)[1:-1]))
+        assert np.all(batch.max_amplitude_on(a, b) >= sampled * (1.0 - 1e-12))

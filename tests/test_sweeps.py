@@ -110,6 +110,19 @@ def test_monotone_onset_at_zero_detuning():
     assert np.all(np.diff(col) > 0)
 
 
+def test_negative_amplitudes_mirror_positive():
+    # The sign of a drive does not change the populations.
+    dets = np.linspace(-300, 300, 13) * MHZ
+    pos = sweep_2d(EM, template(), dets, np.array([100.0, 200.0]) * MHZ)
+    neg = sweep_2d(EM, template(), dets, np.array([-200.0, -100.0]) * MHZ)
+    assert np.array_equal(neg.signal, pos.signal[::-1])
+
+
+def test_zero_amplitude_map_is_dark():
+    res = sweep_2d(EM, template(), np.array([-1e9, 0.0, 1e9]), np.array([0.0]))
+    assert np.all(res.signal == 0.0)
+
+
 def test_grid_refinement_stability():
     tpl = template()
     amps = np.array([3e8])
