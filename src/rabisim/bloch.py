@@ -15,6 +15,7 @@ multi-component fields with distinct chirps need no special casing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -245,7 +246,9 @@ def steady_state(emitter: EmitterModel, omega: float) -> BlochState:
 # cuts the window at the drive's breakpoints and into ``BATCH_PIECES`` pieces
 # and sizes the step on each from a bound on |Omega| there. Callers step the
 # schedule segment by segment, carrying the returned state; the result is
-# validated against the adaptive reference integrator in the tests.
+# validated against the adaptive reference integrator in the tests. Where
+# the drive is weak the Lawson step is still set by |Delta|; maps step those
+# pieces with the weak-drive propagator below instead, on the same state.
 # ---------------------------------------------------------------------------
 
 #: Target phase per step (rad). A piece with drive bound W and rate bound
@@ -347,6 +350,194 @@ def integrate_population_batch(omega_of_t, detuning, gamma1: float, gamma2: floa
         peak = np.maximum(peak, rho)
         om_a = om_b
 
+    return rho, coh, acc, peak
+
+
+# ---------------------------------------------------------------------------
+# Weak-drive propagator for maps.
+#
+# Where the drive is weak, Lawson's step is set by resolving e^{i Delta h},
+# not by the drive. A map drives every grid point with |a| f(t) for one known
+# unit drive f, so over a step the interaction-frame propagator on
+# (rho_ee, rho12, conj(rho12), 1) is the Dyson series sum_n |a|^n J_n, and
+# the J_n depend only on the detuning column. They are integrated once per
+# column and step by Chebyshev-Lobatto spectral integration of f against the
+# exact e^{(L_j - L_i) s} factors of the linear part, so the fast phase
+# e^{+-i Delta s} is integrated exactly against the slow drive (Iserles, BIT
+# 42, 561 (2002); Hochbruck & Ostermann, Acta Numer. 19, 209 (2010)). Each
+# grid point then takes one polynomial-in-|a| update, and only the drive sets
+# the step. The bipartite coupling (rho_ee and 1 couple only to rho12 and its
+# conjugate) makes odd and even J_n live on disjoint entries, and the real
+# structure of the Bloch equations makes the conj(rho12) row the conjugate of
+# the rho12 row, so about 3 of the 12 entries per order are integrated.
+# ---------------------------------------------------------------------------
+
+#: Largest drive bound x step (rad) of a weak-drive step.
+WEAK_STEP = 0.5
+
+#: Largest (Gamma1 + Gamma2) x step of a weak-drive step. The interaction
+#: frame grows like e^{(Gamma1 + Gamma2) s} over a step, and the Dyson
+#: recursion loses digits to that growth (at 16 it loses 4, at 32 all).
+WEAK_DAMPING = 4.0
+
+#: Dyson tail (W h)^(p+1)/(p+1)! that a weak-drive step's order p reaches.
+WEAK_TAIL = 1e-12
+
+#: Chebyshev-Lobatto nodes per step: WEAK_NODES_PER_RAD per unit of the
+#: fastest rate (2 (|Delta| + |chirp|) + Gamma1 + Gamma2 + W) x h of the
+#: Dyson terms, plus WEAK_NODES_PER_FEATURE per envelope feature time in h,
+#: plus WEAK_MIN_NODES. Steps are cut further where that would exceed
+#: WEAK_MAX_NODES.
+WEAK_NODES_PER_RAD = 0.35
+WEAK_NODES_PER_FEATURE = 4.0
+WEAK_MIN_NODES = 8
+WEAK_MAX_NODES = 128
+
+
+def weak_drive_plan(drive: float, length: float, max_offset: float,
+                    damping: float, feature_time: float):
+    """``(n_steps, order, n_nodes)`` of a weak-drive piece.
+
+    ``drive`` bounds |Omega| on the piece and ``length`` is its duration.
+    ``max_offset`` bounds |Delta| + |chirp|, how far any drive component is
+    tuned from the emitter: the Dyson terms oscillate at up to twice that.
+    ``damping`` is Gamma1 + Gamma2 and ``feature_time`` the shortest time
+    scale of the drive's envelopes. Steps keep drive x h at most
+    ``WEAK_STEP`` and damping x h at most ``WEAK_DAMPING``; the order is the
+    smallest p whose Dyson tail (drive h)^(p+1)/(p+1)! is at most
+    ``WEAK_TAIL``.
+    """
+    nodes = (WEAK_NODES_PER_RAD * (2.0 * max_offset + damping + drive)
+             + WEAK_NODES_PER_FEATURE / feature_time) * length
+    n_steps = max(1, math.ceil(drive * length / WEAK_STEP),
+                  math.ceil(damping * length / WEAK_DAMPING),
+                  math.ceil(nodes / (WEAK_MAX_NODES - WEAK_MIN_NODES)))
+    wh = drive * length / n_steps
+    order, tail = 0, wh
+    while tail > WEAK_TAIL:
+        order += 1
+        tail *= wh / (order + 1)
+    return n_steps, order, math.ceil(nodes / n_steps) + WEAK_MIN_NODES
+
+
+@functools.lru_cache(maxsize=WEAK_MAX_NODES)
+def _lobatto_integration(n: int):
+    """Chebyshev-Lobatto nodes x on [-1, 1], ascending, and the matrix Q
+    with ``(Q g)[k]`` the integral from -1 to ``x[k]`` of g's interpolant
+    (read-only: callers share them)."""
+    cheb = np.polynomial.chebyshev
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))
+    integrated = cheb.chebvander(x, n) @ cheb.chebint(np.eye(n), lbnd=-1.0)
+    q = integrated @ np.linalg.inv(cheb.chebvander(x, n - 1))
+    x.setflags(write=False)
+    q.setflags(write=False)
+    return x, q
+
+
+def _dyson_terms(g, s, q, det, gamma1: float, gamma2: float, order: int):
+    """Dyson terms J_n, n = 1..order, of one step, and the rows K_n of
+    their rho_ee integral, for a unit drive ``g`` sampled at the step's
+    nodes ``s`` (``q`` integrates on them) and detunings ``det``.
+
+    Returns ``(odd, even)``: ``odd[m]`` stacks J[0,1], J[1,0], J[1,3] and
+    K[0,1] of order 2m + 1 at the step's end, and ``even[m]`` J[0,0],
+    J[0,3], J[1,1], J[1,2], K[0,0] and K[0,3] of order 2m + 2, each shaped
+    like ``det``. Every other entry is zero or a conjugate of these.
+    """
+    n = s.size
+    s_col = s.reshape((n,) + (1,) * det.ndim)
+    g = g.reshape(s_col.shape)
+    spin = np.exp(1j * det * s_col)
+    # Interaction-frame couplings: u = B[0,1], v = B[1,0], w = B[1,3].
+    u = -0.5j * g.conj() * np.exp((gamma1 - gamma2) * s_col) * spin
+    v = -1j * g * np.exp((gamma2 - gamma1) * s_col) * spin.conj()
+    w = 0.5j * g * np.exp(gamma2 * s_col) * spin.conj()
+    # Quadrature weights of the rho_ee integral, decay included.
+    wts = q[-1].reshape(s_col.shape) * np.exp(-gamma1 * s_col)
+
+    def integrate(*fs):
+        stack = np.stack(np.broadcast_arrays(*fs), axis=1)
+        out = (q @ stack.reshape(n, -1).view(float)).view(complex)
+        return out.reshape(stack.shape).swapaxes(0, 1)
+
+    odd, even = [], []
+    j01, j10, j13 = integrate(u, v, w)
+    for m in range(1, order + 1):
+        if m % 2:
+            if m > 1:
+                j01, j10, j13 = integrate(u * j11 + (u * j12).conj(),
+                                          v * j00, v * j03)
+            odd.append(np.stack([j01[-1], j10[-1], j13[-1],
+                                 np.sum(wts * j01, axis=0)]))
+        else:
+            j00, j03, j11, j12 = integrate(
+                2.0 * (u * j10).real, 2.0 * (u * j13).real, v * j01,
+                v * j01.conj())
+            j00, j03 = j00.real, j03.real
+            even.append(np.stack([j00[-1], j03[-1], j11[-1], j12[-1],
+                                  np.sum(wts * j00, axis=0),
+                                  np.sum(wts * j03, axis=0)]))
+    return odd, even
+
+
+def _horner(coeffs, x, shape):
+    """``sum_m x^m coeffs[m]`` by Horner's rule, in place on one complex
+    array of ``shape`` (0 for no terms)."""
+    out = np.zeros(shape, dtype=complex)
+    for c in reversed(coeffs):
+        out *= x
+        out += c
+    return out
+
+
+def propagate_weak_drive(unit_rabi, amplitude, detuning, gamma1: float,
+                         gamma2: float, t_span, n_steps: int, order: int,
+                         n_nodes: int, initial=None):
+    """Weak-drive steps of a map over one schedule piece.
+
+    Every batch member is driven by ``amplitude * unit_rabi(t)``:
+    ``unit_rabi`` takes an array of times, and ``amplitude`` (real) and
+    ``detuning`` broadcast to the batch shape. Each of the ``n_steps``
+    steps sums the Dyson series to ``order`` in the amplitude, with its
+    terms integrated on ``n_nodes`` Chebyshev-Lobatto nodes (see
+    :func:`weak_drive_plan`). ``initial`` and the result are the state tuple
+    of :func:`integrate_population_batch`, which the two steppers share;
+    ``rho_peak`` is taken on the step grid.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    h = (t1 - t0) / n_steps
+    amp = np.asarray(amplitude, dtype=float)
+    det = np.asarray(detuning, dtype=float)
+    if initial is None:
+        shape = np.broadcast_shapes(amp.shape, det.shape)
+        rho, coh = np.zeros(shape), np.zeros(shape, dtype=complex)
+        acc, peak = np.zeros(shape), np.zeros(shape)
+    else:
+        rho, coh, acc, peak = initial
+    fr = math.exp(-gamma1 * h)
+    fc = np.exp((1j * det - gamma2) * h)
+    k0 = -math.expm1(-gamma1 * h) / gamma1 if gamma1 > 0 else h
+    a2 = amp * amp
+    odd = even = ()
+    if order:
+        x, q = _lobatto_integration(n_nodes)
+        s, q = 0.5 * h * (x + 1.0), 0.5 * h * q
+    for k in range(n_steps):
+        if order:
+            g = np.asarray(unit_rabi(t0 + k * h + s), dtype=complex)
+            odd, even = _dyson_terms(g, s, q, det, gamma1, gamma2, order)
+        j_odd = _horner(odd, a2, (4,) + rho.shape)
+        j_odd *= amp
+        j_even = _horner(even, a2, (6,) + rho.shape)
+        j_even *= a2
+        j01, j10, j13, k01 = j_odd
+        j00, j03, j11, j12, k00, k03 = j_even
+        acc = (acc + (k0 + k00.real) * rho + 2.0 * (k01 * coh).real
+               + k03.real)
+        rho, coh = (
+            fr * ((1.0 + j00.real) * rho + 2.0 * (j01 * coh).real + j03.real),
+            fc * (j10 * rho + (1.0 + j11) * coh + j12 * coh.conj() + j13))
+        peak = np.maximum(peak, rho)
     return rho, coh, acc, peak
 
 

@@ -504,6 +504,9 @@ def read_sweep_long(path: Path) -> SweepResult:
         raise ParseError("long-format sweep file needs three columns")
     dets, di = np.unique(rows[:, 0] * MHZ, return_inverse=True)
     amps, ai = np.unique(rows[:, 1] * MHZ, return_inverse=True)
+    if len(rows) != amps.size * dets.size:
+        raise ParseError(f"long-format sweep file has {len(rows)} rows for a "
+                         f"{amps.size} x {dets.size} grid")
     matrix = np.full((amps.size, dets.size), np.nan)
     matrix[ai, di] = rows[:, 2]
     if np.any(np.isnan(matrix)):

@@ -53,12 +53,17 @@ class PowerScan:
     (arbitrary units, proportional to a time-averaged count rate);
     ``stderr`` the standard error over jitter samples; ``area_std`` the
     per-point standard deviation of the sampled pulse areas (diagnostic
-    for the linear area-noise growth); ``peak_excitation`` the largest
-    excited population reached during the pulse window (jitter-averaged),
+    for the linear area-noise growth); ``peak_excitation`` the
+    jitter-averaged largest excited population during the pulse window,
     whose first maximum stays below full inversion when the pulse length
-    is comparable to the lifetime; ``interp_error`` the estimated largest
-    error of the interpolated per-draw signal at each amplitude (zero where
-    the draws were solved directly or without jitter).
+    is comparable to the lifetime. It is the largest rho_ee on the batch
+    kernel's step grid, read through the duration surrogate, so it follows
+    the step schedule: on 4 ns pulses from 0.2 pi to 12 pi without jitter
+    it sits up to 2.8e-4 below the DOP853 maximum and never above it, and
+    with 7 % jitter the surrogate moves it by up to 5.4e-5 from the mean of
+    direct per-draw solves. ``interp_error`` is the estimated largest error
+    of the interpolated per-draw signal at each amplitude (zero where the
+    draws were solved directly or without jitter).
     """
 
     amplitudes: np.ndarray
@@ -141,7 +146,8 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     The signal is detector-free: a long-integration average count rate is
     proportional to this mean, and the Monte Carlo detector chain exists
     separately for cross-checks. Raises StepFailure before any stepping
-    when the scan exceeds the batch work budget.
+    when the scan exceeds the batch work budget, and ValueError when
+    ``rep_period`` is shorter than a bucket's pulse window.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if n_samples < 1:
@@ -170,6 +176,10 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
                                       durations)))
     check_batch_work(sum(n * durations.size for _, durations, (_, schedule) in plans
                          for _, _, n in schedule))
+    window = max(w1 - w0 for _, _, ((w0, w1), _) in plans)
+    if rep_period < window:
+        raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
+                         f"{window:.3g} s pulse window")
 
     parts = []
     for rows, durations, plan in plans:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (EmitterModel, batch_schedule, check_batch_work,
-                    emitted_photons_per_period, integrate_population_batch)
+                    emitted_photons_per_period, integrate_population_batch,
+                    propagate_weak_drive, weak_drive_plan)
 from .errors import OutOfRange
 from .pulses import DriveField, FieldComponent, GaussianEnvelope, PhaseLaw
 
@@ -123,8 +124,13 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     Each grid point integrates the Bloch dynamics over the pulse window
     (which spans the pedestal) and adds the exact free-decay emission over
     the rest of the repetition period. All grid points step together as
-    one batch. Raises StepFailure before any stepping when the grid exceeds
-    the batch work budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
+    one batch on one schedule. Pieces whose drive bound is at most Gamma1
+    take the weak-drive propagator
+    (:func:`rabisim.bloch.propagate_weak_drive`), whose steps follow the
+    drive alone; the main pulse takes the Lawson RK4 kernel. Raises
+    ValueError when ``rep_period`` is shorter than the pulse window, and
+    StepFailure before any stepping when the grid exceeds the batch work
+    budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
     """
     detunings = np.asarray(detunings, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -137,18 +143,41 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
 
     # One row per |amplitude| (the sign of a drive does not change the
     # populations). Zero amplitudes alone take the window of any peak.
-    field = build_composite(template, np.abs(amplitudes)[:, None])
-    t0, t1 = field.support() or build_composite(template, 1.0).support()
-    schedule = batch_schedule(field, (t0, t1),
-                              float(np.max(np.abs(detunings))), emitter.gamma1)
-    check_batch_work(sum(n for _, _, n in schedule) * amplitudes.size
-                     * detunings.size)
+    rows = np.abs(amplitudes)[:, None]
+    field = build_composite(template, rows)
+    unit = build_composite(template, 1.0)
+    t0, t1 = field.support() or unit.support()
+    if rep_period < t1 - t0:
+        raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
+                         f"{t1 - t0:.3g} s pulse window")
+    max_det = float(np.max(np.abs(detunings)))
+    offset = max_det + field.max_abs_chirp()
+    # Pieces whose drive stays at or below Gamma1 take the weak-drive
+    # propagator, whose steps follow the drive alone; the rest take Lawson.
+    plan = []
+    for a, b, n_steps in batch_schedule(field, (t0, t1), max_det,
+                                        emitter.gamma1):
+        drive = field.max_amplitude_on(a, b)
+        weak = None
+        if drive <= emitter.gamma1:
+            n_steps, *weak = weak_drive_plan(
+                drive, b - a, offset, emitter.gamma1 + emitter.gamma2,
+                field.min_feature_time())
+        plan.append((a, b, n_steps, weak))
+    check_batch_work(sum(n for _, _, n, _ in plan)
+                     * amplitudes.size * detunings.size)
 
     state = None
-    for a, b, n_steps in schedule:
-        state = integrate_population_batch(
-            field.rabi, detunings[None, :], emitter.gamma1, emitter.gamma2,
-            (a, b), n_steps, initial=state)
+    dets = detunings[None, :]
+    for a, b, n_steps, weak in plan:
+        if weak:
+            state = propagate_weak_drive(
+                unit.rabi, rows, dets, emitter.gamma1, emitter.gamma2,
+                (a, b), n_steps, *weak, initial=state)
+        else:
+            state = integrate_population_batch(
+                field.rabi, dets, emitter.gamma1, emitter.gamma2,
+                (a, b), n_steps, initial=state)
     rho_end, _, integral, _ = state
     signal = emitted_photons_per_period(rho_end, integral, emitter.gamma1,
                                         rep_period - (t1 - t0))

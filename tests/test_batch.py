@@ -7,7 +7,8 @@ import pytest
 from rabisim import bloch
 from rabisim.bloch import (BATCH_PIECES, MAX_BATCH_POINT_STEPS, BlochState,
                            EmitterModel, batch_schedule, integrate,
-                           integrate_population_batch, population_series_fixed)
+                           integrate_population_batch, population_series_fixed,
+                           propagate_weak_drive, weak_drive_plan)
 from rabisim.cli_io import run_command
 from rabisim.errors import StepFailure
 from rabisim.jitter import JitterModel, PowerScanTemplate, averaged_power_scan
@@ -50,6 +51,92 @@ def test_batch_convergence_order_vs_reference(field, span, monkeypatch):
     assert errors[0] < 1e-4
     # Fourth order gives 16; 12 means order >= 3.5.
     assert errors[0] / errors[1] >= 12.0, errors
+
+
+def test_weak_drive_order_vs_reference():
+    # A weak Gaussian (peak Gamma1, the largest drive the map hands to the
+    # weak-drive propagator) at detunings up to 2400 MHz, on the production
+    # steps and nodes: only the Dyson order p varies.
+    em = EmitterModel.from_lifetime(9.5e-9)
+    dets = np.array([0.0, 150e6, -150e6, 600e6, -600e6, 2400e6, -2400e6]) * TWO_PI
+    unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=4e-9))
+    amp = em.gamma1
+    t0, t1 = unit.support()
+    ref = [integrate(em.with_detuning(d), unit.scaled(amp), BlochState(0.0),
+                     (t0, t1), t1 - t0, rtol=1e-9) for d in dets]
+    ref_rho = np.array([r.rho_ee[-1] for r in ref])
+    ref_coh = np.array([r.coherence[-1] for r in ref])
+    damping = em.gamma1 + em.gamma2
+    n_steps, order, n_nodes = weak_drive_plan(
+        amp, t1 - t0, float(np.max(np.abs(dets))), damping, 4e-9)
+    wh = amp * (t1 - t0) / n_steps
+    assert wh <= bloch.WEAK_STEP and order >= 8
+    floor = 1e-10  # what DOP853 at rtol 1e-9 resolves here
+    errors = []
+    for p in range(1, order + 1):
+        rho, coh, _, _ = propagate_weak_drive(
+            unit.rabi, amp, dets, em.gamma1, em.gamma2, (t0, t1), n_steps,
+            p, n_nodes)
+        errors.append(np.maximum(np.abs(rho - ref_rho), np.abs(coh - ref_coh)))
+    errors = np.array(errors)
+    tails = np.array([wh ** (p + 1) / math.factorial(p + 1)
+                      for p in range(1, order + 1)])[:, None]
+    # The a-priori tail bounds the error at every order, and from the first
+    # odd/even pair on the error falls at least as fast as the tail.
+    assert np.all(errors <= np.maximum(tails, floor)), errors
+    ratio = np.max(errors[:2] / tails[:2], axis=0)
+    assert np.all(errors <= np.maximum(2.0 * ratio * tails, floor)), errors
+    assert np.max(errors[0]) > 1e3 * floor
+    # On each detuning's own production plan the error sits at the
+    # reference's floor: it does not grow with |Delta|, and neither do the
+    # step count and the order, which follow the drive alone.
+    for d, r, c in zip(dets, ref_rho, ref_coh):
+        plan = weak_drive_plan(amp, t1 - t0, abs(d), damping, 4e-9)
+        assert plan[:2] == (n_steps, order)
+        rho, coh, _, _ = propagate_weak_drive(
+            unit.rabi, amp, d, em.gamma1, em.gamma2, (t0, t1), *plan)
+        assert max(abs(rho - r), abs(coh - c)) <= floor, d
+
+
+def test_weak_drive_nodes_resolve_a_chirped_drive():
+    # A component 2400 MHz off its carrier makes the J[1,2]-type terms beat
+    # at 2 (|Delta| + |chirp|); at Delta = 0 nodes sized for 2 |Delta| +
+    # |chirp| leave a 6.5e-7 error here.
+    em = EmitterModel.from_lifetime(9.5e-9)
+    chirp = TWO_PI * 2400e6
+    unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=4e-9),
+                             PhaseLaw(chirp=chirp))
+    amp = em.gamma1
+    t0, t1 = unit.support()
+    for d in (-chirp, 0.0, chirp):
+        ref = integrate(em.with_detuning(d), unit.scaled(amp), BlochState(0.0),
+                        (t0, t1), t1 - t0, rtol=1e-12, atol=1e-15)
+        plan = weak_drive_plan(amp, t1 - t0, abs(d) + chirp,
+                               em.gamma1 + em.gamma2, 4e-9)
+        rho, coh, _, _ = propagate_weak_drive(
+            unit.rabi, amp, d, em.gamma1, em.gamma2, (t0, t1), *plan)
+        assert abs(rho - ref.rho_ee[-1]) <= 1e-11
+        assert abs(coh - ref.coherence[-1]) <= 1e-11
+
+
+def test_weak_drive_without_drive_is_exact_free_evolution():
+    # Order 0 (no drive on the piece) and a zero amplitude under a drive
+    # both leave the exact decay and precession, and the exact rho_ee
+    # integral, step after step.
+    em = EmitterModel.from_lifetime(9.5e-9, pure_dephasing=3e7)
+    dets = np.array([0.0, 2e9, -5e9])
+    start = (np.full(3, 0.4), np.full(3, 0.1 + 0.3j), np.zeros(3), np.zeros(3))
+    span, tau = (1e-9, 31e-9), 30e-9
+    unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=20e-9, center=10e-9))
+    for amp, order in ((1.0, 0), (0.0, 6)):
+        rho, coh, acc, _ = propagate_weak_drive(
+            unit.rabi, amp, dets, em.gamma1, em.gamma2, span, 3, order, 40,
+            initial=start)
+        assert np.allclose(rho, 0.4 * math.exp(-em.gamma1 * tau), rtol=1e-13)
+        assert np.allclose(coh, (0.1 + 0.3j) * np.exp(
+            (1j * dets - em.gamma2) * tau), rtol=1e-13, atol=0.0)
+        assert np.allclose(acc, 0.4 * -math.expm1(-em.gamma1 * tau) / em.gamma1,
+                           rtol=1e-13)
 
 
 def test_schedule_follows_local_drive_and_cuts_at_breakpoints():

@@ -296,6 +296,32 @@ def test_sweep_and_cross_section_commands(tmp_path):
                         "--amplitude-mhz", "9000"]) == 3
 
 
+def test_sweep_refuses_period_shorter_than_window(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("detector.rep_period_us = 0.1\nsweep.det_points = 3\n"
+                   "sweep.amp_points = 2\ntemplate.center_ns = 200\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert run_command(["sweep2d", "--config", str(cfg)]) == 3
+    assert "rep_period" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_sweep_file_with_duplicated_grid_rows_is_refused(tmp_path):
+    # A 2 x 2 grid with (10 MHz, 200 MHz) listed twice: the reader must not
+    # pick one of the two signals silently.
+    path = tmp_path / "sweep_long.csv"
+    path.write_text("# detuning_MHz,amplitude_MHz,signal\n"
+                    "-10,100,0.1\n10,100,0.2\n-10,200,0.3\n"
+                    "10,200,0.4\n10,200,9.9\n")
+    with pytest.raises(ParseError, match="5 rows for a 2 x 2 grid"):
+        read_sweep_long(path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"output.dir = {tmp_path / 'out'}\n")
+    assert run_command(["cross-section", "--config", str(cfg),
+                        "--source", str(path), "--amplitude-mhz", "200"]) == 3
+    assert not (tmp_path / "out" / "cross_section.csv").exists()
+
+
 def write_fit_trace_inputs(directory):
     """A measured pulse and a synthetic histogram at Omega_max/2pi = 300 MHz.
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rabisim.bloch import EmitterModel
+from rabisim import bloch
+from rabisim.bloch import (EmitterModel, batch_schedule,
+                           emitted_photons_per_period, integrate_population_batch)
 from rabisim.errors import OutOfRange
 from rabisim.pulses import GAUSSIAN_AREA_FACTOR, pulse_area
 from rabisim.sweeps import (CompositeFieldTemplate, SweepResult,
@@ -20,6 +22,26 @@ CENTER = 200e-9
 def template(**kw):
     kw.setdefault("center", CENTER)
     return CompositeFieldTemplate(**kw)
+
+
+# The bench map's corners: +-600 MHz, 0.1 pi to 4 pi of main-pulse area.
+MAP_DETS = np.linspace(-600.0, 600.0, 13) * MHZ
+MAP_AMPS = np.linspace(0.1, 4.0, 4) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
+
+
+def lawson_map(em, tpl, dets, amps, rep_period=1.4e-6):
+    """sweep_2d's signal with every piece on the Lawson kernel."""
+    field = build_composite(tpl, np.abs(amps)[:, None])
+    t0, t1 = field.support()
+    schedule = batch_schedule(field, (t0, t1), float(np.max(np.abs(dets))),
+                              em.gamma1)
+    state = None
+    for a, b, n in schedule:
+        state = integrate_population_batch(
+            field.rabi, dets[None, :], em.gamma1, em.gamma2, (a, b), n,
+            initial=state)
+    return emitted_photons_per_period(state[0], state[2], em.gamma1,
+                                      rep_period - (t1 - t0))
 
 
 def test_build_composite_db_arithmetic():
@@ -178,3 +200,39 @@ def test_pedestal_linewidth_approaches_natural_width_for_long_pulses():
             pulse_spectrum_sigma(tpl.pedestal_fwhm), EM.gamma2) / EM.gamma1
     assert widths[50.0] == pytest.approx(predicted[50.0], abs=0.02)
     assert widths[200.0] == pytest.approx(predicted[200.0], abs=0.03)
+
+
+def test_sweep_refuses_period_shorter_than_window():
+    # The default map window spans the 50 ns pedestal: 316 ns.
+    with pytest.raises(ValueError, match="rep_period"):
+        sweep_2d(EM, template(), MAP_DETS, MAP_AMPS, rep_period=100e-9)
+
+
+@pytest.mark.parametrize("tpl", [
+    template(), template(third=ThirdComponent()),
+    template(main_enabled=False)], ids=["plain", "third", "pedestal_only"])
+def test_weak_drive_nodes_are_converged(tpl, monkeypatch):
+    base = sweep_2d(EM, tpl, MAP_DETS, MAP_AMPS).signal
+    monkeypatch.setattr(bloch, "WEAK_NODES_PER_RAD", 2 * bloch.WEAK_NODES_PER_RAD)
+    monkeypatch.setattr(bloch, "WEAK_NODES_PER_FEATURE",
+                        2 * bloch.WEAK_NODES_PER_FEATURE)
+    monkeypatch.setattr(bloch, "WEAK_MIN_NODES", 2 * bloch.WEAK_MIN_NODES)
+    doubled = sweep_2d(EM, tpl, MAP_DETS, MAP_AMPS).signal
+    assert np.max(np.abs(doubled - base)) <= 1e-12
+
+
+@pytest.mark.parametrize("em, tpl", [
+    (EM, template(third=ThirdComponent())),
+    (EM, template(main_enabled=False)),
+    # 3 GHz of pure dephasing: (Gamma1 + Gamma2) x piece is ~130, so the
+    # weak-drive steps are cut by the damping bound.
+    (EmitterModel.from_lifetime(9.5e-9, pure_dephasing=3e3 * MHZ),
+     template())], ids=["third", "pedestal_only", "dephased"])
+def test_weak_drive_map_matches_refined_lawson(em, tpl, monkeypatch):
+    # Every pedestal-only piece is weak. Elsewhere the main pulse's pieces
+    # stay on Lawson, refined here like the reference, so the comparison
+    # sees the weak-drive pieces.
+    monkeypatch.setattr(bloch, "BATCH_PHASE_STEP", bloch.BATCH_PHASE_STEP / 4)
+    got = sweep_2d(em, tpl, MAP_DETS, MAP_AMPS).signal
+    ref = lawson_map(em, tpl, MAP_DETS, MAP_AMPS)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-7
