@@ -233,11 +233,11 @@ def steady_state(emitter: EmitterModel, omega: float) -> BlochState:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step batch integrator for parameter scans.
+# Fixed-step batch integrator for power scans.
 #
-# Scans and 2-D sweeps integrate thousands of parameter points over a common
-# window. The kernel is the integrating-factor ("Lawson") fourth-order
-# Runge-Kutta method (Lawson, SIAM J. Numer. Anal. 4, 372 (1967); Hochbruck &
+# Power scans integrate thousands of parameter points over a common window.
+# The kernel is the integrating-factor ("Lawson") fourth-order Runge-Kutta
+# method (Lawson, SIAM J. Numer. Anal. 4, 372 (1967); Hochbruck &
 # Ostermann, Acta Numer. 19, 209 (2010)): the constant linear part -- decay
 # exp(-Gamma1 h) of rho_ee, precession and dephasing exp((i Delta - Gamma2) h)
 # of rho12 -- is applied exactly per batch member, and classical RK4 sees only
@@ -246,9 +246,10 @@ def steady_state(emitter: EmitterModel, omega: float) -> BlochState:
 # cuts the window at the drive's breakpoints and into ``BATCH_PIECES`` pieces
 # and sizes the step on each from a bound on |Omega| there. Callers step the
 # schedule segment by segment, carrying the returned state; the result is
-# validated against the adaptive reference integrator in the tests. Where
-# the drive is weak the Lawson step is still set by |Delta|; maps step those
-# pieces with the weak-drive propagator below instead, on the same state.
+# validated against the adaptive reference integrator in the tests. The
+# Lawson step is still set by |Delta| where the drive is weak, so maps, whose
+# detuning axis reaches far off resonance, step with the Dyson propagator
+# below instead.
 # ---------------------------------------------------------------------------
 
 #: Target phase per step (rad). A piece with drive bound W and rate bound
@@ -265,22 +266,28 @@ BATCH_PIECES = 48
 MAX_BATCH_POINT_STEPS = 10 ** 10
 
 
-def batch_schedule(field: DriveField, t_span, max_detuning: float,
-                   gamma1: float):
-    """Step schedule ``[(a, b, n_steps), ...]`` covering ``t_span``.
-
-    ``field`` bounds the drive of every batch member (|Omega(t)| of each is
-    at most ``field.max_amplitude_on`` there) and ``max_detuning`` bounds
-    their |Delta|. Pieces end on every breakpoint of ``field``, so a jump in
-    the drive costs the kernel no order; every piece takes at least one step.
-    """
+def window_pieces(field: DriveField, t_span):
+    """Pieces ``[(a, b), ...]`` covering ``t_span``: ``BATCH_PIECES`` uniform
+    cuts plus a cut at every breakpoint of ``field`` inside, so a jump in the
+    drive falls on a piece edge and costs a stepper no order."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     inner = [b for b in field.breakpoints() if t0 < b < t1]
     edges = np.unique(np.concatenate(
         [np.linspace(t0, t1, BATCH_PIECES + 1), inner]))
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def batch_schedule(field: DriveField, t_span, max_detuning: float,
+                   gamma1: float):
+    """Step schedule ``[(a, b, n_steps), ...]`` on :func:`window_pieces`.
+
+    ``field`` bounds the drive of every batch member (|Omega(t)| of each is
+    at most ``field.max_amplitude_on`` there) and ``max_detuning`` bounds
+    their |Delta|; every piece takes at least one step.
+    """
     base = abs(max_detuning) + field.max_abs_chirp() + gamma1
     schedule = []
-    for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
+    for a, b in window_pieces(field, t_span):
         drive = field.max_amplitude_on(a, b)
         rate = max((drive * (base + drive) ** 4) ** 0.2, gamma1)
         n_steps = math.ceil((b - a) * rate / BATCH_PHASE_STEP)
@@ -354,13 +361,13 @@ def integrate_population_batch(omega_of_t, detuning, gamma1: float, gamma2: floa
 
 
 # ---------------------------------------------------------------------------
-# Weak-drive propagator for maps.
+# Dyson propagator for maps.
 #
-# Where the drive is weak, Lawson's step is set by resolving e^{i Delta h},
-# not by the drive. A map drives every grid point with |a| f(t) for one known
-# unit drive f, so over a step the interaction-frame propagator on
-# (rho_ee, rho12, conj(rho12), 1) is the Dyson series sum_n |a|^n J_n, and
-# the J_n depend only on the detuning column. They are integrated once per
+# Lawson's step is set by resolving e^{i Delta h} at the largest |Delta| of
+# the batch, wherever the drive is. A map drives every grid point with
+# |a| f(t) for one known unit drive f, so over a step the interaction-frame
+# propagator on (rho_ee, rho12, conj(rho12), 1) is the Dyson series
+# sum_n |a|^n J_n, and the J_n depend only on the detuning column. They are integrated once per
 # column and step by Chebyshev-Lobatto spectral integration of f against the
 # exact e^{(L_j - L_i) s} factors of the linear part, so the fast phase
 # e^{+-i Delta s} is integrated exactly against the slow drive (Iserles, BIT
@@ -372,55 +379,56 @@ def integrate_population_batch(omega_of_t, detuning, gamma1: float, gamma2: floa
 # the rho12 row, so about 3 of the 12 entries per order are integrated.
 # ---------------------------------------------------------------------------
 
-#: Largest drive bound x step (rad) of a weak-drive step.
-WEAK_STEP = 0.5
+#: Largest drive bound x step (rad) of a Dyson step.
+DYSON_STEP = 0.5
 
-#: Largest (Gamma1 + Gamma2) x step of a weak-drive step. The interaction
+#: Largest (Gamma1 + Gamma2) x step of a Dyson step. The interaction
 #: frame grows like e^{(Gamma1 + Gamma2) s} over a step, and the Dyson
 #: recursion loses digits to that growth (at 16 it loses 4, at 32 all).
-WEAK_DAMPING = 4.0
+DYSON_DAMPING = 4.0
 
-#: Dyson tail (W h)^(p+1)/(p+1)! that a weak-drive step's order p reaches.
-WEAK_TAIL = 1e-12
+#: Dyson tail (W h)^(p+1)/(p+1)! that a step's order p reaches.
+DYSON_TAIL = 1e-12
 
-#: Chebyshev-Lobatto nodes per step: WEAK_NODES_PER_RAD per unit of the
+#: Chebyshev-Lobatto nodes per step: DYSON_NODES_PER_RAD per unit of the
 #: fastest rate (2 (|Delta| + |chirp|) + Gamma1 + Gamma2 + W) x h of the
-#: Dyson terms, plus WEAK_NODES_PER_FEATURE per envelope feature time in h,
-#: plus WEAK_MIN_NODES. Steps are cut further where that would exceed
-#: WEAK_MAX_NODES.
-WEAK_NODES_PER_RAD = 0.35
-WEAK_NODES_PER_FEATURE = 4.0
-WEAK_MIN_NODES = 8
-WEAK_MAX_NODES = 128
+#: Dyson terms, plus DYSON_NODES_PER_FEATURE per envelope feature time in h,
+#: plus DYSON_MIN_NODES. Steps are cut further where that would exceed
+#: DYSON_MAX_NODES. 0.55 per radian keeps a doubling of the nodes below
+#: 1e-12 on a map whose third component sits 2400 MHz off its carrier.
+DYSON_NODES_PER_RAD = 0.55
+DYSON_NODES_PER_FEATURE = 4.0
+DYSON_MIN_NODES = 8
+DYSON_MAX_NODES = 128
 
 
-def weak_drive_plan(drive: float, length: float, max_offset: float,
-                    damping: float, feature_time: float):
-    """``(n_steps, order, n_nodes)`` of a weak-drive piece.
+def dyson_plan(drive: float, length: float, max_offset: float,
+               damping: float, feature_time: float):
+    """``(n_steps, order, n_nodes)`` of a Dyson-stepped piece.
 
     ``drive`` bounds |Omega| on the piece and ``length`` is its duration.
     ``max_offset`` bounds |Delta| + |chirp|, how far any drive component is
     tuned from the emitter: the Dyson terms oscillate at up to twice that.
     ``damping`` is Gamma1 + Gamma2 and ``feature_time`` the shortest time
     scale of the drive's envelopes. Steps keep drive x h at most
-    ``WEAK_STEP`` and damping x h at most ``WEAK_DAMPING``; the order is the
-    smallest p whose Dyson tail (drive h)^(p+1)/(p+1)! is at most
-    ``WEAK_TAIL``.
+    ``DYSON_STEP`` and damping x h at most ``DYSON_DAMPING``; the order is
+    the smallest p whose Dyson tail (drive h)^(p+1)/(p+1)! is at most
+    ``DYSON_TAIL``.
     """
-    nodes = (WEAK_NODES_PER_RAD * (2.0 * max_offset + damping + drive)
-             + WEAK_NODES_PER_FEATURE / feature_time) * length
-    n_steps = max(1, math.ceil(drive * length / WEAK_STEP),
-                  math.ceil(damping * length / WEAK_DAMPING),
-                  math.ceil(nodes / (WEAK_MAX_NODES - WEAK_MIN_NODES)))
+    nodes = (DYSON_NODES_PER_RAD * (2.0 * max_offset + damping + drive)
+             + DYSON_NODES_PER_FEATURE / feature_time) * length
+    n_steps = max(1, math.ceil(drive * length / DYSON_STEP),
+                  math.ceil(damping * length / DYSON_DAMPING),
+                  math.ceil(nodes / (DYSON_MAX_NODES - DYSON_MIN_NODES)))
     wh = drive * length / n_steps
     order, tail = 0, wh
-    while tail > WEAK_TAIL:
+    while tail > DYSON_TAIL:
         order += 1
         tail *= wh / (order + 1)
-    return n_steps, order, math.ceil(nodes / n_steps) + WEAK_MIN_NODES
+    return n_steps, order, math.ceil(nodes / n_steps) + DYSON_MIN_NODES
 
 
-@functools.lru_cache(maxsize=WEAK_MAX_NODES)
+@functools.lru_cache(maxsize=DYSON_MAX_NODES)
 def _lobatto_integration(n: int):
     """Chebyshev-Lobatto nodes x on [-1, 1], ascending, and the matrix Q
     with ``(Q g)[k]`` the integral from -1 to ``x[k]`` of g's interpolant
@@ -490,19 +498,20 @@ def _horner(coeffs, x, shape):
     return out
 
 
-def propagate_weak_drive(unit_rabi, amplitude, detuning, gamma1: float,
-                         gamma2: float, t_span, n_steps: int, order: int,
-                         n_nodes: int, initial=None):
-    """Weak-drive steps of a map over one schedule piece.
+def propagate_dyson(unit_rabi, amplitude, detuning, gamma1: float,
+                    gamma2: float, t_span, n_steps: int, order: int,
+                    n_nodes: int, initial=None):
+    """Dyson-series steps of a map over one schedule piece.
 
     Every batch member is driven by ``amplitude * unit_rabi(t)``:
     ``unit_rabi`` takes an array of times, and ``amplitude`` (real) and
     ``detuning`` broadcast to the batch shape. Each of the ``n_steps``
     steps sums the Dyson series to ``order`` in the amplitude, with its
     terms integrated on ``n_nodes`` Chebyshev-Lobatto nodes (see
-    :func:`weak_drive_plan`). ``initial`` and the result are the state tuple
-    of :func:`integrate_population_batch`, which the two steppers share;
-    ``rho_peak`` is taken on the step grid.
+    :func:`dyson_plan`). ``initial`` is the tuple a previous piece
+    returned; None starts from the ground state. Returns ``(rho_end,
+    rho12_end, integral)``, with ``integral`` the time integral of rho_ee
+    since the start.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / n_steps
@@ -511,9 +520,9 @@ def propagate_weak_drive(unit_rabi, amplitude, detuning, gamma1: float,
     if initial is None:
         shape = np.broadcast_shapes(amp.shape, det.shape)
         rho, coh = np.zeros(shape), np.zeros(shape, dtype=complex)
-        acc, peak = np.zeros(shape), np.zeros(shape)
+        acc = np.zeros(shape)
     else:
-        rho, coh, acc, peak = initial
+        rho, coh, acc = initial
     fr = math.exp(-gamma1 * h)
     fc = np.exp((1j * det - gamma2) * h)
     k0 = -math.expm1(-gamma1 * h) / gamma1 if gamma1 > 0 else h
@@ -537,8 +546,7 @@ def propagate_weak_drive(unit_rabi, amplitude, detuning, gamma1: float,
         rho, coh = (
             fr * ((1.0 + j00.real) * rho + 2.0 * (j01 * coh).real + j03.real),
             fc * (j10 * rho + (1.0 + j11) * coh + j12 * coh.conj() + j13))
-        peak = np.maximum(peak, rho)
-    return rho, coh, acc, peak
+    return rho, coh, acc
 
 
 def emitted_photons_per_period(rho_end, window_integral, gamma1: float,

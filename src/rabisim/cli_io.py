@@ -712,6 +712,11 @@ def cmd_fit_power_scan(args, cfg, out):
 
 
 def cmd_pi_pulse(args, cfg, out):
+    for flag, value in (("--t-ns", args.t_ns), ("--rep-khz", args.rep_khz),
+                        ("--wavelength-nm", args.wavelength_nm),
+                        ("--photons", args.photons)):
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"{flag} must be finite and > 0, got {value!r}")
     duration = args.t_ns * NS
     rep_rate = args.rep_khz * 1e3
     wavelength = args.wavelength_nm * 1e-9

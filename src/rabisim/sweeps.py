@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (EmitterModel, batch_schedule, check_batch_work,
-                    emitted_photons_per_period, integrate_population_batch,
-                    propagate_weak_drive, weak_drive_plan)
+from .bloch import (EmitterModel, check_batch_work, dyson_plan,
+                    emitted_photons_per_period, propagate_dyson, window_pieces)
 from .errors import OutOfRange
 from .pulses import DriveField, FieldComponent, GaussianEnvelope, PhaseLaw
 
@@ -124,13 +123,11 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     Each grid point integrates the Bloch dynamics over the pulse window
     (which spans the pedestal) and adds the exact free-decay emission over
     the rest of the repetition period. All grid points step together as
-    one batch on one schedule. Pieces whose drive bound is at most Gamma1
-    take the weak-drive propagator
-    (:func:`rabisim.bloch.propagate_weak_drive`), whose steps follow the
-    drive alone; the main pulse takes the Lawson RK4 kernel. Raises
-    ValueError when ``rep_period`` is shorter than the pulse window, and
-    StepFailure before any stepping when the grid exceeds the batch work
-    budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
+    one batch through the Dyson propagator
+    (:func:`rabisim.bloch.propagate_dyson`), whose steps follow the drive,
+    not the detuning. Raises ValueError when ``rep_period`` is shorter than
+    the pulse window, and StepFailure before any stepping when the grid
+    exceeds the batch work budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
     """
     detunings = np.asarray(detunings, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -141,44 +138,29 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     if amplitudes.size > 1 and np.any(np.diff(amplitudes) <= 0):
         raise ValueError("amplitude axis must be strictly increasing")
 
-    # One row per |amplitude| (the sign of a drive does not change the
-    # populations). Zero amplitudes alone take the window of any peak.
-    rows = np.abs(amplitudes)[:, None]
-    field = build_composite(template, rows)
+    # Every grid point is driven by |amplitude| x the unit field (the sign of
+    # a drive does not change the populations).
     unit = build_composite(template, 1.0)
-    t0, t1 = field.support() or unit.support()
+    t0, t1 = unit.support()
     if rep_period < t1 - t0:
         raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
                          f"{t1 - t0:.3g} s pulse window")
-    max_det = float(np.max(np.abs(detunings)))
-    offset = max_det + field.max_abs_chirp()
-    # Pieces whose drive stays at or below Gamma1 take the weak-drive
-    # propagator, whose steps follow the drive alone; the rest take Lawson.
-    plan = []
-    for a, b, n_steps in batch_schedule(field, (t0, t1), max_det,
-                                        emitter.gamma1):
-        drive = field.max_amplitude_on(a, b)
-        weak = None
-        if drive <= emitter.gamma1:
-            n_steps, *weak = weak_drive_plan(
-                drive, b - a, offset, emitter.gamma1 + emitter.gamma2,
-                field.min_feature_time())
-        plan.append((a, b, n_steps, weak))
-    check_batch_work(sum(n for _, _, n, _ in plan)
+    rows = np.abs(amplitudes)[:, None]
+    top = float(np.max(rows))
+    offset = float(np.max(np.abs(detunings))) + unit.max_abs_chirp()
+    damping = emitter.gamma1 + emitter.gamma2
+    plan = [(a, b, *dyson_plan(top * unit.max_amplitude_on(a, b), b - a,
+                               offset, damping, unit.min_feature_time()))
+            for a, b in window_pieces(unit, (t0, t1))]
+    check_batch_work(sum(n for _, _, n, _, _ in plan)
                      * amplitudes.size * detunings.size)
 
     state = None
-    dets = detunings[None, :]
-    for a, b, n_steps, weak in plan:
-        if weak:
-            state = propagate_weak_drive(
-                unit.rabi, rows, dets, emitter.gamma1, emitter.gamma2,
-                (a, b), n_steps, *weak, initial=state)
-        else:
-            state = integrate_population_batch(
-                field.rabi, dets, emitter.gamma1, emitter.gamma2,
-                (a, b), n_steps, initial=state)
-    rho_end, _, integral, _ = state
+    for a, b, *steps in plan:
+        state = propagate_dyson(unit.rabi, rows, detunings[None, :],
+                                emitter.gamma1, emitter.gamma2, (a, b), *steps,
+                                initial=state)
+    rho_end, _, integral = state
     signal = emitted_photons_per_period(rho_end, integral, emitter.gamma1,
                                         rep_period - (t1 - t0))
     floor = -1e-12 * max(float(np.max(signal)), 1.0)
@@ -192,12 +174,12 @@ def cross_section(result: SweepResult, amplitude: float):
     """Nearest-amplitude row of the map: (detunings, signal_row, row_amplitude).
 
     No interpolation; ties between neighboring rows resolve to the lower
-    amplitude. Raises OutOfRange outside the amplitude axis.
+    amplitude. Raises OutOfRange outside the amplitude axis (NaN included).
     """
     amps = result.amplitudes
     lo, hi = float(amps[0]), float(amps[-1])
     margin = 1e-9 * max(abs(lo), abs(hi), 1.0)
-    if amplitude < lo - margin or amplitude > hi + margin:
+    if not lo - margin <= amplitude <= hi + margin:
         raise OutOfRange(f"amplitude {amplitude:g} outside [{lo:g}, {hi:g}]")
     idx = int(np.argmin(np.abs(amps - amplitude)))
     return result.detunings, result.signal[idx], float(amps[idx])

@@ -6,16 +6,17 @@ import pytest
 
 from rabisim import bloch
 from rabisim.bloch import (BATCH_PIECES, MAX_BATCH_POINT_STEPS, BlochState,
-                           EmitterModel, batch_schedule, integrate,
-                           integrate_population_batch, population_series_fixed,
-                           propagate_weak_drive, weak_drive_plan)
+                           EmitterModel, batch_schedule, dyson_plan,
+                           integrate, integrate_population_batch,
+                           population_series_fixed, propagate_dyson,
+                           window_pieces)
 from rabisim.cli_io import run_command
 from rabisim.errors import StepFailure
 from rabisim.jitter import JitterModel, PowerScanTemplate, averaged_power_scan
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, SUPPORT_CUTOFF, DriveField,
                             FieldComponent, GaussianEnvelope, PhaseLaw,
                             RectangularEnvelope, SampledEnvelope)
-from rabisim.sweeps import CompositeFieldTemplate, sweep_2d
+from rabisim.sweeps import CompositeFieldTemplate, build_composite, sweep_2d
 
 TWO_PI = 2.0 * math.pi
 EM = EmitterModel.from_lifetime(9.5e-9, detuning=-TWO_PI * 40e6)
@@ -54,9 +55,8 @@ def test_batch_convergence_order_vs_reference(field, span, monkeypatch):
 
 
 def test_weak_drive_order_vs_reference():
-    # A weak Gaussian (peak Gamma1, the largest drive the map hands to the
-    # weak-drive propagator) at detunings up to 2400 MHz, on the production
-    # steps and nodes: only the Dyson order p varies.
+    # A weak Gaussian (peak Gamma1) at detunings up to 2400 MHz, on the
+    # production steps and nodes: only the Dyson order p varies.
     em = EmitterModel.from_lifetime(9.5e-9)
     dets = np.array([0.0, 150e6, -150e6, 600e6, -600e6, 2400e6, -2400e6]) * TWO_PI
     unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=4e-9))
@@ -67,14 +67,14 @@ def test_weak_drive_order_vs_reference():
     ref_rho = np.array([r.rho_ee[-1] for r in ref])
     ref_coh = np.array([r.coherence[-1] for r in ref])
     damping = em.gamma1 + em.gamma2
-    n_steps, order, n_nodes = weak_drive_plan(
+    n_steps, order, n_nodes = dyson_plan(
         amp, t1 - t0, float(np.max(np.abs(dets))), damping, 4e-9)
     wh = amp * (t1 - t0) / n_steps
-    assert wh <= bloch.WEAK_STEP and order >= 8
+    assert wh <= bloch.DYSON_STEP and order >= 8
     floor = 1e-10  # what DOP853 at rtol 1e-9 resolves here
     errors = []
     for p in range(1, order + 1):
-        rho, coh, _, _ = propagate_weak_drive(
+        rho, coh, _ = propagate_dyson(
             unit.rabi, amp, dets, em.gamma1, em.gamma2, (t0, t1), n_steps,
             p, n_nodes)
         errors.append(np.maximum(np.abs(rho - ref_rho), np.abs(coh - ref_coh)))
@@ -91,9 +91,9 @@ def test_weak_drive_order_vs_reference():
     # reference's floor: it does not grow with |Delta|, and neither do the
     # step count and the order, which follow the drive alone.
     for d, r, c in zip(dets, ref_rho, ref_coh):
-        plan = weak_drive_plan(amp, t1 - t0, abs(d), damping, 4e-9)
+        plan = dyson_plan(amp, t1 - t0, abs(d), damping, 4e-9)
         assert plan[:2] == (n_steps, order)
-        rho, coh, _, _ = propagate_weak_drive(
+        rho, coh, _ = propagate_dyson(
             unit.rabi, amp, d, em.gamma1, em.gamma2, (t0, t1), *plan)
         assert max(abs(rho - r), abs(coh - c)) <= floor, d
 
@@ -111,9 +111,9 @@ def test_weak_drive_nodes_resolve_a_chirped_drive():
     for d in (-chirp, 0.0, chirp):
         ref = integrate(em.with_detuning(d), unit.scaled(amp), BlochState(0.0),
                         (t0, t1), t1 - t0, rtol=1e-12, atol=1e-15)
-        plan = weak_drive_plan(amp, t1 - t0, abs(d) + chirp,
+        plan = dyson_plan(amp, t1 - t0, abs(d) + chirp,
                                em.gamma1 + em.gamma2, 4e-9)
-        rho, coh, _, _ = propagate_weak_drive(
+        rho, coh, _ = propagate_dyson(
             unit.rabi, amp, d, em.gamma1, em.gamma2, (t0, t1), *plan)
         assert abs(rho - ref.rho_ee[-1]) <= 1e-11
         assert abs(coh - ref.coherence[-1]) <= 1e-11
@@ -125,11 +125,11 @@ def test_weak_drive_without_drive_is_exact_free_evolution():
     # integral, step after step.
     em = EmitterModel.from_lifetime(9.5e-9, pure_dephasing=3e7)
     dets = np.array([0.0, 2e9, -5e9])
-    start = (np.full(3, 0.4), np.full(3, 0.1 + 0.3j), np.zeros(3), np.zeros(3))
+    start = (np.full(3, 0.4), np.full(3, 0.1 + 0.3j), np.zeros(3))
     span, tau = (1e-9, 31e-9), 30e-9
     unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=20e-9, center=10e-9))
     for amp, order in ((1.0, 0), (0.0, 6)):
-        rho, coh, acc, _ = propagate_weak_drive(
+        rho, coh, acc = propagate_dyson(
             unit.rabi, amp, dets, em.gamma1, em.gamma2, span, 3, order, 40,
             initial=start)
         assert np.allclose(rho, 0.4 * math.exp(-em.gamma1 * tau), rtol=1e-13)
@@ -137,6 +137,33 @@ def test_weak_drive_without_drive_is_exact_free_evolution():
             (1j * dets - em.gamma2) * tau), rtol=1e-13, atol=0.0)
         assert np.allclose(acc, 0.4 * -math.expm1(-em.gamma1 * tau) / em.gamma1,
                            rtol=1e-13)
+
+
+@pytest.mark.parametrize("area", [4.0, 12.0], ids=["4pi", "12pi"])
+def test_dyson_propagator_at_strong_drive_vs_reference(area):
+    # The map's main pulse on the whole window, chirped at +70 MHz: the
+    # propagator needs no weak drive, its step and order rules hold at any
+    # amplitude.
+    em = EmitterModel.from_lifetime(9.5e-9)
+    tpl = CompositeFieldTemplate(center=200e-9)
+    unit = build_composite(tpl, 1.0)
+    amp = area * math.pi / (tpl.main_fwhm * GAUSSIAN_AREA_FACTOR)
+    span = unit.support()
+    dets = np.array([-600e6, 0.0, 70e6, 600e6]) * TWO_PI
+    damping = em.gamma1 + em.gamma2
+    state = None
+    for a, b in window_pieces(unit, span):
+        plan = dyson_plan(amp * unit.max_amplitude_on(a, b), b - a,
+                          float(np.max(np.abs(dets))) + unit.max_abs_chirp(),
+                          damping, unit.min_feature_time())
+        state = propagate_dyson(unit.rabi, amp, dets, em.gamma1, em.gamma2,
+                                (a, b), *plan, initial=state)
+    rho, coh, _ = state
+    for d, r, c in zip(dets, rho, coh):
+        ref = integrate(em.with_detuning(d), unit.scaled(amp), BlochState(0.0),
+                        span, span[1] - span[0], rtol=1e-11, atol=1e-14)
+        assert abs(r - ref.rho_ee[-1]) <= 1e-10, d
+        assert abs(c - ref.coherence[-1]) <= 1e-10, d
 
 
 def test_schedule_follows_local_drive_and_cuts_at_breakpoints():

@@ -322,6 +322,38 @@ def test_sweep_file_with_duplicated_grid_rows_is_refused(tmp_path):
     assert not (tmp_path / "out" / "cross_section.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cross_section_refuses_a_non_finite_amplitude(tmp_path, capsys, value):
+    path = tmp_path / "sweep_long.csv"
+    path.write_text("# detuning_MHz,amplitude_MHz,signal\n"
+                    "-10,100,0.1\n10,100,0.2\n-10,200,0.3\n10,200,0.4\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"output.dir = {tmp_path / 'out'}\n")
+    assert run_command(["cross-section", "--config", str(cfg),
+                        "--source", str(path), f"--amplitude-mhz={value}"]) == 3
+    assert "ERROR kind=OutOfRange" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cross_section.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--t-ns", "0"), ("--t-ns", "-2"), ("--t-ns", "nan"), ("--t-ns", "inf"),
+    ("--wavelength-nm", "0"), ("--wavelength-nm", "nan"),
+    ("--rep-khz", "-700"), ("--rep-khz", "inf"),
+    ("--photons", "0"), ("--photons", "nan")])
+def test_pi_pulse_refuses_a_non_positive_or_non_finite_flag(tmp_path, capsys,
+                                                            flag, value):
+    args = {"--t-ns": "4", "--wavelength-nm": "589", "--rep-khz": "700",
+            "--photons": "500", flag: value}
+    out = tmp_path / "pi"
+    argv = ["pi-pulse", "--out", str(out)]
+    for key, val in args.items():
+        argv += [key, val]
+    assert run_command(argv) == 3
+    err = capsys.readouterr().err
+    assert f"ERROR kind=ValidationError msg={flag} must be finite and > 0" in err
+    assert not list(out.glob("pi_pulse*"))
+
+
 def write_fit_trace_inputs(directory):
     """A measured pulse and a synthetic histogram at Omega_max/2pi = 300 MHz.
 

@@ -30,7 +30,7 @@ MAP_AMPS = np.linspace(0.1, 4.0, 4) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
 
 
 def lawson_map(em, tpl, dets, amps, rep_period=1.4e-6):
-    """sweep_2d's signal with every piece on the Lawson kernel."""
+    """sweep_2d's signal stepped by the Lawson kernel instead, a reference."""
     field = build_composite(tpl, np.abs(amps)[:, None])
     t0, t1 = field.support()
     schedule = batch_schedule(field, (t0, t1), float(np.max(np.abs(dets))),
@@ -208,31 +208,39 @@ def test_sweep_refuses_period_shorter_than_window():
         sweep_2d(EM, template(), MAP_DETS, MAP_AMPS, rep_period=100e-9)
 
 
-@pytest.mark.parametrize("tpl", [
-    template(), template(third=ThirdComponent()),
-    template(main_enabled=False)], ids=["plain", "third", "pedestal_only"])
-def test_weak_drive_nodes_are_converged(tpl, monkeypatch):
-    base = sweep_2d(EM, tpl, MAP_DETS, MAP_AMPS).signal
-    monkeypatch.setattr(bloch, "WEAK_NODES_PER_RAD", 2 * bloch.WEAK_NODES_PER_RAD)
-    monkeypatch.setattr(bloch, "WEAK_NODES_PER_FEATURE",
-                        2 * bloch.WEAK_NODES_PER_FEATURE)
-    monkeypatch.setattr(bloch, "WEAK_MIN_NODES", 2 * bloch.WEAK_MIN_NODES)
-    doubled = sweep_2d(EM, tpl, MAP_DETS, MAP_AMPS).signal
+# A -20 dB third component 2400 MHz off its carrier beats at about twice
+# that against the detuning, the fastest phase the nodes must resolve.
+FAR_THIRD = template(third=ThirdComponent(ratio_db=-20.0,
+                                          frequency_offset=2400 * MHZ))
+
+
+@pytest.mark.parametrize("tpl, dets", [
+    (template(), MAP_DETS), (template(third=ThirdComponent()), MAP_DETS),
+    (template(main_enabled=False), MAP_DETS),
+    (FAR_THIRD, np.linspace(-50.0, 50.0, 5) * MHZ)],
+    ids=["plain", "third", "pedestal_only", "far_third"])
+def test_weak_drive_nodes_are_converged(tpl, dets, monkeypatch):
+    base = sweep_2d(EM, tpl, dets, MAP_AMPS).signal
+    monkeypatch.setattr(bloch, "DYSON_NODES_PER_RAD", 2 * bloch.DYSON_NODES_PER_RAD)
+    monkeypatch.setattr(bloch, "DYSON_NODES_PER_FEATURE",
+                        2 * bloch.DYSON_NODES_PER_FEATURE)
+    monkeypatch.setattr(bloch, "DYSON_MIN_NODES", 2 * bloch.DYSON_MIN_NODES)
+    doubled = sweep_2d(EM, tpl, dets, MAP_AMPS).signal
     assert np.max(np.abs(doubled - base)) <= 1e-12
 
 
 @pytest.mark.parametrize("em, tpl", [
+    (EM, template()),
     (EM, template(third=ThirdComponent())),
     (EM, template(main_enabled=False)),
     # 3 GHz of pure dephasing: (Gamma1 + Gamma2) x piece is ~130, so the
-    # weak-drive steps are cut by the damping bound.
+    # Dyson steps are cut by the damping bound.
     (EmitterModel.from_lifetime(9.5e-9, pure_dephasing=3e3 * MHZ),
-     template())], ids=["third", "pedestal_only", "dephased"])
+     template())], ids=["plain", "third", "pedestal_only", "dephased"])
 def test_weak_drive_map_matches_refined_lawson(em, tpl, monkeypatch):
-    # Every pedestal-only piece is weak. Elsewhere the main pulse's pieces
-    # stay on Lawson, refined here like the reference, so the comparison
-    # sees the weak-drive pieces.
-    monkeypatch.setattr(bloch, "BATCH_PHASE_STEP", bloch.BATCH_PHASE_STEP / 4)
+    # The whole window is on the Dyson propagator; the Lawson reference is
+    # refined 4x so that its own error stays below the bound.
     got = sweep_2d(em, tpl, MAP_DETS, MAP_AMPS).signal
+    monkeypatch.setattr(bloch, "BATCH_PHASE_STEP", bloch.BATCH_PHASE_STEP / 4)
     ref = lawson_map(em, tpl, MAP_DETS, MAP_AMPS)
     assert np.max(np.abs(got - ref) / ref) <= 1e-7
