@@ -261,8 +261,9 @@ BATCH_PHASE_STEP = 0.08
 #: Uniform pieces a schedule cuts its window into, before breakpoint cuts.
 BATCH_PIECES = 48
 
-#: Work budget of one scan or sweep, in point-steps (batch width x steps).
-#: The largest test scan (240 amplitudes x 2000 jitter draws) takes ~2e8.
+#: Work budget of one scan or sweep, in point-steps (batch width x steps; a
+#: Dyson step of order p counts p + 1). The largest test scan (240 amplitudes
+#: x 2000 jitter draws) is checked at ~3.5e8.
 MAX_BATCH_POINT_STEPS = 10 ** 10
 
 

@@ -27,9 +27,6 @@ from .pulses import (DriveField, FieldComponent, GAUSSIAN_AREA_FACTOR,
                      GaussianEnvelope, RectangularEnvelope)
 from . import fitting
 
-#: Groups of neighboring amplitudes a power scan solves together.
-SCAN_BUCKETS = 12
-
 
 @dataclass(frozen=True)
 class JitterModel:
@@ -60,10 +57,11 @@ class PowerScan:
     kernel's step grid, read through the duration surrogate, so it follows
     the step schedule: on 4 ns pulses from 0.2 pi to 12 pi without jitter
     it sits up to 2.8e-4 below the DOP853 maximum and never above it, and
-    with 7 % jitter the surrogate moves it by up to 5.4e-5 from the mean of
-    direct per-draw solves. ``interp_error`` is the estimated largest error
-    of the interpolated per-draw signal at each amplitude (zero where the
-    draws were solved directly or without jitter).
+    with 7 % jitter (0.5 pi to 6 pi, 60 draws) the surrogate moves it by up
+    to 3.2e-5 from the mean of direct per-draw solves. ``interp_error`` is
+    the estimated largest error of the interpolated per-draw signal at each
+    amplitude (zero where the draws were solved directly or without
+    jitter).
     """
 
     amplitudes: np.ndarray
@@ -138,65 +136,53 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     tail. The Bloch dynamics are not integrated per draw: each amplitude is
     solved at Chebyshev-Lobatto nodes spanning its own [min, max] draw, and
     the per-draw signal and peak excitation are the Chebyshev interpolants
-    through those solves (:func:`_duration_surrogate`). The
+    through those solves (:func:`_duration_surrogate`). The whole scan is
+    one batch on one window and step schedule (:func:`scan_schedule`). The
     mean, ``stderr`` and ``area_std`` stay Monte Carlo moments over the
     seeded draws; ``interp_error`` estimates the largest interpolation error
     of the per-draw signal. Without jitter every amplitude takes one solve,
-    and a bucket with no more draws than nodes solves its draws directly.
+    and a scan with no more draws than nodes solves its draws directly.
     The signal is detector-free: a long-integration average count rate is
     proportional to this mean, and the Monte Carlo detector chain exists
     separately for cross-checks. Raises StepFailure before any stepping
     when the scan exceeds the batch work budget, and ValueError when
-    ``rep_period`` is shorter than a bucket's pulse window.
+    ``rep_period`` is shorter than the pulse window.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if amplitudes.size == 0:
         raise ValueError("a power scan needs at least one amplitude")
-    base_t = template.main_fwhm
 
-    # Points are integrated in buckets of neighboring amplitudes: one
-    # vectorized solve per bucket, with a step schedule set by the bucket's
-    # own fastest dynamics. Every schedule takes at least BATCH_PIECES steps,
-    # which bounds the work before any draw. The second check bounds a solve
-    # of every draw. The surrogate solves fewer durations, except a bucket
-    # whose tail check still fails once its node count nears half its draws:
-    # that bucket then solves its draws on top of its nodes, under twice the
-    # checked work.
+    # The schedule takes at least BATCH_PIECES steps, which bounds the work
+    # before any draw. The second check bounds a solve of every draw. The
+    # surrogate solves fewer durations, except when its tail check still
+    # fails once its node count nears half the draws: the scan then solves
+    # its draws on top of its nodes, under twice the checked work.
     check_batch_work(BATCH_PIECES * amplitudes.size * n_samples)
-    plans = []
-    for rows in np.array_split(np.arange(amplitudes.size),
-                               min(amplitudes.size, SCAN_BUCKETS)):
-        durations = np.vstack([
-            sample_durations(base_t, jitter, seed, n_samples, point=int(i))
-            for i in rows])
-        plans.append((rows, durations,
-                      bucket_schedule(emitter, template, amplitudes[rows],
-                                      durations)))
-    check_batch_work(sum(n * durations.size for _, durations, (_, schedule) in plans
-                         for _, _, n in schedule))
-    window = max(w1 - w0 for _, _, ((w0, w1), _) in plans)
-    if rep_period < window:
+    durations = np.vstack([
+        sample_durations(template.main_fwhm, jitter, seed, n_samples, point=i)
+        for i in range(amplitudes.size)])
+    plan = scan_schedule(emitter, template, amplitudes, durations)
+    (w0, w1), schedule = plan
+    check_batch_work(durations.size * sum(n for _, _, n in schedule))
+    if rep_period < w1 - w0:
         raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
-                         f"{window:.3g} s pulse window")
+                         f"{w1 - w0:.3g} s pulse window")
 
-    parts = []
-    for rows, durations, plan in plans:
-        amps = amplitudes[rows]
-        signal, peak, error = _duration_surrogate(
-            lambda t: solve_draws(emitter, template, amps, t, plan, rep_period),
-            durations, amps * GAUSSIAN_AREA_FACTOR)
-        areas = amps[:, None] * GAUSSIAN_AREA_FACTOR * durations
-        parts.append((*draw_moments(signal, areas), np.mean(peak, axis=1), error))
-    sig, se, a_std, peak, error = (np.concatenate(p) for p in zip(*parts))
-    return PowerScan(amplitudes=amplitudes, signal=np.maximum(sig, 0.0),
-                     stderr=se, area_std=a_std, peak_excitation=peak,
-                     interp_error=error)
+    signal, peak, error = _duration_surrogate(
+        lambda t: solve_draws(emitter, template, amplitudes, t, plan,
+                              rep_period),
+        durations, amplitudes * GAUSSIAN_AREA_FACTOR)
+    areas = amplitudes[:, None] * GAUSSIAN_AREA_FACTOR * durations
+    mean, se, a_std = draw_moments(signal, areas)
+    return PowerScan(amplitudes=amplitudes, signal=np.maximum(mean, 0.0),
+                     stderr=se, area_std=a_std,
+                     peak_excitation=np.mean(peak, axis=1), interp_error=error)
 
 
 def draw_field(template: PowerScanTemplate, amps, durations) -> DriveField:
-    """Batch field of a bucket's draws: row i of ``durations`` holds the main
+    """Batch field of a scan's draws: row i of ``durations`` holds the main
     pulse FWHMs at peak ``|amps[i]|``, and the pedestal scales with it (the
     sign of a drive does not change the populations)."""
     peaks = np.abs(amps)[:, None]
@@ -206,13 +192,13 @@ def draw_field(template: PowerScanTemplate, amps, durations) -> DriveField:
     return DriveField(comps)
 
 
-def bucket_schedule(emitter: EmitterModel, template: PowerScanTemplate,
-                    amps: np.ndarray, durations: np.ndarray):
-    """Pulse window and step schedule ``((w0, w1), schedule)`` of one bucket.
+def scan_schedule(emitter: EmitterModel, template: PowerScanTemplate,
+                  amps: np.ndarray, durations: np.ndarray):
+    """Pulse window and step schedule ``((w0, w1), schedule)`` of a scan.
 
-    The draw field of all of the bucket's draws spans and bounds every
-    duration between a row's shortest and longest draw. A bucket of zero
-    amplitudes has no drive; it takes its draws' window at any peak.
+    The draw field of all of the scan's draws spans and bounds every
+    duration between a row's shortest and longest draw. A scan of zero
+    amplitudes has no drive; it takes its draws' window at unit peak.
     """
     field = draw_field(template, amps, durations)
     window = field.support() or draw_field(template, [1.0], durations).support()
@@ -226,7 +212,7 @@ def solve_draws(emitter: EmitterModel, template: PowerScanTemplate,
     """Emitted photons per period and peak excitation of every draw.
 
     One batch-kernel solve of the (amplitudes x durations) grid on the
-    bucket ``plan`` from :func:`bucket_schedule`; ``durations`` has one row
+    scan ``plan`` from :func:`scan_schedule`; ``durations`` has one row
     per amplitude.
     """
     (w0, w1), schedule = plan
@@ -264,11 +250,12 @@ def draw_moments(signal: np.ndarray, areas: np.ndarray):
 # n + 1 Chebyshev-Lobatto durations converges geometrically in n. One DCT-I
 # of the node values gives its Chebyshev coefficients, and Clenshaw's
 # recurrence evaluates the series stably at every draw (Trefethen,
-# Approximation Theory and Approximation Practice, SIAM 2013, ch. 3). The
-# degree is chosen up front from the largest pulse-area spread of the
-# bucket and doubled only when the Chebyshev coefficient tail has not
-# decayed; Lobatto nodes nest, so a doubling solves only the new nodes. The peak excitation is a maximum over
-# the step grid, with kinks in duration; it is interpolated the same way.
+# Approximation Theory and Approximation Practice, SIAM 2013, ch. 3). Every
+# row of a scan takes the same degree, chosen up front from the scan's
+# largest pulse-area spread and doubled only when the Chebyshev coefficient
+# tail of some row has not decayed; Lobatto nodes nest, so a doubling solves
+# only the new nodes. The peak excitation is a maximum over the step grid,
+# with kinks in duration; it is interpolated the same way.
 # ---------------------------------------------------------------------------
 
 #: The interpolant has converged when every Chebyshev coefficient in the
@@ -277,7 +264,7 @@ SURROGATE_TAIL = 1e-9
 
 
 def _surrogate_degree(area_spread: float) -> int:
-    """Starting degree (nodes - 1) for a bucket whose widest row spans
+    """Starting degree (nodes - 1) for a scan whose widest row spans
     ``area_spread`` rad of pulse area.
 
     A signal oscillating in the pulse area spans ``area_spread / 2`` rad per
@@ -317,9 +304,10 @@ def _duration_surrogate(solve, durations: np.ndarray, area_rate: np.ndarray):
     (rows x samples) signal and peak at ``durations`` and, per row, the
     estimated largest error of the interpolated signal: twice the
     coefficient tail plus the rounding floor of the series evaluation.
-    A bucket whose draws have no spread (no jitter, or one draw) takes one
-    solve per row; a bucket that needs as many nodes as it has draws solves
-    its draws directly. Both report zero error.
+    Rows share their node count. A scan whose draws have no spread (no
+    jitter, or one draw) takes one solve per row; a scan that needs as many
+    nodes as it has draws solves its draws directly. Both report zero
+    error.
     """
     rows, n_samples = durations.shape
     lo, hi = np.min(durations, axis=1), np.max(durations, axis=1)

@@ -152,7 +152,9 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     plan = [(a, b, *dyson_plan(top * unit.max_amplitude_on(a, b), b - a,
                                offset, damping, unit.min_feature_time()))
             for a, b in window_pieces(unit, (t0, t1))]
-    check_batch_work(sum(n for _, _, n, _, _ in plan)
+    # A Dyson step of order p updates each point with a degree-p polynomial
+    # in |a|, so it counts as p + 1 point-steps of the budget.
+    check_batch_work(sum(n * (order + 1) for _, _, n, order, _ in plan)
                      * amplitudes.size * detunings.size)
 
     state = None

@@ -204,6 +204,18 @@ def test_trace_with_fewer_than_two_rows_is_refused(tmp_path, capsys, window):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+def test_trace_with_too_many_rows_is_refused(tmp_path, capsys):
+    # ~7e7 rows: refused before anything is allocated or written.
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(TRACE_KEYS + "trace.dt_out_ns = 1e-6\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    start = time.monotonic()
+    assert run_command(["trace", "--config", str(cfg)]) == 3
+    assert time.monotonic() - start < 1.0
+    assert "ERROR kind=ValidationError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_rank_lost_jump_table_is_a_step_failure(tmp_path, capsys):
     # A 1 us drive window: |det C_k| of the cumulative propagators decays
     # like exp(-Gamma1 t) and reaches 0, which made the restarts NaN.

@@ -6,11 +6,10 @@ import pytest
 from rabisim import jitter
 from rabisim.bloch import BlochState, EmitterModel, integrate
 from rabisim.errors import FitDiverged
-from rabisim.jitter import (SCAN_BUCKETS, JitterModel, PowerScan,
-                            PowerScanTemplate, _duration_surrogate,
-                            averaged_power_scan, bucket_schedule, draw_moments,
-                            fit_power_scan, power_scan_model, sample_durations,
-                            solve_draws)
+from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
+                            _duration_surrogate, averaged_power_scan,
+                            draw_moments, fit_power_scan, power_scan_model,
+                            sample_durations, scan_schedule, solve_draws)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, RectangularEnvelope,
                             SampledEnvelope, scale_to_area, DriveField,
                             GaussianEnvelope)
@@ -61,20 +60,27 @@ def test_scan_no_jitter_deterministic_and_sample_count_independent():
 TPL = PowerScanTemplate(main_fwhm=4e-9)
 
 
-def _bucket(amps, model, n_samples, seed, first_point=0):
-    """Draws and a direct per-draw solver for one bucket of a scan."""
+def _scan(amps, model, n_samples, seed):
+    """A scan's draws and a direct per-draw solver on its own schedule."""
     durations = np.vstack([
-        sample_durations(TPL.main_fwhm, model, seed, n_samples,
-                         point=first_point + i) for i in range(amps.size)])
-    plan = bucket_schedule(EM, TPL, amps, durations)
+        sample_durations(TPL.main_fwhm, model, seed, n_samples, point=i)
+        for i in range(amps.size)])
+    plan = scan_schedule(EM, TPL, amps, durations)
     return durations, lambda t: solve_draws(EM, TPL, amps, t, plan, 1.4e-6)
 
 
+def _uses_surrogate(amps, durations):
+    """True when the scan interpolates its draws instead of solving them."""
+    spread = np.max(np.abs(amps) * GAUSSIAN_AREA_FACTOR
+                    * np.ptp(durations, axis=1))
+    return jitter._surrogate_degree(float(spread)) + 1 < durations.shape[1]
+
+
 def test_surrogate_matches_direct_solves():
-    # The hardest bucket of a 12 pi scan: 20 amplitudes from 10 pi to 12 pi.
+    # The top of a 12 pi scan: 20 amplitudes from 10 pi to 12 pi.
     unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
     amps = np.linspace(10.0, 12.0, 20) * math.pi * unit
-    durations, solve = _bucket(amps, JitterModel(0.07), 200, seed=3)
+    durations, solve = _scan(amps, JitterModel(0.07), 200, seed=3)
     areas = amps[:, None] * GAUSSIAN_AREA_FACTOR * durations
     direct, _ = solve(durations)
     signal, peak, error = _duration_surrogate(
@@ -90,7 +96,7 @@ def test_surrogate_matches_direct_solves():
 def test_surrogate_doubles_on_nested_nodes_and_falls_back_to_draws(monkeypatch):
     unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
     amps = np.linspace(5.0, 6.0, 3) * math.pi * unit
-    durations, solve = _bucket(amps, JitterModel(0.07), 100, seed=4)
+    durations, solve = _scan(amps, JitterModel(0.07), 100, seed=4)
     widths = []
 
     def counted(t):
@@ -105,7 +111,7 @@ def test_surrogate_doubles_on_nested_nodes_and_falls_back_to_draws(monkeypatch):
     assert widths[0] == 5 and len(widths) >= 3
     assert widths[1:] == [4 * 2 ** k for k in range(len(widths) - 1)]
     assert np.max(np.abs(signal - direct)) <= np.min(error) < 1e-9
-    # A bucket with no more draws than nodes is solved draw by draw.
+    # A scan with no more draws than nodes is solved draw by draw.
     monkeypatch.setattr(jitter, "_surrogate_degree", lambda spread: 99)
     widths.clear()
     signal, _, error = _duration_surrogate(counted, durations,
@@ -115,21 +121,20 @@ def test_surrogate_doubles_on_nested_nodes_and_falls_back_to_draws(monkeypatch):
 
 
 def test_interp_error_bounds_the_actual_error():
-    # One amplitude per bucket, so each scan point is one surrogate.
+    # The whole scan against one direct solve of all its draws.
     unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
-    amps = np.linspace(0.5, 6.0, SCAN_BUCKETS) * math.pi * unit
+    amps = np.linspace(0.5, 6.0, 12) * math.pi * unit
     model = JitterModel(0.07)
     scan = averaged_power_scan(EM, TPL, amps, model, n_samples=60, seed=2)
     assert np.all(scan.interp_error > 0)
-    for i, amp in enumerate(amps):
-        durations, solve = _bucket(amps[i:i + 1], model, 60, seed=2,
-                                   first_point=i)
-        direct, _ = solve(durations)
-        signal, _, error = _duration_surrogate(
-            solve, durations, amp * GAUSSIAN_AREA_FACTOR)
-        assert error[0] == scan.interp_error[i]
-        assert np.max(np.abs(signal - direct)) <= error[0]
-        assert abs(scan.signal[i] - np.mean(direct)) <= error[0]
+    durations, solve = _scan(amps, model, 60, seed=2)
+    assert _uses_surrogate(amps, durations)
+    direct, _ = solve(durations)
+    signal, _, error = _duration_surrogate(
+        solve, durations, amps * GAUSSIAN_AREA_FACTOR)
+    assert np.array_equal(error, scan.interp_error)
+    assert np.all(np.abs(signal - direct) <= error[:, None])
+    assert np.all(np.abs(scan.signal - np.mean(direct, axis=1)) <= error)
     still = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=60,
                                 seed=2)
     assert np.all(still.interp_error == 0.0)
@@ -153,7 +158,7 @@ def test_negative_amplitudes_mirror_positive():
 
 def test_surrogate_rows_without_spread():
     # Rows whose draws span a few ulps at most. At sigma = 3e-17 the first
-    # amplitude draws 40 equal durations while its bucket neighbour does
+    # amplitude draws 40 equal durations while its scan neighbour does
     # not; that row is a constant interpolant. Elsewhere roundoff in the
     # node variable puts end draws just outside [-1, 1], where the
     # Chebyshev series grows fast.
@@ -161,7 +166,7 @@ def test_surrogate_rows_without_spread():
         amps = np.array(amps)
         for sigma, seed in ((3e-17, 1), (3e-16, 4), (3e-16, 5), (1e-15, 3),
                             (1e-15, 4), (1e-15, 5)):
-            durations, solve = _bucket(amps, JitterModel(sigma), 40, seed=seed)
+            durations, solve = _scan(amps, JitterModel(sigma), 40, seed=seed)
             spread = np.ptp(durations, axis=1)
             assert np.all(spread <= 32 * np.spacing(TPL.main_fwhm))
             if sigma == 3e-17:
@@ -172,13 +177,17 @@ def test_surrogate_rows_without_spread():
             assert np.all(np.abs(signal - direct) <= error[:, None])
 
 
-def test_zero_amplitude_bucket_is_dark():
-    # One amplitude per bucket: the zero bucket has no drive and no support.
+def test_zero_amplitude_row_is_dark():
     amps = [-1e9, 0.0, 1e9]
     scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples=30,
                                seed=1)
     assert scan.signal[1] == 0.0 == scan.peak_excitation[1]
     assert np.all(scan.signal[[0, 2]] > 0.5)
+    # A scan of zero amplitudes has no drive and no support: it steps its
+    # draws' window at unit peak.
+    dark = averaged_power_scan(EM, TPL, [0.0], JitterModel(0.07), n_samples=30,
+                               seed=1)
+    assert dark.signal[0] == 0.0 == dark.peak_excitation[0]
 
 
 def test_pedestal_must_be_gaussian_or_rectangular():
@@ -188,16 +197,27 @@ def test_pedestal_must_be_gaussian_or_rectangular():
 
 
 def test_no_jitter_scan_is_one_direct_solve():
-    amps = np.linspace(2e8, 2e9, 2 * SCAN_BUCKETS)
+    amps = np.linspace(2e8, 2e9, 24)
     scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=9,
                                seed=1)
-    for rows in np.array_split(np.arange(amps.size), SCAN_BUCKETS):
-        base = np.full((rows.size, 1), 4e-9)
-        plan = bucket_schedule(EM, TPL, amps[rows], base)
-        signal, peak = solve_draws(EM, TPL, amps[rows], base, plan, 1.4e-6)
-        assert scan.signal[rows].tobytes() == signal[:, 0].tobytes()
-        # The peak is a mean over identical draws, exact to rounding.
-        assert scan.peak_excitation[rows] == pytest.approx(peak[:, 0], rel=1e-15)
+    base = np.full((amps.size, 1), 4e-9)
+    plan = scan_schedule(EM, TPL, amps, base)
+    signal, peak = solve_draws(EM, TPL, amps, base, plan, 1.4e-6)
+    assert scan.signal.tobytes() == signal[:, 0].tobytes()
+    # The peak is a mean over identical draws, exact to rounding.
+    assert scan.peak_excitation == pytest.approx(peak[:, 0], rel=1e-15)
+
+
+def test_scan_is_one_batch(monkeypatch):
+    calls = {"scan_schedule": 0, "_duration_surrogate": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(jitter, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(jitter, name, counted)
+    amps = np.linspace(2e8, 2e9, 30)
+    averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples=80, seed=1)
+    assert calls == {"scan_schedule": 1, "_duration_surrogate": 1}
 
 
 def test_scan_control_extrema_at_integer_pi():
@@ -328,16 +348,15 @@ def test_peak_excitation_accuracy():
                                seed=1)
     below = np.array([_dop853_peak(a, 4e-9) for a in amps]) - scan.peak_excitation
     assert np.all(below <= 1e-3) and np.all(below >= -1e-6), below
-    # With jitter the surrogate reads it within 1e-4 of the mean over direct
-    # per-draw solves (5.4e-5 here), one amplitude per bucket.
+    # With jitter the surrogate reads it within 1e-4 of the mean over one
+    # direct solve of all the scan's draws (3.2e-5 here).
     model = JitterModel(0.07)
-    amps = np.linspace(0.5, 6.0, SCAN_BUCKETS) * math.pi * unit
+    amps = np.linspace(0.5, 6.0, 12) * math.pi * unit
     scan = averaged_power_scan(EM, TPL, amps, model, n_samples=60, seed=2)
-    for i in range(amps.size):
-        durations, solve = _bucket(amps[i:i + 1], model, 60, seed=2,
-                                   first_point=i)
-        _, direct = solve(durations)
-        assert abs(scan.peak_excitation[i] - np.mean(direct)) <= 1e-4
+    durations, solve = _scan(amps, model, 60, seed=2)
+    assert _uses_surrogate(amps, durations)
+    _, direct = solve(durations)
+    assert np.all(np.abs(scan.peak_excitation - np.mean(direct, axis=1)) <= 1e-4)
 
 
 def test_scan_refuses_period_shorter_than_window():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rabisim import bloch
+from rabisim import bloch, sweeps
 from rabisim.bloch import (EmitterModel, batch_schedule,
                            emitted_photons_per_period, integrate_population_batch)
-from rabisim.errors import OutOfRange
+from rabisim.errors import OutOfRange, StepFailure
 from rabisim.pulses import GAUSSIAN_AREA_FACTOR, pulse_area
 from rabisim.sweeps import (CompositeFieldTemplate, SweepResult,
                             ThirdComponent, build_composite, cross_section,
@@ -200,6 +200,27 @@ def test_pedestal_linewidth_approaches_natural_width_for_long_pulses():
             pulse_spectrum_sigma(tpl.pedestal_fwhm), EM.gamma2) / EM.gamma1
     assert widths[50.0] == pytest.approx(predicted[50.0], abs=0.02)
     assert widths[200.0] == pytest.approx(predicted[200.0], abs=0.03)
+
+
+def test_map_budget_weights_steps_by_order(monkeypatch):
+    # A Dyson step of order p updates each point with a degree-p polynomial,
+    # so it counts p + 1 point-steps: a map whose plain step count fits the
+    # budget but whose weighted count does not is refused before stepping.
+    pieces = []
+
+    def recorded(*args):
+        pieces.append(bloch.dyson_plan(*args))
+        return pieces[-1]
+
+    monkeypatch.setattr(sweeps, "dyson_plan", recorded)
+    sweep_2d(EM, template(), MAP_DETS, MAP_AMPS)
+    points = MAP_DETS.size * MAP_AMPS.size
+    steps = sum(n for n, _, _ in pieces) * points
+    weighted = sum(n * (order + 1) for n, order, _ in pieces) * points
+    assert weighted > 2 * steps
+    monkeypatch.setattr(bloch, "MAX_BATCH_POINT_STEPS", (steps + weighted) // 2)
+    with pytest.raises(StepFailure, match="budget"):
+        sweep_2d(EM, template(), MAP_DETS, MAP_AMPS)
 
 
 def test_sweep_refuses_period_shorter_than_window():
