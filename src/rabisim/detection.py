@@ -14,13 +14,17 @@ prefix scan (``bloch._prefix_products``). Because the conditional evolution
 is linear, the survival curve of a segment restarted in state psi at node k
 is ``|C_m w|^2`` with ``w = C_k^{-1} psi``, for m >= k, and it is monotone
 non-increasing. The engine keeps each node's Gram matrix C_m^H C_m as four
-reals, so that ``|C_m w|^2 = gram[m] . quad(w)``: each trajectory carries
+reals, so that ``|C_m w|^2 = gram[m] . quad(w)``: a trajectory's state is
 the four reals ``quad(w)`` of its segment, and a survival value costs one
-4-vector dot product. In the first wave every trajectory holds the same
-initial state, so the whole batch shares one survival curve and all first
-jumps are placed by one ``searchsorted``; later segments are located by
-vectorized binary search on the Gram table across the batch. Outside the
-drive window the evolution is drive-free and handled in closed form. All
+4-vector dot product. Populations and dephasing restarts are read off the
+same four reals. The batch runs in two phases, each a loop of waves on
+compacted arrays from which finished rows drop. The grid phase covers the
+drive window: in the first wave every trajectory holds the same initial
+state, so the whole batch shares one survival curve and all first jumps
+are placed by one ``searchsorted``; later segments are located by
+vectorized binary search on the Gram table. A trajectory that outlives the
+grid hands its two populations to the tail phase, where the evolution is
+drive-free, changes populations only, and is solved in closed form. All
 randomness comes from counter-based streams keyed by (pulse index, draw
 index), which makes results independent of chunking and evaluation order.
 """
@@ -170,11 +174,11 @@ class _JumpEngine:
         self.ground_restart = self.to_grid_coords(
             np.arange(n), np.tile([1.0 + 0j, 0j], (n, 1)))
         self.ground_quad = _quad(self.ground_restart)
-        # Gram matrix C^H C as 4 reals, dotted with _quad(w) to give |C w|^2.
-        g01 = c[:, 0, 0].conj() * c[:, 0, 1] + c[:, 1, 0].conj() * c[:, 1, 1]
-        self.gram = np.stack((_abs2(c[:, 0, 0]) + _abs2(c[:, 1, 0]),
-                              _abs2(c[:, 0, 1]) + _abs2(c[:, 1, 1]),
-                              2.0 * g01.real, -2.0 * g01.imag), axis=1)
+        # Gram matrix C^H C as 4 reals, dotted with _quad(w) to give |C w|^2,
+        # and the (4, 2) populations (|psi_g|^2, |psi_e|^2) = q @ P at the end.
+        rows = _row_quads(c)
+        self.gram = rows[:, 0] + rows[:, 1]
+        self.end_populations = rows[-1].T
 
     def _generators(self, field: DriveField, ts: np.ndarray) -> np.ndarray:
         """A(t) of the no-jump amplitude equation, one 2x2 matrix per time."""
@@ -226,6 +230,26 @@ class _JumpEngine:
         """|C_node w|^2 per row, from the rows' ``q = _quad(w)`` (B, 4)."""
         return np.einsum("ij,ij->i", np.take(self.gram, nodes, axis=0), q)
 
+    def dephased(self, nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """``_quad`` of the dephasing restart C^{-1} sigma_z C w / |C w| per row.
+
+        M = C^{-1} sigma_z C = [[c00 c11 + c01 c10, 2 c01 c11], [-2 c00 c10,
+        -(c00 c11 + c01 c10)]] / det C acts on the Hermitian form
+        w w^H = [[q0, z*], [z, q1]], z = q2 + i q3, that q encodes.
+        """
+        c, det = self.cum[nodes], self.det[nodes]
+        m = np.empty_like(c)
+        m[:, 0, 0] = (c[:, 0, 0] * c[:, 1, 1] + c[:, 0, 1] * c[:, 1, 0]) / det
+        m[:, 0, 1] = 2.0 * c[:, 0, 1] * c[:, 1, 1] / det
+        m[:, 1, 0] = -2.0 * c[:, 0, 0] * c[:, 1, 0] / det
+        m[:, 1, 1] = -m[:, 0, 0]
+        z = q[:, 2] + 1j * q[:, 3]
+        rho = np.stack((q[:, 0], z.conj(), z, q[:, 1]), axis=1).reshape(-1, 2, 2)
+        rho = m @ rho @ m.conj().transpose(0, 2, 1)
+        out = np.stack((rho[:, 0, 0].real, rho[:, 1, 1].real,
+                        rho[:, 1, 0].real, rho[:, 1, 0].imag), axis=1)
+        return out / self.survival(nodes, q)[:, None]
+
     @property
     def last_node(self) -> int:
         return self.times.size - 1
@@ -243,6 +267,20 @@ def _quad(w: np.ndarray) -> np.ndarray:
     """
     z = w[:, 0].conj() * w[:, 1]
     return np.stack((_abs2(w[:, 0]), _abs2(w[:, 1]), z.real, z.imag), axis=1)
+
+
+def _row_quads(c: np.ndarray) -> np.ndarray:
+    """(N, 2, 4): for row i of each C, ``_row_quads(C)[i] . _quad(w) = |(C w)_i|^2``."""
+    z = c[..., 0].conj() * c[..., 1]
+    return np.stack((_abs2(c[..., 0]), _abs2(c[..., 1]), 2.0 * z.real, -2.0 * z.imag),
+                    axis=-1)
+
+
+def _rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The rows of each array where ``keep`` holds (a ``take`` on the indices,
+    far cheaper than boolean indexing on a scattered mask)."""
+    idx = np.flatnonzero(keep)
+    return [a.take(idx, axis=0) for a in arrays]
 
 
 def _initial_amplitudes(initial: BlochState) -> np.ndarray:
@@ -268,159 +306,121 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
     state must be pure (the unraveling propagates a wave function):
     coherence is honored via the amplitude pair (sqrt(1-rho), sqrt(rho)).
     """
-    b = pulse_ids.size
-    if b == 0:
+    if pulse_ids.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
     psi0 = _initial_amplitudes(initial)
     gamma1 = engine.gamma1
     gphi = engine.gphi
     n_last = engine.last_node
 
-    # Per-trajectory segment state: start node, grid coordinates w and their
-    # survival coefficients q = _quad(w).
-    in_grid = np.ones(b, dtype=bool) if n_last > 0 else np.zeros(b, dtype=bool)
-    node = np.zeros(b, dtype=np.int64)
-    w0 = engine.to_grid_coords(np.zeros(1, dtype=np.int64), psi0[None, :])
-    w = np.tile(w0[0], (b, 1))
-    q = np.tile(_quad(w0)[0], (b, 1))
-    in_tail = ~in_grid
-    tail_amp = np.tile(psi0, (b, 1))
-    tail_t = np.full(b, engine.t0)
-    draws = np.zeros(b, dtype=np.int64)
-    r = rng.uniform(seed, rng.STREAM_JUMP, pulse_ids, draws)
+    def uniform(pid, draws):
+        return rng.uniform(seed, rng.STREAM_JUMP, pid, draws)
 
+    # Grid phase. Each active row is its pulse id, draw counter, threshold r,
+    # segment start node and the four reals q = _quad(w) of its grid
+    # coordinates; a row leaves the arrays once it outlives the grid.
+    pid = pulse_ids
+    draws = np.zeros(pid.size, dtype=np.int64)
+    r = uniform(pid, draws)
+    node = np.zeros(pid.size, dtype=np.int64)
+    w0 = engine.to_grid_coords(node[:1], psi0[None, :])
+    q = np.tile(_quad(w0), (pid.size, 1))
+    # Rows leaving the grid: (pulse, draws, r, (|psi_g|^2, |psi_e|^2)).
+    handoff = []
+    if n_last == 0:  # no drive: every row starts in the tail
+        handoff.append((pid, draws, r, q @ engine.end_populations))
+        pid = pid[:0]
     out_pulse: list[np.ndarray] = []
     out_time: list[np.ndarray] = []
 
     for wave in range(_WAVE_LIMIT):
-        if not (np.any(in_grid) or np.any(in_tail)):
+        if pid.size == 0:
             break
+        if wave == 0:
+            # Every row still holds w0 from node 0, so all share one
+            # non-increasing survival curve; the grid-end test reads it
+            # too, so a jump row's first node <= r is on the grid.
+            curve = engine.gram @ q[0]
+            to_tail = curve[n_last] > r
+        else:
+            to_tail = q @ engine.gram[n_last] > r
+        out_pid, out_draws, out_r, out_q = _rows(to_tail, pid, draws, r, q)
+        handoff.append((out_pid, out_draws, out_r, out_q @ engine.end_populations))
+        pid, draws, r, node, q = _rows(~to_tail, pid, draws, r, node, q)
+        if wave == 0:
+            m = np.searchsorted(-curve, -r)
+            n1, n2 = curve.take(m - 1), curve.take(m)
+        else:
+            lo = node
+            hi = np.full(pid.size, n_last, dtype=np.int64)
+            while np.any(lo < hi):
+                mid = (lo + hi) // 2
+                below = engine.survival(mid, q) <= r
+                hi = np.where(below, mid, hi)
+                lo = np.where(below, lo, mid + 1)
+            m = hi
+            n1 = engine.survival(m - 1, q)
+            n2 = engine.survival(m, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.log(n1 / np.maximum(r, 1e-300)) / np.log(
+                np.maximum(n1 / np.maximum(n2, 1e-300), 1.0 + 1e-15))
+        frac = np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
+        t_prev = engine.times.take(m - 1)
+        t_jump = t_prev + frac * (engine.times.take(m) - t_prev)
 
-        if np.any(in_grid):
-            rows = np.nonzero(in_grid)[0]
-            if wave == 0:
-                # Every row still holds w0 from node 0, so all share one
-                # non-increasing survival curve; the grid-end test reads it
-                # too, so a jump row's first node <= r is on the grid.
-                curve = engine.gram @ q[0]
-                to_tail = curve[n_last] > r[rows]
-            else:
-                to_tail = q[rows] @ engine.gram[n_last] > r[rows]
-            # Grid survivors hand their unnormalized state to the tail phase.
-            tr = rows[to_tail]
-            if tr.size:
-                # C w per row; einsum, because a threaded BLAS spends far more
-                # on a (B, 2) x (2, 2) complex matmul than the product costs.
-                tail_amp[tr] = np.einsum("ij,kj->ik", w[tr], engine.cum[n_last])
-                tail_t[tr] = engine.times[-1]
-                in_grid[tr] = False
-                in_tail[tr] = True
-            jr = rows[~to_tail]
-            if jr.size:
-                rj = r[jr]
-                if wave == 0:
-                    m = np.searchsorted(-curve, -rj)
-                    n1, n2 = curve[m - 1], curve[m]
-                else:
-                    qj = q[jr]
-                    lo = node[jr]
-                    hi = np.full(jr.size, n_last, dtype=np.int64)
-                    while np.any(lo < hi):
-                        mid = (lo + hi) // 2
-                        below = engine.survival(mid, qj) <= rj
-                        hi = np.where(below, mid, hi)
-                        lo = np.where(below, lo, mid + 1)
-                    m = hi
-                    n1 = engine.survival(m - 1, qj)
-                    n2 = engine.survival(m, qj)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    frac = np.log(n1 / np.maximum(rj, 1e-300)) / np.log(
-                        np.maximum(n1 / np.maximum(n2, 1e-300), 1.0 + 1e-15))
-                frac = np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
-                t_jump = engine.times[m - 1] + frac * (engine.times[m]
-                                                       - engine.times[m - 1])
-
-                if gphi > 0.0:
-                    psi = engine.state_at(m, w[jr])
-                    w_emit = gamma1 * np.abs(psi[:, 1]) ** 2
-                    w_deph = 0.5 * gphi * (np.abs(psi[:, 0]) ** 2
-                                           + np.abs(psi[:, 1]) ** 2)
-                    draws[jr] += 1
-                    u = rng.uniform(seed, rng.STREAM_JUMP, pulse_ids[jr], draws[jr])
-                    emit = u * (w_emit + w_deph) < w_emit
-                else:
-                    emit = np.ones(jr.size, dtype=bool)
-
-                er = jr[emit]
-                if er.size:
-                    out_pulse.append(pulse_ids[er])
-                    out_time.append(t_jump[emit])
-                    node[er] = m[emit]
-                    w[er] = engine.ground_restart[m[emit]]
-                    q[er] = engine.ground_quad[m[emit]]
-                dr = jr[~emit]
-                if dr.size:
-                    psi_d = engine.state_at(m[~emit], w[dr])
-                    psi_d[:, 1] = -psi_d[:, 1]
-                    norm = np.sqrt(np.abs(psi_d[:, 0]) ** 2
-                                   + np.abs(psi_d[:, 1]) ** 2)
-                    psi_d /= norm[:, None]
-                    node[dr] = m[~emit]
-                    w[dr] = engine.to_grid_coords(m[~emit], psi_d)
-                    q[dr] = _quad(w[dr])
-                draws[jr] += 1
-                r[jr] = rng.uniform(seed, rng.STREAM_JUMP, pulse_ids[jr], draws[jr])
-
-        if np.any(in_tail):
-            rows = np.nonzero(in_tail)[0]
-            cg2 = np.abs(tail_amp[rows, 0]) ** 2
-            ce2 = np.abs(tail_amp[rows, 1]) ** 2
-            rr = r[rows]
-            tau = _tail_jump_time(cg2, ce2, rr, gamma1, gphi)
-            t_jump = tail_t[rows] + tau
-            late = t_jump > engine.t_limit
-            in_tail[rows[late]] = False
-            live = rows[~late]
-            if live.size:
-                tl = tau[~late]
-                e_g = np.abs(tail_amp[live, 0]) ** 2 * np.exp(-0.5 * gphi * tl)
-                e_e = (np.abs(tail_amp[live, 1]) ** 2
-                       * np.exp(-(gamma1 + 0.5 * gphi) * tl))
-                w_emit = gamma1 * e_e
-                w_deph = 0.5 * gphi * (e_g + e_e)
-                draws[live] += 1
-                u = rng.uniform(seed, rng.STREAM_JUMP, pulse_ids[live],
-                                draws[live])
-                emit = u * (w_emit + w_deph) < w_emit
-                er = live[emit]
-                if er.size:
-                    out_pulse.append(pulse_ids[er])
-                    out_time.append(t_jump[~late][emit])
-                    in_tail[er] = False  # ground + no drive: no more photons
-                dr = live[~emit]
-                if dr.size:
-                    amp = tail_amp[dr]
-                    decay = np.exp(-0.25 * gphi * tl[~emit])
-                    amp[:, 0] *= decay
-                    amp[:, 1] *= -decay * np.exp(
-                        (-1j * engine.emitter.detuning
-                         - 0.5 * gamma1) * tl[~emit])
-                    norm = np.sqrt(np.abs(amp[:, 0]) ** 2
-                                   + np.abs(amp[:, 1]) ** 2)
-                    tail_amp[dr] = amp / norm[:, None]
-                    tail_t[dr] = t_jump[~late][~emit]
-                    draws[dr] += 1
-                    r[dr] = rng.uniform(seed, rng.STREAM_JUMP,
-                                        pulse_ids[dr], draws[dr])
+        restart = engine.ground_quad.take(m, axis=0)
+        if gphi > 0.0:
+            # n2 = |C_m w|^2; its excited part is row 1 of C_m on q.
+            w_emit = gamma1 * np.einsum("ij,ij->i", _row_quads(engine.cum[m])[:, 1], q)
+            draws = draws + 1
+            emit = uniform(pid, draws) * (w_emit + 0.5 * gphi * n2) < w_emit
+            dm, dq = _rows(~emit, m, q)
+            restart[~emit] = engine.dephased(dm, dq)
+            out_pid, out_t = _rows(emit, pid, t_jump)
+            out_pulse.append(out_pid)
+            out_time.append(out_t)
+        else:
+            out_pulse.append(pid)
+            out_time.append(t_jump)
+        node, q = m, restart
+        draws = draws + 1
+        r = uniform(pid, draws)
     else:
-        raise StepFailure("jump simulation exceeded the wave limit")
+        raise StepFailure("jump simulation exceeded the wave limit on the drive grid")
 
-    if out_pulse:
-        pulses = np.concatenate(out_pulse)
-        times = np.concatenate(out_time)
+    # Tail phase: no drive, so the evolution changes the populations alone
+    # and each row carries (|psi_g|^2, |psi_e|^2) and its segment start t.
+    pid, draws, r, pops = (np.concatenate(a) for a in zip(*handoff))
+    cg2, ce2 = pops[:, 0], pops[:, 1]
+    t = np.full(pid.size, engine.times[-1])
+    for _ in range(_WAVE_LIMIT):
+        if pid.size == 0:
+            break
+        tau = _tail_jump_time(cg2, ce2, r, gamma1, gphi)
+        pid, draws, cg2, ce2, tau, t = _rows(t + tau <= engine.t_limit,
+                                            pid, draws, cg2, ce2, tau, t)
+        t_jump = t + tau
+        if gphi == 0.0:
+            # Every jump is an emission, into the ground state: no more photons.
+            out_pulse.append(pid)
+            out_time.append(t_jump)
+            break
+        e_g = cg2 * np.exp(-0.5 * gphi * tau)
+        e_e = ce2 * np.exp(-(gamma1 + 0.5 * gphi) * tau)
+        w_emit = gamma1 * e_e
+        draws = draws + 1
+        emit = uniform(pid, draws) * (w_emit + 0.5 * gphi * (e_g + e_e)) < w_emit
+        out_pid, out_t = _rows(emit, pid, t_jump)
+        out_pulse.append(out_pid)
+        out_time.append(out_t)
+        # A dephasing jump flips the sign of psi_e: populations are kept.
+        pid, draws, t, e_g, e_e = _rows(~emit, pid, draws + 1, t_jump, e_g, e_e)
+        cg2, ce2 = e_g / (e_g + e_e), e_e / (e_g + e_e)
+        r = uniform(pid, draws)
     else:
-        pulses = np.empty(0, dtype=np.int64)
-        times = np.empty(0)
+        raise StepFailure("jump simulation exceeded the wave limit in the drive-free tail")
+
+    pulses, times = np.concatenate(out_pulse), np.concatenate(out_time)
     # Each wave appends a pulse's emissions later than its earlier ones, and
     # tail emissions come after grid emissions, so a stable sort by pulse
     # leaves every pulse's times ascending.

@@ -196,12 +196,14 @@ def scan_schedule(emitter: EmitterModel, template: PowerScanTemplate,
                   amps: np.ndarray, durations: np.ndarray):
     """Pulse window and step schedule ``((w0, w1), schedule)`` of a scan.
 
-    The draw field of all of the scan's draws spans and bounds every
-    duration between a row's shortest and longest draw. A scan of zero
-    amplitudes has no drive; it takes its draws' window at unit peak.
+    At fixed peak a Gaussian grows pointwise with its FWHM, so the draw
+    field of each row's longest draw spans and bounds every duration of
+    the row. A scan of zero amplitudes has no drive; it takes its draws'
+    window at unit peak.
     """
-    field = draw_field(template, amps, durations)
-    window = field.support() or draw_field(template, [1.0], durations).support()
+    longest = durations.max(axis=1, keepdims=True)
+    field = draw_field(template, amps, longest)
+    window = field.support() or draw_field(template, [1.0], longest).support()
     return window, batch_schedule(field, window, emitter.detuning,
                                   emitter.gamma1)
 

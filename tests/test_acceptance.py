@@ -444,7 +444,7 @@ def test_c11_photon_budget(tmp_path):
 # 12: determinism of reruns
 # --------------------------------------------------------------------------
 
-def test_c12_manifest_rerun_and_thread_independence(tmp_path):
+def test_c12_manifest_and_sweep_reruns_are_bit_identical(tmp_path):
     cfg = tmp_path / "mc.cfg"
     cfg.write_text("field.1.fwhm_ns = 5.116\nfield.1.center_ns = 12\n"
                    "field.1.area_pi = 5.7\ntrace.t_end_ns = 90\n"

@@ -8,9 +8,10 @@ from rabisim import detection, rng
 from rabisim.bloch import BlochState, EmitterModel, integrate, steady_state
 from rabisim.detection import (DetectorModel, _JumpEngine,
                                _emission_times_batch, _initial_amplitudes,
-                               _quad, _tail_jump_time,
+                               _quad, _row_quads, _tail_jump_time,
                                emission_rate, first_detected_density,
                                simulate_photon_stream, simulate_tcspc)
+from rabisim.errors import StepFailure
 from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
                             PhaseLaw, RectangularEnvelope, scale_to_area)
 
@@ -177,7 +178,7 @@ def test_tcspc_monotone_in_efficiency():
     assert all(a <= b for a, b in zip(totals, totals[1:]))
 
 
-def test_tcspc_seed_determinism_and_thread_independence(monkeypatch):
+def test_tcspc_seed_determinism_and_chunk_independence(monkeypatch):
     det = DetectorModel(efficiency=0.05, dead_time=70e-9,
                         timing_jitter_sigma=50e-12, rep_period=1.4e-6,
                         bin_width=1e-9)
@@ -469,18 +470,22 @@ RECT_PLUS_GAUSS = DriveField([
                                     center=30e-9), PhaseLaw(offset=0.4))])
 
 
-@pytest.mark.parametrize("gamma2", [0.5 / T1, 1.2 / T1], ids=["gphi0", "dephased"])
+@pytest.mark.parametrize("gamma2, detuning", [
+    (0.5 / T1, 0.0), (1.2 / T1, 0.0), (1.2 / T1, 2.0 / T1)],
+    ids=["gphi0", "dephased", "dephased_detuned"])
 @pytest.mark.parametrize("initial", [
     BlochState(0.0), BlochState(0.3, math.sqrt(0.21) * complex(math.cos(0.8),
                                                                math.sin(0.8)))],
     ids=["ground", "superposition"])
 @pytest.mark.parametrize("field", [GAUSS_7PI, RECT_PLUS_GAUSS],
                          ids=["gaussian", "rect_plus_gaussian"])
-def test_gram_search_matches_per_row_bisection(gamma2, initial, field):
+def test_gram_search_matches_per_row_bisection(gamma2, detuning, initial, field):
     # The shared first-wave curve and the Gram-table bisection evaluate
     # |C_m w|^2 in another order than the per-row reference, so grid jump
-    # times may move by roundoff; nodes, and hence pulse ids, must not.
-    emitter = EmitterModel(gamma1=1.0 / T1, gamma2=gamma2)
+    # times may move by roundoff; nodes, and hence pulse ids, must not. The
+    # batch's tail carries populations only, the reference the complex
+    # amplitudes with their e^{-i Delta tau} phase.
+    emitter = EmitterModel(gamma1=1.0 / T1, gamma2=gamma2, detuning=detuning)
     engine = _JumpEngine(emitter, field, 0.0, 80e-9)
     ids = np.arange(1000, 1250, dtype=np.int64)
     pulses, times = _emission_times_batch(engine, 31, ids, initial)
@@ -523,6 +528,47 @@ def test_gram_table_gives_the_propagated_norm():
     exact = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
     assert np.allclose(engine.survival(nodes, _quad(w)), exact,
                        rtol=1e-12, atol=0.0)
+
+
+def test_quad_forms_match_the_propagated_state():
+    # The wave loop carries q = _quad(w) alone: grid-end populations, the
+    # excited part of |C_m w|^2 and dephasing restarts are read off q.
+    engine = _JumpEngine(EmitterModel(gamma1=1.0 / T1, gamma2=1.4 / T1,
+                                      detuning=2.0 / T1),
+                         RECT_PLUS_GAUSS, 0.0, 150e-9)
+    gen = np.random.default_rng(5)
+    nodes = gen.integers(0, engine.times.size, 500)
+    w = gen.normal(size=(500, 2)) + 1j * gen.normal(size=(500, 2))
+    q = _quad(w)
+    end = engine.state_at(np.full(500, engine.last_node), w)
+    assert np.allclose(q @ engine.end_populations, np.abs(end) ** 2,
+                       rtol=1e-12, atol=0.0)
+    psi = engine.state_at(nodes, w)
+    excited = np.einsum("ij,ij->i", _row_quads(engine.cum[nodes])[:, 1], q)
+    assert np.allclose(excited, np.abs(psi[:, 1]) ** 2, rtol=1e-12, atol=0.0)
+    flipped = psi * [1.0, -1.0] / np.linalg.norm(psi, axis=1)[:, None]
+    assert np.allclose(engine.dephased(nodes, q),
+                       _quad(engine.to_grid_coords(nodes, flipped)),
+                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("phase", ["grid", "tail"])
+def test_wave_limit_holds_in_both_phases(monkeypatch, phase):
+    if phase == "grid":
+        # The re-exciting rectangle below makes >= 5 grid jumps in some pulse.
+        emitter = EmitterModel(gamma1=1.0 / T1, gamma2=1.4 / T1)
+        fld = DriveField.single(RectangularEnvelope(
+            peak=4.0 * EM.gamma1, duration=150e-9, center=75e-9))
+        initial = BlochState(0.0)
+    else:
+        # No drive: dephasing jumps precede each excited start's emission.
+        emitter = EmitterModel(gamma1=1.0 / T1, gamma2=20.0 / T1)
+        fld, initial = ZERO_FIELD, BlochState(1.0)
+    engine = _JumpEngine(emitter, fld, 0.0, 400e-9)
+    monkeypatch.setattr(detection, "_WAVE_LIMIT", 3)
+    where = "on the drive grid" if phase == "grid" else "in the drive-free tail"
+    with pytest.raises(StepFailure, match=f"wave limit {where}"):
+        _emission_times_batch(engine, 9, np.arange(3000, dtype=np.int64), initial)
 
 
 def test_emission_output_is_pulse_major_and_time_ascending():

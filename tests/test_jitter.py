@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rabisim import jitter
-from rabisim.bloch import BlochState, EmitterModel, integrate
+from rabisim.bloch import BlochState, EmitterModel, batch_schedule, integrate
 from rabisim.errors import FitDiverged
 from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
                             _duration_surrogate, averaged_power_scan,
@@ -218,6 +218,28 @@ def test_scan_is_one_batch(monkeypatch):
     amps = np.linspace(2e8, 2e9, 30)
     averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples=80, seed=1)
     assert calls == {"scan_schedule": 1, "_duration_surrogate": 1}
+
+
+PEDESTAL_TPL = PowerScanTemplate(
+    main_fwhm=4e-9, pedestal=GaussianEnvelope(peak=0.01, fwhm=30e-9))
+
+
+@pytest.mark.parametrize("template, n_samples, seed", [
+    (TPL, 200, 1), (TPL, 2000, 5), (PEDESTAL_TPL, 200, 2)],
+    ids=["bench", "c05_main", "pedestal"])
+def test_scan_schedule_is_bounded_by_each_rows_longest_draw(template, n_samples, seed):
+    # At fixed peak a Gaussian grows pointwise with its FWHM, so the field of
+    # each row's longest draw gives the window and step schedule of all draws.
+    a_max = 12.0 * math.pi / (template.main_fwhm * GAUSSIAN_AREA_FACTOR)
+    for amps in (np.linspace(a_max / 240, a_max, 240), np.zeros(3)):
+        durations = np.vstack([
+            sample_durations(template.main_fwhm, JitterModel(0.07), seed,
+                             n_samples, point=i) for i in range(amps.size)])
+        field = jitter.draw_field(template, amps, durations)
+        window = (field.support()
+                  or jitter.draw_field(template, [1.0], durations).support())
+        assert scan_schedule(EM, template, amps, durations) == (
+            window, batch_schedule(field, window, EM.detuning, EM.gamma1))
 
 
 def test_scan_control_extrema_at_integer_pi():
