@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebval, chebvander
 from scipy.fft import dct
 
 from . import rng
@@ -54,14 +54,16 @@ class PowerScan:
     jitter-averaged largest excited population during the pulse window,
     whose first maximum stays below full inversion when the pulse length
     is comparable to the lifetime. It is the largest rho_ee on the batch
-    kernel's step grid, read through the duration surrogate, so it follows
-    the step schedule: on 4 ns pulses from 0.2 pi to 12 pi without jitter
-    it sits up to 2.8e-4 below the DOP853 maximum and never above it, and
-    with 7 % jitter (0.5 pi to 6 pi, 60 draws) the surrogate moves it by up
-    to 3.2e-5 from the mean of direct per-draw solves. ``interp_error`` is
-    the estimated largest error of the interpolated per-draw signal at each
-    amplitude (zero where the draws were solved directly or without
-    jitter).
+    kernel's step grid, read through the scan surrogate, so it follows the
+    step schedule: on 4 ns pulses from 0.2 pi to 12 pi without jitter it
+    sits up to 2.8e-4 below the DOP853 maximum and never above it. With 7 %
+    jitter and 60 draws the surrogate moves it from the mean of direct
+    per-draw solves by up to 4.0e-5 on 12 amplitudes from 0.5 pi to 6 pi
+    (their own amplitude axis) and 2.2e-5 on 120 from 0.5 pi to 12 pi
+    (75 x 44 nodes). ``interp_error`` is the estimated largest error of the
+    interpolated per-draw signal at each amplitude: 4e-15 to 4e-13 on those
+    two scans, and at least twice the actual error there. It is zero where
+    the draws were solved directly or without jitter, and on a dark row.
     """
 
     amplitudes: np.ndarray
@@ -133,20 +135,23 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     For each amplitude the main-pulse duration is re-drawn ``n_samples``
     times at fixed peak (area fluctuates with duration), and the emission
     is accumulated over the full repetition period including the decay
-    tail. The Bloch dynamics are not integrated per draw: each amplitude is
-    solved at Chebyshev-Lobatto nodes spanning its own [min, max] draw, and
-    the per-draw signal and peak excitation are the Chebyshev interpolants
-    through those solves (:func:`_duration_surrogate`). The whole scan is
-    one batch on one window and step schedule (:func:`scan_schedule`). The
-    mean, ``stderr`` and ``area_std`` stay Monte Carlo moments over the
-    seeded draws; ``interp_error`` estimates the largest interpolation error
-    of the per-draw signal. Without jitter every amplitude takes one solve,
-    and a scan with no more draws than nodes solves its draws directly.
-    The signal is detector-free: a long-integration average count rate is
-    proportional to this mean, and the Monte Carlo detector chain exists
-    separately for cross-checks. Raises StepFailure before any stepping
-    when the scan exceeds the batch work budget, and ValueError when
-    ``rep_period`` is shorter than the pulse window.
+    tail. The Bloch dynamics are not integrated per draw: the scan is solved
+    once, at a tensor grid of Chebyshev-Lobatto nodes in |amplitude| and in
+    the duration over the scan's [min, max] draw, and the per-draw signal
+    and peak excitation are the Chebyshev interpolants through those solves
+    (:func:`_scan_surrogate`). Where the amplitude nodes would not be fewer
+    than the amplitudes, the amplitudes themselves are the amplitude axis.
+    The whole scan is one batch on one window and step schedule
+    (:func:`scan_schedule`). The mean, ``stderr`` and ``area_std`` stay
+    Monte Carlo moments over the seeded draws; ``interp_error`` estimates
+    the largest interpolation error of the per-draw signal. Without jitter
+    every amplitude takes one solve, and a scan with no more draws than
+    duration nodes solves its draws directly. The signal is detector-free:
+    a long-integration average count rate is proportional to this mean, and
+    the Monte Carlo detector chain exists separately for cross-checks.
+    Raises StepFailure before any stepping when the scan exceeds the batch
+    work budget, and ValueError when ``rep_period`` is shorter than the
+    pulse window.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if n_samples < 1:
@@ -156,9 +161,11 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
 
     # The schedule takes at least BATCH_PIECES steps, which bounds the work
     # before any draw. The second check bounds a solve of every draw. The
-    # surrogate solves fewer durations, except when its tail check still
-    # fails once its node count nears half the draws: the scan then solves
-    # its draws on top of its nodes, under twice the checked work.
+    # surrogate solves fewer points, except when a tail check still fails
+    # once an axis's node count nears half its amplitudes or draws: it then
+    # solves its duration nodes at every amplitude, or its draws, on top of
+    # its nodes. Each adds at most the checked work, so the scan stays under
+    # three times it.
     check_batch_work(BATCH_PIECES * amplitudes.size * n_samples)
     durations = np.vstack([
         sample_durations(template.main_fwhm, jitter, seed, n_samples, point=i)
@@ -170,10 +177,9 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
         raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
                          f"{w1 - w0:.3g} s pulse window")
 
-    signal, peak, error = _duration_surrogate(
-        lambda t: solve_draws(emitter, template, amplitudes, t, plan,
-                              rep_period),
-        durations, amplitudes * GAUSSIAN_AREA_FACTOR)
+    signal, peak, error = _scan_surrogate(
+        lambda a, t: solve_draws(emitter, template, a, t, plan, rep_period),
+        amplitudes, durations)
     areas = amplitudes[:, None] * GAUSSIAN_AREA_FACTOR * durations
     mean, se, a_std = draw_moments(signal, areas)
     return PowerScan(amplitudes=amplitudes, signal=np.maximum(mean, 0.0),
@@ -215,7 +221,7 @@ def solve_draws(emitter: EmitterModel, template: PowerScanTemplate,
 
     One batch-kernel solve of the (amplitudes x durations) grid on the
     scan ``plan`` from :func:`scan_schedule`; ``durations`` has one row
-    per amplitude.
+    per amplitude, or is one row (1-D) that every amplitude shares.
     """
     (w0, w1), schedule = plan
     drive = draw_field(template, amps, durations).rabi
@@ -245,109 +251,158 @@ def draw_moments(signal: np.ndarray, areas: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Duration surrogate.
+# Scan surrogate.
 #
-# At fixed amplitude and step schedule, a draw's signal is an analytic
-# function of its duration, so the Chebyshev interpolant through solves at
-# n + 1 Chebyshev-Lobatto durations converges geometrically in n. One DCT-I
-# of the node values gives its Chebyshev coefficients, and Clenshaw's
-# recurrence evaluates the series stably at every draw (Trefethen,
-# Approximation Theory and Approximation Practice, SIAM 2013, ch. 3). Every
-# row of a scan takes the same degree, chosen up front from the scan's
-# largest pulse-area spread and doubled only when the Chebyshev coefficient
-# tail of some row has not decayed; Lobatto nodes nest, so a doubling solves
-# only the new nodes. The peak excitation is a maximum over the step grid,
-# with kinks in duration; it is interpolated the same way.
+# On one step schedule a draw's signal is an analytic function of |a| and of
+# its duration, so the tensor Chebyshev interpolant through solves at
+# (m + 1) x (n + 1) Chebyshev-Lobatto points in |a| and in the duration
+# converges geometrically in m and n (Trefethen, Approximation Theory and
+# Approximation Practice, SIAM 2013, ch. 3; Townsend & Trefethen, SIAM J.
+# Sci. Comput. 35, C495 (2013)). A DCT-I along each axis of the node values
+# gives its Chebyshev coefficients. The amplitude axis is evaluated first: one
+# Chebyshev-Vandermonde product gives each row's duration series, and
+# Clenshaw's recurrence evaluates that series stably at every draw. A row
+# whose |a| is a node takes the node's own series, so it reads its solves
+# exactly and a = 0 stays dark. When the amplitude nodes would not be fewer
+# than the amplitudes, the amplitudes themselves are the amplitude axis:
+# every row is a node. Each axis takes its degree up front from its largest
+# pulse-area spread and doubles only when its Chebyshev coefficient tail has
+# not decayed; Lobatto nodes nest, so a doubling solves only the new nodes.
+# The peak excitation is a maximum over the step grid, with kinks in both
+# variables; it is interpolated the same way.
 # ---------------------------------------------------------------------------
 
-#: The interpolant has converged when every Chebyshev coefficient in the
-#: last quarter of a row is at most this fraction of the row's largest value.
+#: An axis has converged when, along it, every Chebyshev coefficient in the
+#: last quarter of each node line is at most this fraction of the line's
+#: largest value.
 SURROGATE_TAIL = 1e-9
 
 
 def _surrogate_degree(area_spread: float) -> int:
-    """Starting degree (nodes - 1) for a scan whose widest row spans
-    ``area_spread`` rad of pulse area.
+    """Starting degree (nodes - 1) of an axis along which the scan's pulse
+    area spans at most ``area_spread`` rad.
 
     A signal oscillating in the pulse area spans ``area_spread / 2`` rad per
     unit of the node variable, so its Chebyshev coefficients decay past
     degree ~spread/2. On the c05 scans (4 ns pulses, T1 = 9.5 ns, 7 %
-    jitter, up to 12 pi, 200 or 2000 draws) the smallest even degree that
-    passes the tail check is at most 1.25 spread + 14; the rule adds a
-    margin of two, so that no doubling is needed there.
+    jitter, up to 12 pi, 200 or 2000 draws, with and without pedestal) the
+    smallest even degree that passes the tail check is 60-62 on the
+    amplitude axis (spreads of 48-50 rad, rule 77-80) and 36-40 on the
+    duration axis (21-25 rad, rule 43-47): at most 1.25 spread + 14 on
+    either axis. The rule adds a margin of two, so that no doubling is
+    needed there.
     """
     return math.ceil(1.25 * area_spread + 16.0)
 
 
-def _lobatto_nodes(lo, hi, k, n):
-    """Durations at the Chebyshev-Lobatto points ``cos(pi k / n)`` of each
-    row's [lo, hi], largest first; the end nodes are the end draws."""
-    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * np.cos(
-        np.pi * k / n)
-    nodes[:, k == 0] = hi[:, None]
-    nodes[:, k == n] = lo[:, None]
+def _lobatto_nodes(lo: float, hi: float, n: int, odd: bool = False):
+    """The Chebyshev-Lobatto points ``cos(pi k / n)`` of [lo, hi], largest
+    first, at every k or only at the odd k that a doubling to ``n`` adds;
+    the end nodes are ``hi`` and ``lo`` exactly."""
+    k = np.arange(1, n, 2) if odd else np.arange(n + 1)
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * k / n)
+    nodes[k == 0] = hi
+    nodes[k == n] = lo
     return nodes
 
 
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of each row's interpolant through ``values``
-    at the Lobatto points ``cos(pi k / n)``: a DCT-I, end terms halved."""
-    n = values.shape[1] - 1
-    coef = dct(values, type=1, axis=1) / n
-    coef[:, [0, n]] *= 0.5
+    """Chebyshev coefficients of the interpolants through ``values`` at the
+    Lobatto points ``cos(pi k / n)`` of the last axis: a DCT-I, end terms
+    halved."""
+    n = values.shape[-1] - 1
+    coef = dct(values, type=1, axis=-1) / n
+    coef[..., [0, n]] *= 0.5
     return coef
 
 
-def _duration_surrogate(solve, durations: np.ndarray, area_rate: np.ndarray):
+def _tail(coef: np.ndarray) -> np.ndarray:
+    """Largest coefficient in the last quarter of each Chebyshev series."""
+    n = coef.shape[-1] - 1
+    return np.max(np.abs(coef[..., (3 * n) // 4:]), axis=-1)
+
+
+def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray):
     """Signal, peak excitation and interpolation error at every draw.
 
-    ``solve(t)`` returns (signal, peak) for a (rows x k) array of durations;
-    ``area_rate`` is each row's pulse area per unit duration. Returns the
+    ``solve(a, t)`` returns (signal, peak) of amplitudes ``a`` at durations
+    ``t``, which has one row per amplitude or is one row for all; row i
+    of ``durations`` holds the draws at ``amps[i]``. Returns the
     (rows x samples) signal and peak at ``durations`` and, per row, the
     estimated largest error of the interpolated signal: twice the
-    coefficient tail plus the rounding floor of the series evaluation.
-    Rows share their node count. A scan whose draws have no spread (no
-    jitter, or one draw) takes one solve per row; a scan that needs as many
-    nodes as it has draws solves its draws directly. Both report zero
-    error.
+    coefficient tail of each axis the row interpolates plus the rounding
+    floor of the series evaluation. The duration nodes span the scan's
+    [min, max] draw. A scan whose draws have no spread (no jitter) takes one
+    solve per row; a scan that needs as many duration nodes as it has draws
+    solves its draws directly. Both report zero error.
     """
     rows, n_samples = durations.shape
-    lo, hi = np.min(durations, axis=1), np.max(durations, axis=1)
-    no_error = np.zeros(rows)
-    if np.all(lo == hi):
-        signal, peak = solve(durations[:, :1])
+    lo, hi = float(np.min(durations)), float(np.max(durations))
+    if lo == hi:
+        signal, peak = solve(amps, durations[:, :1])
         return (np.broadcast_to(signal, durations.shape),
-                np.broadcast_to(peak, durations.shape), no_error)
-    n = _surrogate_degree(float(np.max(np.abs(area_rate) * (hi - lo))))
+                np.broadcast_to(peak, durations.shape), np.zeros(rows))
+    mag = np.abs(amps)
+    a_lo, a_hi = float(np.min(mag)), float(np.max(mag))
+    n = _surrogate_degree(a_hi * GAUSSIAN_AREA_FACTOR * (hi - lo))
+    m = _surrogate_degree((a_hi - a_lo) * GAUSSIAN_AREA_FACTOR * hi)
     if n + 1 >= n_samples:
-        return (*solve(durations), no_error)
-    signal, peak = solve(_lobatto_nodes(lo, hi, np.arange(n + 1), n))
+        return (*solve(amps, durations), np.zeros(rows))
+
+    # vals[0] and vals[1]: signal and peak at (axis x duration) nodes. The
+    # amplitude axis is Chebyshev nodes, or else the amplitudes themselves.
+    on_nodes = m + 1 < rows
+    axis = _lobatto_nodes(a_lo, a_hi, m) if on_nodes else mag
+    vals = np.stack(solve(axis, _lobatto_nodes(lo, hi, n)))
     while True:
-        coef = _chebyshev_coefficients(signal)
-        scale = np.max(np.abs(signal), axis=1)
-        tail = np.max(np.abs(coef[:, (3 * n) // 4:]), axis=1)
-        if np.all(tail <= SURROGATE_TAIL * scale):
+        signal = vals[0]
+        if on_nodes and np.any(
+                _tail(_chebyshev_coefficients(signal.T))
+                > SURROGATE_TAIL * np.max(np.abs(signal), axis=0)):
+            if 2 * m + 1 >= rows:
+                on_nodes, axis = False, mag
+                vals = np.stack(solve(axis, _lobatto_nodes(lo, hi, n)))
+                continue
+            new = solve(_lobatto_nodes(a_lo, a_hi, 2 * m, odd=True),
+                        _lobatto_nodes(lo, hi, n))
+            vals = np.insert(vals, np.arange(1, m + 1), new, axis=1)
+            m *= 2
+            axis = _lobatto_nodes(a_lo, a_hi, m)
+        elif np.any(_tail(_chebyshev_coefficients(signal))
+                    > SURROGATE_TAIL * np.max(np.abs(signal), axis=1)):
+            if 2 * n + 1 >= n_samples:
+                return (*solve(amps, durations), np.zeros(rows))
+            new = solve(axis, _lobatto_nodes(lo, hi, 2 * n, odd=True))
+            vals = np.insert(vals, np.arange(1, n + 1), new, axis=2)
+            n *= 2
+        else:
             break
-        if 2 * n + 1 >= n_samples:
-            return (*solve(durations), no_error)
-        f_signal, f_peak = solve(
-            _lobatto_nodes(lo, hi, np.arange(1, 2 * n, 2), 2 * n))
-        signal, peak = _interleave(signal, f_signal), _interleave(peak, f_peak)
-        n *= 2
-    error = 2.0 * tail + (n + 1) * np.finfo(float).eps * scale
-    # Each row's [lo, hi] maps onto [-1, 1], clipped against roundoff on
-    # spans of a few ulps; a row without spread sits at 0.
-    span = np.where(hi > lo, hi - lo, 1.0)[:, None]
-    x = np.clip((2.0 * durations - (lo + hi)[:, None]) / span, -1.0, 1.0)
-    return (chebval(x, coef.T[..., None], tensor=False),
-            chebval(x, _chebyshev_coefficients(peak).T[..., None], tensor=False),
-            error)
 
+    # Each row's duration series: its node's own, else read off the
+    # amplitude axis's Chebyshev series of the node series.
+    coef = _chebyshev_coefficients(vals)
+    if on_nodes:
+        hit = mag[:, None] == axis
+        node = np.where(np.any(hit, axis=1), np.argmax(hit, axis=1), -1)
+    else:
+        node = np.arange(rows)
+    off = node < 0
+    series = coef[:, node]
+    if np.any(off):
+        x = (2.0 * mag[off] - (a_lo + a_hi)) / (a_hi - a_lo)
+        series[:, off] = chebvander(x, m) @ np.swapaxes(
+            _chebyshev_coefficients(np.swapaxes(coef, 1, 2)), 1, 2)
 
-def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    out = np.empty((even.shape[0], even.shape[1] + odd.shape[1]))
-    out[:, ::2], out[:, 1::2] = even, odd
-    return out
+    eps = np.finfo(float).eps
+    scale = np.max(np.abs(vals[0]), axis=1)
+    error = 2.0 * _tail(series[0]) + (n + 1) * eps * np.where(
+        off, np.max(scale), scale[node])
+    if np.any(off):
+        error[off] += (2.0 * np.max(_tail(_chebyshev_coefficients(vals[0].T)))
+                       + (m + 1) * eps * np.max(scale))
+    x = np.clip((2.0 * durations - (lo + hi)) / (hi - lo), -1.0, 1.0)
+    signal, peak = (chebval(x, s.T[..., None], tensor=False) for s in series)
+    return signal, peak, error
 
 
 @dataclass(frozen=True)

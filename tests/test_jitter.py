@@ -7,7 +7,7 @@ from rabisim import jitter
 from rabisim.bloch import BlochState, EmitterModel, batch_schedule, integrate
 from rabisim.errors import FitDiverged
 from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
-                            _duration_surrogate, averaged_power_scan,
+                            _scan_surrogate, averaged_power_scan,
                             draw_moments, fit_power_scan, power_scan_model,
                             sample_durations, scan_schedule, solve_draws)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, RectangularEnvelope,
@@ -61,19 +61,39 @@ TPL = PowerScanTemplate(main_fwhm=4e-9)
 
 
 def _scan(amps, model, n_samples, seed):
-    """A scan's draws and a direct per-draw solver on its own schedule."""
+    """A scan's draws and a solver ``solve(a, t)`` on its own schedule."""
     durations = np.vstack([
         sample_durations(TPL.main_fwhm, model, seed, n_samples, point=i)
         for i in range(amps.size)])
     plan = scan_schedule(EM, TPL, amps, durations)
-    return durations, lambda t: solve_draws(EM, TPL, amps, t, plan, 1.4e-6)
+    return durations, lambda a, t: solve_draws(EM, TPL, a, t, plan, 1.4e-6)
+
+
+def _node_counts(amps, durations):
+    """The surrogate's starting (amplitude, duration) node counts."""
+    mag = np.abs(amps)
+    return tuple(jitter._surrogate_degree(float(spread)) + 1 for spread in (
+        np.ptp(mag) * GAUSSIAN_AREA_FACTOR * np.max(durations),
+        np.max(mag) * GAUSSIAN_AREA_FACTOR * np.ptp(durations)))
 
 
 def _uses_surrogate(amps, durations):
     """True when the scan interpolates its draws instead of solving them."""
-    spread = np.max(np.abs(amps) * GAUSSIAN_AREA_FACTOR
-                    * np.ptp(durations, axis=1))
-    return jitter._surrogate_degree(float(spread)) + 1 < durations.shape[1]
+    return _node_counts(amps, durations)[1] < durations.shape[1]
+
+
+def _uses_amplitude_nodes(amps, durations):
+    """True when the amplitude axis is Chebyshev nodes, not the amplitudes."""
+    return (_uses_surrogate(amps, durations)
+            and _node_counts(amps, durations)[0] < len(amps))
+
+
+UNIT = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
+
+#: Scans wide enough to interpolate the amplitude axis: (amplitudes, draws,
+#: seed).
+WIDE = (np.linspace(0.5, 12.0, 120) * math.pi * UNIT, 60, 2)
+DARK_TO_12PI = (np.linspace(0.0, 12.0, 121) * math.pi * UNIT, 200, 1)
 
 
 def test_surrogate_matches_direct_solves():
@@ -82,9 +102,8 @@ def test_surrogate_matches_direct_solves():
     amps = np.linspace(10.0, 12.0, 20) * math.pi * unit
     durations, solve = _scan(amps, JitterModel(0.07), 200, seed=3)
     areas = amps[:, None] * GAUSSIAN_AREA_FACTOR * durations
-    direct, _ = solve(durations)
-    signal, peak, error = _duration_surrogate(
-        solve, durations, amps * GAUSSIAN_AREA_FACTOR)
+    direct, _ = solve(amps, durations)
+    signal, peak, error = _scan_surrogate(solve, amps, durations)
     assert signal.shape == peak.shape == durations.shape
     assert np.all(error > 0)
     want, got = draw_moments(direct, areas), draw_moments(signal, areas)
@@ -94,53 +113,85 @@ def test_surrogate_matches_direct_solves():
 
 
 def test_surrogate_doubles_on_nested_nodes_and_falls_back_to_draws(monkeypatch):
-    unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
-    amps = np.linspace(5.0, 6.0, 3) * math.pi * unit
+    amps = np.linspace(5.0, 6.0, 3) * math.pi * UNIT
     durations, solve = _scan(amps, JitterModel(0.07), 100, seed=4)
-    widths = []
+    calls = []
 
-    def counted(t):
-        widths.append(t.shape[1])
-        return solve(t)
+    def counted(solve):
+        def solve_and_count(a, t):
+            calls.append((len(a), t.shape[-1]))
+            return solve(a, t)
+        return solve_and_count
 
-    direct, _ = solve(durations)
+    direct, _ = solve(amps, durations)
     monkeypatch.setattr(jitter, "_surrogate_degree", lambda spread: 4)
-    signal, _, error = _duration_surrogate(counted, durations,
-                                           amps * GAUSSIAN_AREA_FACTOR)
-    # Each doubling solves only the new (odd) nodes of the finer grid.
-    assert widths[0] == 5 and len(widths) >= 3
-    assert widths[1:] == [4 * 2 ** k for k in range(len(widths) - 1)]
+    signal, _, error = _scan_surrogate(counted(solve), amps, durations)
+    # Five amplitude nodes are not fewer than three amplitudes, so the
+    # amplitudes are the axis. Each doubling solves only the new (odd)
+    # duration nodes of the finer grid.
+    assert calls[0] == (3, 5) and len(calls) >= 3
+    assert calls[1:] == [(3, 4 * 2 ** k) for k in range(len(calls) - 1)]
     assert np.max(np.abs(signal - direct)) <= np.min(error) < 1e-9
-    # A scan with no more draws than nodes is solved draw by draw.
+    # On 100 amplitudes each axis doubles on nested nodes: a call solves the
+    # new nodes of one axis at every node of the other.
+    wide = np.linspace(5.0, 6.0, 100) * math.pi * UNIT
+    wide_durations, wide_solve = _scan(wide, JitterModel(0.07), 100, seed=4)
+    calls.clear()
+    signal, _, error = _scan_surrogate(counted(wide_solve), wide,
+                                       wide_durations)
+    assert calls[0] == (5, 5)
+    m = n = 4
+    for rows, cols in calls[1:]:
+        if cols == n + 1:
+            assert rows == m
+            m *= 2
+        else:
+            assert (rows, cols) == (m + 1, n)
+            n *= 2
+    assert m > 4 and n > 4
+    direct_wide, _ = wide_solve(wide, wide_durations)
+    assert np.all(np.abs(signal - direct_wide) <= error[:, None])
+    # Amplitude nodes that would reach the amplitude count give way to the
+    # amplitudes: 21 nodes on 20 amplitudes.
+    amps20 = np.linspace(0.5, 6.0, 20) * math.pi * UNIT
+    durations20, solve20 = _scan(amps20, JitterModel(0.07), 100, seed=4)
+    monkeypatch.setattr(jitter, "_surrogate_degree", lambda spread: 10)
+    calls.clear()
+    signal, _, error = _scan_surrogate(counted(solve20), amps20, durations20)
+    assert calls[:2] == [(11, 11), (20, 11)]
+    assert np.all(np.abs(signal - solve20(amps20, durations20)[0])
+                  <= error[:, None])
+    # A scan with no more draws than duration nodes is solved draw by draw.
     monkeypatch.setattr(jitter, "_surrogate_degree", lambda spread: 99)
-    widths.clear()
-    signal, _, error = _duration_surrogate(counted, durations,
-                                           amps * GAUSSIAN_AREA_FACTOR)
-    assert widths == [100]
+    calls.clear()
+    signal, _, error = _scan_surrogate(counted(solve), amps, durations)
+    assert calls == [(3, 100)]
     assert np.array_equal(signal, direct) and np.all(error == 0.0)
 
 
 def test_interp_error_bounds_the_actual_error():
-    # The whole scan against one direct solve of all its draws.
-    unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
-    amps = np.linspace(0.5, 6.0, 12) * math.pi * unit
+    # Whole scans against one direct solve of all their draws: twelve
+    # amplitudes are their own axis, 120 take Chebyshev amplitude nodes.
     model = JitterModel(0.07)
-    scan = averaged_power_scan(EM, TPL, amps, model, n_samples=60, seed=2)
-    assert np.all(scan.interp_error > 0)
-    durations, solve = _scan(amps, model, 60, seed=2)
-    assert _uses_surrogate(amps, durations)
-    direct, _ = solve(durations)
-    signal, _, error = _duration_surrogate(
-        solve, durations, amps * GAUSSIAN_AREA_FACTOR)
-    assert np.array_equal(error, scan.interp_error)
-    assert np.all(np.abs(signal - direct) <= error[:, None])
-    assert np.all(np.abs(scan.signal - np.mean(direct, axis=1)) <= error)
+    narrow = (np.linspace(0.5, 6.0, 12) * math.pi * UNIT, 60, 2)
+    for (amps, n_samples, seed), nodes in ((narrow, False), (WIDE, True)):
+        scan = averaged_power_scan(EM, TPL, amps, model, n_samples, seed=seed)
+        assert np.all(scan.interp_error > 0)
+        durations, solve = _scan(amps, model, n_samples, seed=seed)
+        assert _uses_surrogate(amps, durations)
+        assert _uses_amplitude_nodes(amps, durations) == nodes
+        direct, _ = solve(amps, durations)
+        signal, _, error = _scan_surrogate(solve, amps, durations)
+        assert np.array_equal(error, scan.interp_error)
+        assert np.all(np.abs(signal - direct) <= error[:, None])
+        assert np.all(np.abs(scan.signal - np.mean(direct, axis=1)) <= error)
+    amps = narrow[0]
     still = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=60,
                                 seed=2)
     assert np.all(still.interp_error == 0.0)
 
 
-def test_negative_amplitudes_mirror_positive():
+def test_negative_amplitudes_mirror_positive(monkeypatch):
     # The sign of the drive does not change the populations, so a scan over
     # negative amplitudes must size its nodes from the area spread's
     # magnitude and reproduce its positive mirror (2000 and 1300 MHz).
@@ -154,6 +205,21 @@ def test_negative_amplitudes_mirror_positive():
         assert np.all(np.abs(neg.signal - pos.signal) <= bound)
         assert np.all(np.abs(neg.stderr - pos.stderr) <= bound)
         assert np.array_equal(neg.area_std, pos.area_std)
+    # A wide scan on Chebyshev amplitude nodes and its mirror, which draws
+    # each amplitude's durations from its positive twin's stream.
+    amps, n_samples, seed = DARK_TO_12PI
+    pos = averaged_power_scan(EM, TPL, amps, model, n_samples, seed=seed)
+    draw = jitter.sample_durations
+    monkeypatch.setattr(
+        jitter, "sample_durations",
+        lambda *args, point: draw(*args, point=amps.size - 1 - point))
+    neg = averaged_power_scan(EM, TPL, -amps[::-1], model, n_samples,
+                              seed=seed)
+    bound = pos.interp_error + neg.interp_error[::-1]
+    assert np.all(np.abs(neg.signal[::-1] - pos.signal) <= bound)
+    assert np.all(np.abs(neg.stderr[::-1] - pos.stderr) <= bound)
+    assert np.array_equal(neg.area_std[::-1], pos.area_std)
+    assert neg.signal[-1] == 0.0 == neg.peak_excitation[-1]
 
 
 def test_surrogate_rows_without_spread():
@@ -171,9 +237,8 @@ def test_surrogate_rows_without_spread():
             assert np.all(spread <= 32 * np.spacing(TPL.main_fwhm))
             if sigma == 3e-17:
                 assert spread[0] == 0.0 < spread[1]
-            direct, _ = solve(durations)
-            signal, _, error = _duration_surrogate(solve, durations,
-                                                   amps * GAUSSIAN_AREA_FACTOR)
+            direct, _ = solve(amps, durations)
+            signal, _, error = _scan_surrogate(solve, amps, durations)
             assert np.all(np.abs(signal - direct) <= error[:, None])
 
 
@@ -188,6 +253,12 @@ def test_zero_amplitude_row_is_dark():
     dark = averaged_power_scan(EM, TPL, [0.0], JitterModel(0.07), n_samples=30,
                                seed=1)
     assert dark.signal[0] == 0.0 == dark.peak_excitation[0]
+    # A wide scan interpolates the amplitude axis; its a = 0 row is a node
+    # and reads that node's solves exactly.
+    amps, n_samples, seed = DARK_TO_12PI
+    wide = averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples,
+                               seed=seed)
+    assert wide.signal[0] == 0.0 == wide.peak_excitation[0]
 
 
 def test_pedestal_must_be_gaussian_or_rectangular():
@@ -209,7 +280,7 @@ def test_no_jitter_scan_is_one_direct_solve():
 
 
 def test_scan_is_one_batch(monkeypatch):
-    calls = {"scan_schedule": 0, "_duration_surrogate": 0}
+    calls = {"scan_schedule": 0, "_scan_surrogate": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(jitter, name)):
             calls[_name] += 1
@@ -217,7 +288,22 @@ def test_scan_is_one_batch(monkeypatch):
         monkeypatch.setattr(jitter, name, counted)
     amps = np.linspace(2e8, 2e9, 30)
     averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples=80, seed=1)
-    assert calls == {"scan_schedule": 1, "_duration_surrogate": 1}
+    assert calls == {"scan_schedule": 1, "_scan_surrogate": 1}
+    # A bench-shaped scan solves its tensor grid of (amplitude x duration)
+    # nodes once: fewer points than 240 amplitudes x 40 duration nodes.
+    points = []
+
+    def solve(em, tpl, a, t, plan, rep_period):
+        points.append(len(a) * t.shape[-1])
+        return solve_draws(em, tpl, a, t, plan, rep_period)
+
+    monkeypatch.setattr(jitter, "solve_draws", solve)
+    a_max = 12.0 * math.pi * UNIT
+    amps = np.linspace(a_max / 240, a_max, 240)
+    averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples=200, seed=1)
+    durations, _ = _scan(amps, JitterModel(0.07), 200, seed=1)
+    m, n = _node_counts(amps, durations)
+    assert points == [m * n] and m * n < 9600
 
 
 PEDESTAL_TPL = PowerScanTemplate(
@@ -371,14 +457,17 @@ def test_peak_excitation_accuracy():
     below = np.array([_dop853_peak(a, 4e-9) for a in amps]) - scan.peak_excitation
     assert np.all(below <= 1e-3) and np.all(below >= -1e-6), below
     # With jitter the surrogate reads it within 1e-4 of the mean over one
-    # direct solve of all the scan's draws (3.2e-5 here).
+    # direct solve of all the scan's draws (4.0e-5 on twelve amplitudes,
+    # their own axis, and 2.2e-5 on 120, which take amplitude nodes).
     model = JitterModel(0.07)
-    amps = np.linspace(0.5, 6.0, 12) * math.pi * unit
-    scan = averaged_power_scan(EM, TPL, amps, model, n_samples=60, seed=2)
-    durations, solve = _scan(amps, model, 60, seed=2)
-    assert _uses_surrogate(amps, durations)
-    _, direct = solve(durations)
-    assert np.all(np.abs(scan.peak_excitation - np.mean(direct, axis=1)) <= 1e-4)
+    narrow = (np.linspace(0.5, 6.0, 12) * math.pi * unit, 60, 2)
+    for (amps, n_samples, seed), nodes in ((narrow, False), (WIDE, True)):
+        scan = averaged_power_scan(EM, TPL, amps, model, n_samples, seed=seed)
+        durations, solve = _scan(amps, model, n_samples, seed=seed)
+        assert _uses_amplitude_nodes(amps, durations) == nodes
+        _, direct = solve(amps, durations)
+        assert np.all(np.abs(scan.peak_excitation - np.mean(direct, axis=1))
+                      <= 1e-4)
 
 
 def test_scan_refuses_period_shorter_than_window():
