@@ -17,14 +17,17 @@ non-increasing. The engine keeps each node's Gram matrix C_m^H C_m as four
 reals, so that ``|C_m w|^2 = gram[m] . quad(w)``: a trajectory's state is
 the four reals ``quad(w)`` of its segment, and a survival value costs one
 4-vector dot product. Populations and dephasing restarts are read off the
-same four reals. The batch runs in two phases, each a loop of waves on
-compacted arrays from which finished rows drop. The grid phase covers the
-drive window: in the first wave every trajectory holds the same initial
+same four reals. The batch runs in two phases. The grid phase covers the
+drive window as a loop of waves on compacted arrays from which finished
+rows drop: in the first wave every trajectory holds the same initial
 state, so the whole batch shares one survival curve and all first jumps
 are placed by one ``searchsorted``; later segments are located by
 vectorized binary search on the Gram table. A trajectory that outlives the
-grid hands its two populations to the tail phase, where the evolution is
-drive-free, changes populations only, and is solved in closed form. All
+grid hands its two populations to the drive-free tail phase, which places
+its at most one remaining emission in closed form in one pass: there the
+dephasing jump operator is proportional to sigma_z, which keeps the
+populations and scales every state's no-jump norm by the same factor, so
+dephasing changes neither when nor whether that emission happens. All
 randomness comes from counter-based streams keyed by (pulse index, draw
 index), which makes results independent of chunking and evaluation order.
 """
@@ -325,10 +328,10 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
     node = np.zeros(pid.size, dtype=np.int64)
     w0 = engine.to_grid_coords(node[:1], psi0[None, :])
     q = np.tile(_quad(w0), (pid.size, 1))
-    # Rows leaving the grid: (pulse, draws, r, (|psi_g|^2, |psi_e|^2)).
+    # Rows leaving the grid: (pulse, r, (|psi_g|^2, |psi_e|^2)).
     handoff = []
     if n_last == 0:  # no drive: every row starts in the tail
-        handoff.append((pid, draws, r, q @ engine.end_populations))
+        handoff.append((pid, r, q @ engine.end_populations))
         pid = pid[:0]
     out_pulse: list[np.ndarray] = []
     out_time: list[np.ndarray] = []
@@ -344,8 +347,8 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
             to_tail = curve[n_last] > r
         else:
             to_tail = q @ engine.gram[n_last] > r
-        out_pid, out_draws, out_r, out_q = _rows(to_tail, pid, draws, r, q)
-        handoff.append((out_pid, out_draws, out_r, out_q @ engine.end_populations))
+        out_pid, out_r, out_q = _rows(to_tail, pid, r, q)
+        handoff.append((out_pid, out_r, out_q @ engine.end_populations))
         pid, draws, r, node, q = _rows(~to_tail, pid, draws, r, node, q)
         if wave == 0:
             m = np.searchsorted(-curve, -r)
@@ -388,37 +391,13 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
     else:
         raise StepFailure("jump simulation exceeded the wave limit on the drive grid")
 
-    # Tail phase: no drive, so the evolution changes the populations alone
-    # and each row carries (|psi_g|^2, |psi_e|^2) and its segment start t.
-    pid, draws, r, pops = (np.concatenate(a) for a in zip(*handoff))
-    cg2, ce2 = pops[:, 0], pops[:, 1]
-    t = np.full(pid.size, engine.times[-1])
-    for _ in range(_WAVE_LIMIT):
-        if pid.size == 0:
-            break
-        tau = _tail_jump_time(cg2, ce2, r, gamma1, gphi)
-        pid, draws, cg2, ce2, tau, t = _rows(t + tau <= engine.t_limit,
-                                            pid, draws, cg2, ce2, tau, t)
-        t_jump = t + tau
-        if gphi == 0.0:
-            # Every jump is an emission, into the ground state: no more photons.
-            out_pulse.append(pid)
-            out_time.append(t_jump)
-            break
-        e_g = cg2 * np.exp(-0.5 * gphi * tau)
-        e_e = ce2 * np.exp(-(gamma1 + 0.5 * gphi) * tau)
-        w_emit = gamma1 * e_e
-        draws = draws + 1
-        emit = uniform(pid, draws) * (w_emit + 0.5 * gphi * (e_g + e_e)) < w_emit
-        out_pid, out_t = _rows(emit, pid, t_jump)
-        out_pulse.append(out_pid)
-        out_time.append(out_t)
-        # A dephasing jump flips the sign of psi_e: populations are kept.
-        pid, draws, t, e_g, e_e = _rows(~emit, pid, draws + 1, t_jump, e_g, e_e)
-        cg2, ce2 = e_g / (e_g + e_e), e_e / (e_g + e_e)
-        r = uniform(pid, draws)
-    else:
-        raise StepFailure("jump simulation exceeded the wave limit in the drive-free tail")
+    # Tail phase: no drive, so dephasing (sigma_z) leaves the emission alone
+    # and a row's grid-end populations and threshold place it in closed form.
+    pid, r, pops = (np.concatenate(a) for a in zip(*handoff))
+    t_jump = engine.times[-1] + _tail_jump_time(pops[:, 0], pops[:, 1], r, gamma1)
+    out_pid, out_t = _rows(t_jump <= engine.t_limit, pid, t_jump)
+    out_pulse.append(out_pid)
+    out_time.append(out_t)
 
     pulses, times = np.concatenate(out_pulse), np.concatenate(out_time)
     # Each wave appends a pulse's emissions later than its earlier ones, and
@@ -428,36 +407,16 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
     return pulses[order], times[order]
 
 
-def _tail_jump_time(cg2, ce2, r, gamma1: float, gphi: float) -> np.ndarray:
-    """Solve |cg|^2 e^{-g_phi tau/2} + |ce|^2 e^{-(Gamma1+g_phi/2) tau} = r.
+def _tail_jump_time(cg2, ce2, r, gamma1: float) -> np.ndarray:
+    """Solve |cg|^2 + |ce|^2 e^{-Gamma1 tau} = r for the drive-free delay tau.
 
-    Without dephasing the root is closed-form, and infinite where the norm
-    never falls to r (r <= |cg|^2).
+    The root is infinite where the norm never falls to r (r <= |cg|^2).
     """
-    if gphi == 0.0:
-        tau = np.full(r.shape, np.inf)
-        can = r > cg2 * (1.0 + 1e-15)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau[can] = np.log(ce2[can] / (r[can] - cg2[can])) / gamma1
-        return np.maximum(tau, 0.0)
-    n0 = cg2 + ce2
-    lam_slow = 0.5 * gphi
-    lam_fast = gamma1 + 0.5 * gphi
-    # Bisection on a strictly decreasing function, upper bound from the slow
-    # eigenvalue alone. Once a row's midpoint rounds onto its bracket, more
-    # steps keep that midpoint, so stopping when every row's has makes no
-    # root depend on its batch.
-    hi = np.log(np.maximum(n0 / r, 1.0)) / lam_slow + 1.0 / lam_slow
-    lo = np.zeros_like(r)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        val = cg2 * np.exp(-lam_slow * mid) + ce2 * np.exp(-lam_fast * mid)
-        high = val > r
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    return 0.5 * (lo + hi)
+    tau = np.full(r.shape, np.inf)
+    can = r > cg2 * (1.0 + 1e-15)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau[can] = np.log(ce2[can] / (r[can] - cg2[can])) / gamma1
+    return np.maximum(tau, 0.0)
 
 
 def simulate_photon_stream(emitter: EmitterModel, field: DriveField, t_span,

@@ -478,11 +478,9 @@ def fit_power_scan(scan: PowerScan, max_iter: int = 200) -> PowerScanFit:
     m0_init = 2.0 * math.sqrt(2.0) * float(np.std(detrended))
 
     weights = np.where(scan.stderr > 0, scan.stderr, 1.0)
-    uniform_w = float(np.median(weights))
 
     def residual_fn(params):
-        return (power_scan_model(params, a) - s) / (
-            weights if np.any(scan.stderr > 0) else uniform_w)
+        return (power_scan_model(params, a) - s) / weights
 
     best = None
     for p_try in (p0 * 0.8, p0, p0 * 1.25):

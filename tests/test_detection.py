@@ -261,32 +261,42 @@ def test_stream_requires_pure_initial_state():
 
 
 def test_dephasing_tail_preserves_exponential_emission():
-    # Dephasing jumps flip the coherence only; drive-free emission times
-    # stay exponential and each excited trajectory emits exactly once.
-    em = EmitterModel(gamma1=1.0 / T1, gamma2=2.5 / T1)
-    engine = _JumpEngine(em, ZERO_FIELD, 0.0, 3e-6)
+    # With no drive the dephasing jump operator is prop. to sigma_z: it keeps
+    # the populations and scales every no-jump norm alike, so each excited
+    # trajectory emits once, at the same Exp(T1) time whatever gamma_phi is.
     ids = np.arange(30_000, dtype=np.int64)
-    pulses, times = _emission_times_batch(engine, 23, ids, BlochState(1.0))
-    assert pulses.size == ids.size
+    runs = []
+    for gamma2 in (0.5 / T1, 1.2 / T1, 2.5 / T1, 20.0 / T1):
+        engine = _JumpEngine(EmitterModel(gamma1=1.0 / T1, gamma2=gamma2),
+                             ZERO_FIELD, 0.0, 3e-6)
+        runs.append(_emission_times_batch(engine, 23, ids, BlochState(1.0)))
+    pulses, times = runs[0]
+    assert np.array_equal(pulses, ids)
+    for other_pulses, other_times in runs[1:]:
+        assert np.array_equal(other_pulses, pulses)
+        assert other_times.tobytes() == times.tobytes()
     assert stats.kstest(times, "expon", args=(0.0, T1)).pvalue > 0.01
 
 
 def test_jump_engine_with_pure_dephasing_matches_master_equation():
     # Extra dephasing channel: jump-averaged population still follows the
-    # master equation.
+    # master equation. The drive fills the first window; in the second it
+    # lasts 2 T1 of 20 T1, so about a third of the emissions come from the
+    # drive-free tail.
     em = EmitterModel(gamma1=1.0 / T1, gamma2=1.2 / T1, detuning=0.0)
     omega = 3.0 * em.gamma1
-    duration = 20 * T1
-    fld = DriveField.single(RectangularEnvelope(peak=omega, duration=duration,
-                                                center=0.5 * duration))
-    engine = _JumpEngine(em, fld, 0.0, duration)
-    ids = np.arange(6000, dtype=np.int64)
-    pulses, times = _emission_times_batch(engine, 77, ids)
-    counts = np.bincount(pulses, minlength=ids.size)
-    traj = integrate(em, fld, BlochState(0.0), (0.0, duration), T1 / 50)
-    expected = em.gamma1 * np.trapezoid(traj.rho_ee, traj.times)
-    sigma = np.std(counts) / math.sqrt(ids.size)
-    assert abs(np.mean(counts) - expected) < 4.0 * sigma + 0.03 * expected
+    window = 20 * T1
+    for duration in (window, 2 * T1):
+        fld = DriveField.single(RectangularEnvelope(
+            peak=omega, duration=duration, center=0.5 * duration))
+        engine = _JumpEngine(em, fld, 0.0, window)
+        ids = np.arange(6000, dtype=np.int64)
+        pulses, times = _emission_times_batch(engine, 77, ids)
+        counts = np.bincount(pulses, minlength=ids.size)
+        traj = integrate(em, fld, BlochState(0.0), (0.0, window), T1 / 50)
+        expected = em.gamma1 * np.trapezoid(traj.rho_ee, traj.times)
+        sigma = np.std(counts) / math.sqrt(ids.size)
+        assert abs(np.mean(counts) - expected) < 4.0 * sigma + 0.03 * expected
 
 
 def cumulative_reference(emitter, field, times):
@@ -358,7 +368,7 @@ def test_tail_jump_time_without_dephasing_is_the_closed_form():
     old = np.full(r.size, np.inf)
     old[~never] = np.log(ce2[~never] / (r[~never] - cg2[~never])) / EM.gamma1
     old = np.maximum(old, 0.0)
-    tau = _tail_jump_time(cg2, ce2, r, EM.gamma1, 0.0)
+    tau = _tail_jump_time(cg2, ce2, r, EM.gamma1)
     assert np.array_equal(tau, old)
     assert np.all(np.isinf(tau[never]))
     norm = cg2[~never] + ce2[~never] * np.exp(-EM.gamma1 * tau[~never])
@@ -438,27 +448,13 @@ def reference_emissions(engine, seed, pulse_ids, initial):
             node, w = hi, grid_coords(hi, psi)
             draw += 1
             r = uniform()
-        while True:
-            cg2, ce2 = np.abs(amp[0]) ** 2, np.abs(amp[1]) ** 2
-            tau = _tail_jump_time(np.array([cg2]), np.array([ce2]),
-                                  np.array([r]), gamma1, gphi)[0]
-            if tail_t + tau > engine.t_limit:
-                break
-            e_g = cg2 * np.exp(-0.5 * gphi * tau)
-            e_e = ce2 * np.exp(-(gamma1 + 0.5 * gphi) * tau)
-            w_emit, w_deph = gamma1 * e_e, 0.5 * gphi * (e_g + e_e)
-            draw += 1
-            if uniform() * (w_emit + w_deph) < w_emit:
-                out_pulse.append(pid)
-                out_time.append(tail_t + tau)
-                break
-            decay = np.exp(-0.25 * gphi * tau)
-            amp = np.array([amp[0] * decay, -amp[1] * decay * np.exp(
-                (-1j * engine.emitter.detuning - 0.5 * gamma1) * tau)])
-            amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
-            tail_t += tau
-            draw += 1
-            r = uniform()
+        # Drive-free tail: the one remaining emission, in closed form.
+        cg2, ce2 = np.abs(amp[0]) ** 2, np.abs(amp[1]) ** 2
+        tau = _tail_jump_time(np.array([cg2]), np.array([ce2]),
+                              np.array([r]), gamma1)[0]
+        if tail_t + tau <= engine.t_limit:
+            out_pulse.append(pid)
+            out_time.append(tail_t + tau)
     return np.array(out_pulse, dtype=np.int64), np.array(out_time)
 
 
@@ -482,9 +478,7 @@ RECT_PLUS_GAUSS = DriveField([
 def test_gram_search_matches_per_row_bisection(gamma2, detuning, initial, field):
     # The shared first-wave curve and the Gram-table bisection evaluate
     # |C_m w|^2 in another order than the per-row reference, so grid jump
-    # times may move by roundoff; nodes, and hence pulse ids, must not. The
-    # batch's tail carries populations only, the reference the complex
-    # amplitudes with their e^{-i Delta tau} phase.
+    # times may move by roundoff; nodes, and hence pulse ids, must not.
     emitter = EmitterModel(gamma1=1.0 / T1, gamma2=gamma2, detuning=detuning)
     engine = _JumpEngine(emitter, field, 0.0, 80e-9)
     ids = np.arange(1000, 1250, dtype=np.int64)
@@ -503,8 +497,8 @@ def test_gram_search_matches_per_row_bisection(gamma2, detuning, initial, field)
 
 
 def test_dephased_emission_times_do_not_depend_on_the_batch():
-    # With pure dephasing the tail jump times come from a bisection; a row
-    # must stop on its own bracket, not on the widest one of its batch.
+    # With pure dephasing a row's grid jumps and its closed-form tail jump
+    # depend on its own draws alone, not on the other rows of its batch.
     emitter = EmitterModel(gamma1=1.0 / T1, gamma2=1.2 / T1)
     fld = DriveField.single(RectangularEnvelope(peak=3.0 * EM.gamma1,
                                                 duration=100e-9, center=50e-9))
@@ -552,23 +546,15 @@ def test_quad_forms_match_the_propagated_state():
                        rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("phase", ["grid", "tail"])
-def test_wave_limit_holds_in_both_phases(monkeypatch, phase):
-    if phase == "grid":
-        # The re-exciting rectangle below makes >= 5 grid jumps in some pulse.
-        emitter = EmitterModel(gamma1=1.0 / T1, gamma2=1.4 / T1)
-        fld = DriveField.single(RectangularEnvelope(
-            peak=4.0 * EM.gamma1, duration=150e-9, center=75e-9))
-        initial = BlochState(0.0)
-    else:
-        # No drive: dephasing jumps precede each excited start's emission.
-        emitter = EmitterModel(gamma1=1.0 / T1, gamma2=20.0 / T1)
-        fld, initial = ZERO_FIELD, BlochState(1.0)
+def test_wave_limit_holds_on_the_drive_grid(monkeypatch):
+    # The re-exciting rectangle below makes >= 5 grid jumps in some pulse.
+    emitter = EmitterModel(gamma1=1.0 / T1, gamma2=1.4 / T1)
+    fld = DriveField.single(RectangularEnvelope(
+        peak=4.0 * EM.gamma1, duration=150e-9, center=75e-9))
     engine = _JumpEngine(emitter, fld, 0.0, 400e-9)
     monkeypatch.setattr(detection, "_WAVE_LIMIT", 3)
-    where = "on the drive grid" if phase == "grid" else "in the drive-free tail"
-    with pytest.raises(StepFailure, match=f"wave limit {where}"):
-        _emission_times_batch(engine, 9, np.arange(3000, dtype=np.int64), initial)
+    with pytest.raises(StepFailure, match="wave limit on the drive grid"):
+        _emission_times_batch(engine, 9, np.arange(3000, dtype=np.int64))
 
 
 def test_emission_output_is_pulse_major_and_time_ascending():
