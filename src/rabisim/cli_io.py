@@ -705,6 +705,7 @@ def cmd_fit_power_scan(args, cfg, out):
         "phase_rad": fit.phase,
         "cost": fit.result.cost,
         "status": fit.result.status,
+        "n_iter": fit.result.n_iter,
     }
     paths = [out / "fit_power_scan.txt", out / "fit_power_scan.json"]
     write_report(*paths, payload, [_header(args)])

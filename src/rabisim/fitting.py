@@ -3,7 +3,8 @@
 The optimizer is a bounded Levenberg-style damped Gauss-Newton: forward
 finite-difference Jacobian, multiplicative damping adaptation (x10 on
 rejection, /10 on acceptance), steps projected onto the bound box, and
-monotone cost by construction. Four-parameter desk-scale fits do not
+monotone cost by construction, all in units of each parameter's typical
+size (Moré, LNM 630, 105 (1978)). Four-parameter desk-scale fits do not
 justify sensitivity ODEs; finite differences are accurate enough and are
 sanity-checked against central differences in the tests.
 """
@@ -23,6 +24,8 @@ from .pulses import DriveField, SampledEnvelope, pulse_area
 
 _FD_STEP = 1e-7
 _DAMP_MAX = 1e14
+_STEP_TOL = 1e-8
+_COST_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +34,9 @@ class FitProblem:
 
     ``residual_fn(params)`` returns the residual vector (model minus data,
     already weighted); the cost is the sum of squared residuals.
+
+    ``scale`` (default ones) is each parameter's typical size: the optimizer
+    steps x / scale, but every input and result is in physical units.
     """
 
     names: Sequence[str]
@@ -39,18 +45,21 @@ class FitProblem:
     upper: np.ndarray
     residual_fn: Callable[[np.ndarray], np.ndarray]
     max_iter: int = 200
-    step_tol: float = 1e-8
-    cost_tol: float = 1e-10
+    scale: np.ndarray | None = None
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
+        scale = np.ones_like(x0) if self.scale is None else np.array(self.scale, float)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if not (x0.shape == lo.shape == hi.shape):
-            raise ValueError("x0, lower, upper must have matching shapes")
+        object.__setattr__(self, "scale", scale)
+        if not (x0.shape == lo.shape == hi.shape == scale.shape):
+            raise ValueError("x0, lower, upper, scale must have matching shapes")
+        if not np.all((scale > 0) & np.isfinite(scale)):
+            raise ValueError("scale must be finite and > 0")
         if np.any(lo > hi):
             raise ValueError("bounds must satisfy lower <= upper")
         if np.any(x0 < lo) or np.any(x0 > hi):
@@ -98,8 +107,17 @@ def _jacobian(residual_fn, p, r0, lower, upper):
 
 def least_squares(problem: FitProblem) -> FitResult:
     """Minimize the sum of squared residuals inside the bound box."""
-    p = problem.x0.astype(float).copy()
-    r = np.asarray(problem.residual_fn(p), dtype=float)
+    scale = problem.scale
+
+    def physical(u):  # the clip only absorbs u * scale's rounding at a bound
+        return np.clip(u * scale, problem.lower, problem.upper)
+
+    def residual_fn(u):
+        return problem.residual_fn(physical(u))
+
+    lower, upper = problem.lower / scale, problem.upper / scale
+    p = problem.x0 / scale
+    r = np.asarray(residual_fn(p), dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("residual function returned non-finite values at x0")
     cost = float(r @ r)
@@ -107,7 +125,7 @@ def least_squares(problem: FitProblem) -> FitResult:
     status = ""
     it = 0
     for it in range(1, problem.max_iter + 1):
-        jac = _jacobian(problem.residual_fn, p, r, problem.lower, problem.upper)
+        jac = _jacobian(residual_fn, p, r, lower, upper)
         if not np.all(np.isfinite(jac)):
             raise SingularJacobian("Jacobian contains non-finite entries")
         jtj = jac.T @ jac
@@ -121,9 +139,9 @@ def least_squares(problem: FitProblem) -> FitResult:
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            candidate = np.clip(p + step, problem.lower, problem.upper)
+            candidate = np.clip(p + step, lower, upper)
             actual = candidate - p
-            r_new = np.asarray(problem.residual_fn(candidate), dtype=float)
+            r_new = np.asarray(residual_fn(candidate), dtype=float)
             cost_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
             if cost_new < cost:
                 rel_step = float(np.linalg.norm(actual)
@@ -132,9 +150,9 @@ def least_squares(problem: FitProblem) -> FitResult:
                 p, r, cost = candidate, r_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if rel_step < problem.step_tol:
+                if rel_step < _STEP_TOL:
                     status = "converged-step"
-                elif rel_drop < problem.cost_tol:
+                elif rel_drop < _COST_TOL:
                     status = "converged-cost"
                 break
             lam *= 10.0
@@ -143,8 +161,8 @@ def least_squares(problem: FitProblem) -> FitResult:
             # either we are at a (possibly boundary) optimum, or the
             # Jacobian is unusable.
             probe = np.linalg.norm(np.clip(p - g / (lam * diag + 1e-300),
-                                           problem.lower, problem.upper) - p)
-            if probe / (np.linalg.norm(p) + 1.0) < problem.step_tol or cost == 0.0:
+                                           lower, upper) - p)
+            if probe / (np.linalg.norm(p) + 1.0) < _STEP_TOL or cost == 0.0:
                 status = "converged-step"
             else:
                 raise SingularJacobian(
@@ -154,14 +172,14 @@ def least_squares(problem: FitProblem) -> FitResult:
     if not status:
         raise FitDiverged(f"no convergence within {problem.max_iter} iterations")
 
-    jac = _jacobian(problem.residual_fn, p, r, problem.lower, problem.upper)
+    jac = _jacobian(residual_fn, p, r, lower, upper)
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj)
-    cov = 0.5 * (cov + cov.T)
-    return FitResult(params=p, names=tuple(problem.names), cost=cost,
+    cov = 0.5 * (cov + cov.T) * np.outer(scale, scale)
+    return FitResult(params=physical(p), names=tuple(problem.names), cost=cost,
                      covariance=cov, status=status, n_iter=it)
 
 
@@ -281,8 +299,7 @@ def _grid_start(model_values, scales, t0_grid, counts, sigma, b_init: float):
 
 def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
               emitter: EmitterModel, model: str = "population",
-              efficiency: float = 0.02, t0_init: float | None = None,
-              max_iter: int = 200) -> TraceFit:
+              efficiency: float = 0.02, max_iter: int = 200) -> TraceFit:
     """Fit a decay histogram with Bloch dynamics driven by a measured pulse.
 
     Free parameters: amplitude scale ``s`` (mapping the stored envelope to
@@ -311,7 +328,7 @@ def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
             "data must extend at least three lifetimes past the pulse")
 
     sigma = np.sqrt(np.maximum(counts, 1.0))
-    pad = times[-1] - times[0]
+    span = times[-1] - times[0]
 
     traj_cache: dict[float, tuple] = {}
 
@@ -321,7 +338,7 @@ def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
             if len(traj_cache) > 64:
                 traj_cache.clear()
             traj_cache[key] = _forward_series(pulse_envelope, emitter, key,
-                                              pad, model, efficiency)
+                                              span, model, efficiency)
         return traj_cache[key]
 
     decay = _tail_decay(emitter, model, efficiency)
@@ -343,46 +360,23 @@ def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
     # model before the damped iteration starts.
     b_init = float(np.percentile(counts, 5))
     unit_area = pulse_area(DriveField.single(pulse_envelope))
-    rough_t0 = t0_init if t0_init is not None else 0.0
-    n_max = _count_oscillation_maxima(times, counts,
-                                      (support[0] + rough_t0, support[1] + rough_t0))
+    n_max = _count_oscillation_maxima(times, counts, support)
     lo_area = max(2 * n_max - 1.5, 0.5)
     candidates = np.arange(lo_area, 2 * n_max + 1.75, 0.25)
-    if t0_init is not None:
-        t0_grid = np.array([t0_init])
-    else:
-        span_lo = times[0] - support[1]
-        span_hi = times[-1] - 3.0 / emitter.gamma1 - support[1]
-        t0_grid = np.linspace(span_lo, max(span_hi, span_lo + 1e-12), 241)
+    span_lo = times[0] - support[1]
+    span_hi = times[-1] - 3.0 / emitter.gamma1 - support[1]
+    t0_grid = np.linspace(span_lo, max(span_hi, span_lo + 1e-12), 241)
     x0 = _grid_start(model_values, candidates * math.pi / unit_area, t0_grid,
                      counts, sigma, b_init)
 
-    # The optimizer's finite-difference step rule assumes O(1) parameters,
-    # so the problem is posed in scaled units (s in units of its init, t0
-    # in units of the data span, background and norm in count units).
-    span = times[-1] - times[0]
-    scales = np.array([x0[0], span, max(abs(x0[2]), 1.0), x0[3]])
-    shifts = np.array([0.0, x0[1], 0.0, 0.0])
-
-    def unscale(u):
-        return shifts + scales * u
-
-    def residual_scaled(u):
-        return residual_fn(unscale(u))
-
-    u0 = (x0 - shifts) / scales
-    problem = FitProblem(
-        names=("scale", "t0", "background", "norm"),
-        x0=u0,
-        lower=np.array([1.0 / 20.0, -0.5, -np.inf, 1e-12]),
-        upper=np.array([20.0, 0.5, np.inf, np.inf]),
-        residual_fn=residual_scaled, max_iter=max_iter)
-    result_u = least_squares(problem)
-    params = unscale(result_u.params)
-    cov = result_u.covariance * np.outer(scales, scales)
-    result = FitResult(params=params, names=result_u.names, cost=result_u.cost,
-                       covariance=cov, status=result_u.status,
-                       n_iter=result_u.n_iter)
+    # Scales for the optimizer: s and the norm in units of their starts, t0
+    # in units of the data span, the background in counts (at least one).
+    result = least_squares(FitProblem(
+        names=("scale", "t0", "background", "norm"), x0=x0,
+        lower=np.array([x0[0] / 20.0, x0[1] - 0.5 * span, -np.inf, 1e-12 * x0[3]]),
+        upper=np.array([20.0 * x0[0], x0[1] + 0.5 * span, np.inf, np.inf]),
+        residual_fn=residual_fn, max_iter=max_iter,
+        scale=np.array([x0[0], span, max(abs(x0[2]), 1.0), x0[3]])))
     s_fit = result.param("scale")
     scaled = pulse_envelope.scaled(s_fit)
     omega_max = s_fit * pulse_envelope.peak_value()

@@ -462,7 +462,9 @@ def fit_power_scan(scan: PowerScan, max_iter: int = 200) -> PowerScanFit:
 
     The period is seeded from the detrended zero-crossing spacing (with a
     small candidate bracket to avoid aliasing) and the phase from the
-    convention that the signal peaks at the pi-pulse amplitude.
+    convention that the signal peaks at the pi-pulse amplitude. The
+    optimizer scales c0, m0 (signal) and the phase (rad) by 1, the slopes
+    c1, m1 by 1 / span, and the period by its candidate seed.
     """
     a = scan.amplitudes
     s = scan.signal
@@ -490,7 +492,7 @@ def fit_power_scan(scan: PowerScan, max_iter: int = 200) -> PowerScanFit:
         problem = fitting.FitProblem(
             names=("c0", "c1", "m0", "m1", "period", "phase"),
             x0=x0, lower=lower, upper=upper, residual_fn=residual_fn,
-            max_iter=max_iter)
+            max_iter=max_iter, scale=[1.0, 1.0 / span, 1.0, 1.0 / span, p_try, 1.0])
         try:
             res = fitting.least_squares(problem)
         except (FitDiverged, fitting.SingularJacobian):

@@ -6,6 +6,7 @@ Monte Carlo here is counter-seeded and fully deterministic, so the
 statistical assertions are reproducible run to run.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -19,6 +20,7 @@ from rabisim.cli_io import MHZ, run_command
 from rabisim.detection import (DetectorModel, _JumpEngine,
                                _emission_times_batch, emission_rate,
                                first_detected_density, simulate_tcspc)
+from rabisim import fitting
 from rabisim.fitting import fit_trace, trace_model
 from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
                             averaged_power_scan, fit_power_scan,
@@ -213,6 +215,26 @@ def test_c05c_visibility_washout(main_scan):
     report("5c", f"visibilities {[f'{v:.3f}' for v in vis]} decrease "
                  f"monotonically; cycle 5 (10 pi) resolvable "
                  f"({SCAN_POINTS} points x {SCAN_SAMPLES} samples, {elapsed:.0f} s)")
+
+
+def test_c05d_power_scan_fit_stops_at_its_minimum(main_scan, monkeypatch):
+    """Refit from the fit's own result: a converged fit has nothing left."""
+    scan, _ = main_scan
+    solved = []
+    least_squares = fitting.least_squares
+
+    def spy(problem):
+        solved.append((problem, least_squares(problem)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(fitting, "least_squares", spy)
+    fit = fit_power_scan(scan)
+    problem = next(p for p, r in solved if r is fit.result)
+    again = least_squares(dataclasses.replace(problem, x0=fit.result.params))
+    drop = (fit.result.cost - again.cost) / fit.result.cost
+    assert drop <= 1e-9
+    report("5d", f"restarted scan fit lowers its cost by {drop:.1e} relative "
+                 f"({fit.result.n_iter} iterations to the minimum)")
 
 
 def test_c06_area_noise_linear_in_amplitude():

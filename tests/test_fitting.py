@@ -48,12 +48,15 @@ def test_bound_start_with_outward_gradient_stays_feasible():
 def test_fixed_parameter_via_equal_bounds():
     x = np.linspace(0.0, 1.0, 30)
     y = 2.0 * x + 0.5
-    prob = FitProblem(names=("a", "b"), x0=np.array([1.0, 0.5]),
-                      lower=np.array([-10.0, 0.5]), upper=np.array([10.0, 0.5]),
-                      residual_fn=lambda p: p[0] * x + p[1] - y)
-    res = least_squares(prob)
-    assert res.params[1] == 0.5
-    assert res.params[0] == pytest.approx(2.0, abs=1e-8)
+    # (0.5 / 49) * 49 rounds to 0.49999999999999994: a scaled bound must
+    # still hold exactly.
+    for scale in (None, [1.0, 49.0]):
+        prob = FitProblem(names=("a", "b"), x0=np.array([1.0, 0.5]),
+                          lower=np.array([-10.0, 0.5]), upper=np.array([10.0, 0.5]),
+                          residual_fn=lambda p: p[0] * x + p[1] - y, scale=scale)
+        res = least_squares(prob)
+        assert res.params[1] == 0.5
+        assert res.params[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_monotone_cost_and_result_not_worse_than_start():
@@ -94,6 +97,11 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         FitProblem(names=("a",), x0=np.array([0.5]), lower=np.array([0.5]),
                    upper=np.array([0.5]), residual_fn=lambda p: p)
+    for scale in ([0.0], [-1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError):
+            FitProblem(names=("a",), x0=np.array([0.5]), lower=np.array([0.0]),
+                       upper=np.array([1.0]), residual_fn=lambda p: p,
+                       scale=scale)
 
 
 def test_forward_vs_central_jacobian_at_optimum():
@@ -120,6 +128,22 @@ def test_forward_vs_central_jacobian_at_optimum():
     big = np.abs(central) > 1e-3 * np.max(np.abs(central))
     rel = np.abs(fwd[big] - central[big]) / np.abs(central[big])
     assert np.max(rel) < 1e-4
+
+
+def test_scale_changes_the_path_not_the_answer():
+    x = np.linspace(0.0, 2.0, 40)
+    y = 1.7 * np.exp(-0.8 * x) + 0.05 * np.cos(7.0 * x)
+
+    def fit(scale):
+        return least_squares(FitProblem(
+            names=("a", "k"), x0=np.array([1.0, 1.0]),
+            lower=np.array([0.0, 0.0]), upper=np.array([10.0, 10.0]),
+            residual_fn=lambda p: p[0] * np.exp(-p[1] * x) - y, scale=scale))
+
+    unit, scaled = fit(None), fit([250.0, 4e-3])
+    assert np.allclose(scaled.params, unit.params, rtol=1e-6, atol=0.0)
+    assert np.allclose(scaled.covariance, unit.covariance, rtol=1e-6, atol=0.0)
+    assert scaled.cost == pytest.approx(unit.cost, rel=1e-9)
 
 
 def test_covariance_symmetric_psd_and_scales_with_counts():
