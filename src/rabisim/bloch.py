@@ -368,16 +368,22 @@ def integrate_population_batch(omega_of_t, detuning, gamma1: float, gamma2: floa
 # the batch, wherever the drive is. A map drives every grid point with
 # |a| f(t) for one known unit drive f, so over a step the interaction-frame
 # propagator on (rho_ee, rho12, conj(rho12), 1) is the Dyson series
-# sum_n |a|^n J_n, and the J_n depend only on the detuning column. They are integrated once per
-# column and step by Chebyshev-Lobatto spectral integration of f against the
-# exact e^{(L_j - L_i) s} factors of the linear part, so the fast phase
-# e^{+-i Delta s} is integrated exactly against the slow drive (Iserles, BIT
-# 42, 561 (2002); Hochbruck & Ostermann, Acta Numer. 19, 209 (2010)). Each
-# grid point then takes one polynomial-in-|a| update, and only the drive sets
-# the step. The bipartite coupling (rho_ee and 1 couple only to rho12 and its
-# conjugate) makes odd and even J_n live on disjoint entries, and the real
-# structure of the Bloch equations makes the conj(rho12) row the conjugate of
-# the rho12 row, so about 3 of the 12 entries per order are integrated.
+# sum_n |a|^n J_n, and the J_n depend only on the detuning column. They are
+# integrated once per column and step by Chebyshev-Lobatto spectral
+# integration of f against the exact e^{(L_j - L_i) s} factors of the linear
+# part, so the fast phase e^{+-i Delta s} is integrated exactly against the
+# slow drive (Iserles, BIT 42, 561 (2002); Hochbruck & Ostermann, Acta
+# Numer. 19, 209 (2010)). Those factors and the quadrature weights depend
+# only on the step length, the nodes and the detunings, so they are built
+# once per piece and a step multiplies its sampled f into them. The sum over
+# n at every grid point is a polynomial in |a|: for the whole grid it is one
+# real matrix product per parity, the piece's (amplitudes x orders)
+# Vandermonde in |a|^2 times the step's J_n stacked over the detuning
+# columns, and only the drive sets the step. The bipartite coupling (rho_ee
+# and 1 couple only to rho12 and its conjugate) makes odd and even J_n live
+# on disjoint entries, and the real structure of the Bloch equations makes
+# the conj(rho12) row the conjugate of the rho12 row, so about 3 of the 12
+# entries per order are integrated.
 # ---------------------------------------------------------------------------
 
 #: Largest drive bound x step (rad) of a Dyson step.
@@ -443,83 +449,110 @@ def _lobatto_integration(n: int):
     return x, q
 
 
-def _dyson_terms(g, s, q, det, gamma1: float, gamma2: float, order: int):
+def _dyson_frame(s, q, det, gamma1: float, gamma2: float):
+    """The drive-free factors of :func:`_dyson_terms`, shared by every step
+    of a piece: at the step's nodes ``s`` (``q`` integrates on them) and
+    the detunings ``det``, ``(fu, fv, fw)`` of the interaction-frame
+    couplings u = B[0,1] = conj(g) fu, v = B[1,0] = g fv and w = B[1,3] =
+    g fw of a drive g, each shaped (nodes, detunings), and the quadrature
+    weights of the rho_ee integral, decay included, as a (nodes, 1)
+    column."""
+    s_col = s[:, None]
+    spin = np.exp(1j * det * s_col)
+    fu = -0.5j * np.exp((gamma1 - gamma2) * s_col) * spin
+    fv = -1j * np.exp((gamma2 - gamma1) * s_col) * spin.conj()
+    fw = 0.5j * np.exp(gamma2 * s_col) * spin.conj()
+    return fu, fv, fw, q[-1][:, None] * np.exp(-gamma1 * s_col)
+
+
+def _dyson_terms(g, frame, q, order: int):
     """Dyson terms J_n, n = 1..order, of one step, and the rows K_n of
     their rho_ee integral, for a unit drive ``g`` sampled at the step's
-    nodes ``s`` (``q`` integrates on them) and detunings ``det``.
+    nodes, in the :func:`_dyson_frame` ``frame`` of the step (``q``
+    integrates on its nodes).
 
     Returns ``(odd, even)``: ``odd[m]`` stacks J[0,1], J[1,0], J[1,3] and
     K[0,1] of order 2m + 1 at the step's end, and ``even[m]`` J[0,0],
-    J[0,3], J[1,1], J[1,2], K[0,0] and K[0,3] of order 2m + 2, each shaped
-    like ``det``. Every other entry is zero or a conjugate of these.
+    J[0,3], J[1,1], J[1,2], K[0,0] and K[0,3] of order 2m + 2, each over
+    the detuning axis. Every other entry is zero or a conjugate of these.
     """
-    n = s.size
-    s_col = s.reshape((n,) + (1,) * det.ndim)
-    g = g.reshape(s_col.shape)
-    spin = np.exp(1j * det * s_col)
-    # Interaction-frame couplings: u = B[0,1], v = B[1,0], w = B[1,3].
-    u = -0.5j * g.conj() * np.exp((gamma1 - gamma2) * s_col) * spin
-    v = -1j * g * np.exp((gamma2 - gamma1) * s_col) * spin.conj()
-    w = 0.5j * g * np.exp(gamma2 * s_col) * spin.conj()
-    # Quadrature weights of the rho_ee integral, decay included.
-    wts = q[-1].reshape(s_col.shape) * np.exp(-gamma1 * s_col)
+    fu, fv, fw, wts = frame
+    g = g[:, None]
+    u, v, w = g.conj() * fu, g * fv, g * fw
+    n, cols = u.shape
 
     def integrate(*fs):
-        stack = np.stack(np.broadcast_arrays(*fs), axis=1)
+        stack = np.stack(fs, axis=1)
         out = (q @ stack.reshape(n, -1).view(float)).view(complex)
         return out.reshape(stack.shape).swapaxes(0, 1)
 
-    odd, even = [], []
+    odd = np.empty(((order + 1) // 2, 4, cols), dtype=complex)
+    even = np.empty((order // 2, 6, cols), dtype=complex)
     j01, j10, j13 = integrate(u, v, w)
     for m in range(1, order + 1):
         if m % 2:
             if m > 1:
                 j01, j10, j13 = integrate(u * j11 + (u * j12).conj(),
                                           v * j00, v * j03)
-            odd.append(np.stack([j01[-1], j10[-1], j13[-1],
-                                 np.sum(wts * j01, axis=0)]))
+            odd[m // 2] = (j01[-1], j10[-1], j13[-1],
+                           np.sum(wts * j01, axis=0))
         else:
             j00, j03, j11, j12 = integrate(
                 2.0 * (u * j10).real, 2.0 * (u * j13).real, v * j01,
                 v * j01.conj())
             j00, j03 = j00.real, j03.real
-            even.append(np.stack([j00[-1], j03[-1], j11[-1], j12[-1],
-                                  np.sum(wts * j00, axis=0),
-                                  np.sum(wts * j03, axis=0)]))
+            even[m // 2 - 1] = (j00[-1], j03[-1], j11[-1], j12[-1],
+                                np.sum(wts * j00, axis=0),
+                                np.sum(wts * j03, axis=0))
     return odd, even
 
 
-def _horner(coeffs, x, shape):
-    """``sum_m x^m coeffs[m]`` by Horner's rule, in place on one complex
-    array of ``shape`` (0 for no terms)."""
-    out = np.zeros(shape, dtype=complex)
-    for c in reversed(coeffs):
-        out *= x
-        out += c
-    return out
+def _powers(lead, x, n: int):
+    """The real (rows, n) Vandermonde ``lead x^m``, m = 0..n-1, of the
+    1-D ``lead`` and ``x``."""
+    return lead[:, None] * x[:, None] ** np.arange(n)
 
 
-def propagate_dyson(unit_rabi, amplitude, detuning, gamma1: float,
+def _power_sums(powers, coeffs):
+    """``sum_m powers[:, m] coeffs[m]`` as one real matrix product.
+
+    ``powers`` is a :func:`_powers` Vandermonde (rows, P) and ``coeffs``
+    complex (P, k, cols), read as real (P, 2 k cols). Returns complex
+    (k, rows, cols); zeros for P = 0. Each row of the result is its
+    Vandermonde row times the same matrix.
+    """
+    p, k, cols = coeffs.shape
+    out = powers @ coeffs.reshape(p, k * cols).view(float)
+    return out.view(complex).reshape(-1, k, cols).swapaxes(0, 1)
+
+
+def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1: float,
                     gamma2: float, t_span, n_steps: int, order: int,
                     n_nodes: int, initial=None):
     """Dyson-series steps of a map over one schedule piece.
 
-    Every batch member is driven by ``amplitude * unit_rabi(t)``:
-    ``unit_rabi`` takes an array of times, and ``amplitude`` (real) and
-    ``detuning`` broadcast to the batch shape. Each of the ``n_steps``
+    The map's grid point (i, j) is driven by ``amplitudes[i] *
+    unit_rabi(t)`` at detuning ``detunings[j]``: ``unit_rabi`` takes an
+    array of times, and ``amplitudes`` (real) and ``detunings`` are 1-D
+    axes, a scalar acting as an axis of length 1. Each of the ``n_steps``
     steps sums the Dyson series to ``order`` in the amplitude, with its
-    terms integrated on ``n_nodes`` Chebyshev-Lobatto nodes (see
-    :func:`dyson_plan`). ``initial`` is the tuple a previous piece
-    returned; None starts from the ground state. Returns ``(rho_end,
-    rho12_end, integral)``, with ``integral`` the time integral of rho_ee
-    since the start.
+    terms integrated once per detuning on ``n_nodes`` Chebyshev-Lobatto
+    nodes (see :func:`dyson_plan`); the per-point sums are two real matrix
+    products, the piece's Vandermonde in amplitude^2 (odd orders lead with
+    the amplitude, even ones with its square) times the step's stacked
+    terms. ``initial`` is the tuple a previous piece returned; None starts
+    from the ground state. Returns ``(rho_end, rho12_end, integral)``, each
+    shaped (amplitudes, detunings), with ``integral`` the time integral of
+    rho_ee since the start.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / n_steps
-    amp = np.asarray(amplitude, dtype=float)
-    det = np.asarray(detuning, dtype=float)
+    amp = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+    det = np.atleast_1d(np.asarray(detunings, dtype=float))
+    if amp.ndim != 1 or det.ndim != 1:
+        raise ValueError("amplitude and detuning axes must be 1-D")
     if initial is None:
-        shape = np.broadcast_shapes(amp.shape, det.shape)
+        shape = (amp.size, det.size)
         rho, coh = np.zeros(shape), np.zeros(shape, dtype=complex)
         acc = np.zeros(shape)
     else:
@@ -528,20 +561,20 @@ def propagate_dyson(unit_rabi, amplitude, detuning, gamma1: float,
     fc = np.exp((1j * det - gamma2) * h)
     k0 = -math.expm1(-gamma1 * h) / gamma1 if gamma1 > 0 else h
     a2 = amp * amp
-    odd = even = ()
+    p_odd = _powers(amp, a2, (order + 1) // 2)
+    p_even = _powers(a2, a2, order // 2)
+    odd = np.zeros((0, 4, det.size), dtype=complex)
+    even = np.zeros((0, 6, det.size), dtype=complex)
     if order:
         x, q = _lobatto_integration(n_nodes)
         s, q = 0.5 * h * (x + 1.0), 0.5 * h * q
+        frame = _dyson_frame(s, q, det, gamma1, gamma2)
     for k in range(n_steps):
         if order:
             g = np.asarray(unit_rabi(t0 + k * h + s), dtype=complex)
-            odd, even = _dyson_terms(g, s, q, det, gamma1, gamma2, order)
-        j_odd = _horner(odd, a2, (4,) + rho.shape)
-        j_odd *= amp
-        j_even = _horner(even, a2, (6,) + rho.shape)
-        j_even *= a2
-        j01, j10, j13, k01 = j_odd
-        j00, j03, j11, j12, k00, k03 = j_even
+            odd, even = _dyson_terms(g, frame, q, order)
+        j01, j10, j13, k01 = _power_sums(p_odd, odd)
+        j00, j03, j11, j12, k00, k03 = _power_sums(p_even, even)
         acc = (acc + (k0 + k00.real) * rho + 2.0 * (k01 * coh).real
                + k03.real)
         rho, coh = (

@@ -124,10 +124,12 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     (which spans the pedestal) and adds the exact free-decay emission over
     the rest of the repetition period. All grid points step together as
     one batch through the Dyson propagator
-    (:func:`rabisim.bloch.propagate_dyson`), whose steps follow the drive,
-    not the detuning. Raises ValueError when ``rep_period`` is shorter than
-    the pulse window, and StepFailure before any stepping when the grid
-    exceeds the batch work budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
+    (:func:`rabisim.bloch.propagate_dyson`), on the |amplitude| and
+    detuning axes: its steps follow the drive, not the detuning, and a
+    step updates the whole grid with two real matrix products. Raises
+    ValueError when ``rep_period`` is shorter than the pulse window, and
+    StepFailure before any stepping when the grid exceeds the batch work
+    budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
     """
     detunings = np.asarray(detunings, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -145,7 +147,7 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     if rep_period < t1 - t0:
         raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
                          f"{t1 - t0:.3g} s pulse window")
-    rows = np.abs(amplitudes)[:, None]
+    rows = np.abs(amplitudes)
     top = float(np.max(rows))
     offset = float(np.max(np.abs(detunings))) + unit.max_abs_chirp()
     damping = emitter.gamma1 + emitter.gamma2
@@ -159,7 +161,7 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
 
     state = None
     for a, b, *steps in plan:
-        state = propagate_dyson(unit.rabi, rows, detunings[None, :],
+        state = propagate_dyson(unit.rabi, rows, detunings,
                                 emitter.gamma1, emitter.gamma2, (a, b), *steps,
                                 initial=state)
     rho_end, _, integral = state

@@ -77,6 +77,7 @@ def test_weak_drive_order_vs_reference():
         rho, coh, _ = propagate_dyson(
             unit.rabi, amp, dets, em.gamma1, em.gamma2, (t0, t1), n_steps,
             p, n_nodes)
+        rho, coh = rho[0], coh[0]
         errors.append(np.maximum(np.abs(rho - ref_rho), np.abs(coh - ref_coh)))
     errors = np.array(errors)
     tails = np.array([wh ** (p + 1) / math.factorial(p + 1)
@@ -95,7 +96,7 @@ def test_weak_drive_order_vs_reference():
         assert plan[:2] == (n_steps, order)
         rho, coh, _ = propagate_dyson(
             unit.rabi, amp, d, em.gamma1, em.gamma2, (t0, t1), *plan)
-        assert max(abs(rho - r), abs(coh - c)) <= floor, d
+        assert max(abs(rho[0, 0] - r), abs(coh[0, 0] - c)) <= floor, d
 
 
 def test_weak_drive_nodes_resolve_a_chirped_drive():
@@ -115,8 +116,8 @@ def test_weak_drive_nodes_resolve_a_chirped_drive():
                                em.gamma1 + em.gamma2, 4e-9)
         rho, coh, _ = propagate_dyson(
             unit.rabi, amp, d, em.gamma1, em.gamma2, (t0, t1), *plan)
-        assert abs(rho - ref.rho_ee[-1]) <= 1e-11
-        assert abs(coh - ref.coherence[-1]) <= 1e-11
+        assert abs(rho[0, 0] - ref.rho_ee[-1]) <= 1e-11
+        assert abs(coh[0, 0] - ref.coherence[-1]) <= 1e-11
 
 
 def test_weak_drive_without_drive_is_exact_free_evolution():
@@ -125,7 +126,8 @@ def test_weak_drive_without_drive_is_exact_free_evolution():
     # integral, step after step.
     em = EmitterModel.from_lifetime(9.5e-9, pure_dephasing=3e7)
     dets = np.array([0.0, 2e9, -5e9])
-    start = (np.full(3, 0.4), np.full(3, 0.1 + 0.3j), np.zeros(3))
+    start = (np.full((1, 3), 0.4), np.full((1, 3), 0.1 + 0.3j),
+             np.zeros((1, 3)))
     span, tau = (1e-9, 31e-9), 30e-9
     unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=20e-9, center=10e-9))
     for amp, order in ((1.0, 0), (0.0, 6)):
@@ -137,6 +139,31 @@ def test_weak_drive_without_drive_is_exact_free_evolution():
             (1j * dets - em.gamma2) * tau), rtol=1e-13, atol=0.0)
         assert np.allclose(acc, 0.4 * -math.expm1(-em.gamma1 * tau) / em.gamma1,
                            rtol=1e-13)
+
+
+def test_power_sums_match_horner():
+    # The propagator's per-point sum over orders, one matrix product,
+    # against Horner's rule element by element, for both lead factors.
+    rng = np.random.default_rng(11)
+    amp = rng.uniform(-2.0, 2.0, 9)
+    amp[4] = 0.0
+    x = amp * amp
+    for n in range(13):
+        coeffs = (rng.normal(size=(n, 3, 5))
+                  + 1j * rng.normal(size=(n, 3, 5)))
+        for lead in (amp, x):
+            out = bloch._power_sums(bloch._powers(lead, x, n), coeffs)
+            assert out.shape == (3, amp.size, 5)
+            for k, i, j in np.ndindex(out.shape):
+                ref = 0j
+                for c in coeffs[::-1, k, j]:
+                    ref = ref * x[i] + c
+                ref *= lead[i]
+                assert abs(out[k, i, j] - ref) <= 1e-14 * abs(ref), (n, k, i, j)
+            # An empty sum is zero, and a zero amplitude gives exactly zero.
+            assert np.all(out[:, 4] == 0.0)
+            if n == 0:
+                assert np.all(out == 0.0)
 
 
 @pytest.mark.parametrize("area", [4.0, 12.0], ids=["4pi", "12pi"])
@@ -159,7 +186,7 @@ def test_dyson_propagator_at_strong_drive_vs_reference(area):
         state = propagate_dyson(unit.rabi, amp, dets, em.gamma1, em.gamma2,
                                 (a, b), *plan, initial=state)
     rho, coh, _ = state
-    for d, r, c in zip(dets, rho, coh):
+    for d, r, c in zip(dets, rho[0], coh[0]):
         ref = integrate(em.with_detuning(d), unit.scaled(amp), BlochState(0.0),
                         span, span[1] - span[0], rtol=1e-11, atol=1e-14)
         assert abs(r - ref.rho_ee[-1]) <= 1e-10, d

@@ -133,16 +133,29 @@ def test_monotone_onset_at_zero_detuning():
 
 
 def test_negative_amplitudes_mirror_positive():
-    # The sign of a drive does not change the populations.
+    # The sign of a drive does not change the populations. The bench map's
+    # 40 x 121 shape puts mirrored rows on different tiles of the
+    # propagator's matrix products, and each must still match bit for bit.
     dets = np.linspace(-300, 300, 13) * MHZ
     pos = sweep_2d(EM, template(), dets, np.array([100.0, 200.0]) * MHZ)
     neg = sweep_2d(EM, template(), dets, np.array([-200.0, -100.0]) * MHZ)
+    assert np.array_equal(neg.signal, pos.signal[::-1])
+    dets = np.linspace(-600.0, 600.0, 121) * MHZ
+    amps = np.linspace(0.1, 4.0, 40) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    pos = sweep_2d(EM, template(), dets, amps)
+    neg = sweep_2d(EM, template(), dets, -amps[::-1])
     assert np.array_equal(neg.signal, pos.signal[::-1])
 
 
 def test_zero_amplitude_map_is_dark():
     res = sweep_2d(EM, template(), np.array([-1e9, 0.0, 1e9]), np.array([0.0]))
     assert np.all(res.signal == 0.0)
+    # A zero row among driven ones, on the bench map's 40 x 121 shape.
+    dets = np.linspace(-600.0, 600.0, 121) * MHZ
+    amps = (np.arange(40) - 13) * 0.1 * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    res = sweep_2d(EM, template(), dets, amps)
+    assert amps[13] == 0.0 and np.all(res.signal[13] == 0.0)
+    assert np.all(np.delete(res.signal, 13, axis=0) > 0.0)
 
 
 def test_grid_refinement_stability():
