@@ -269,8 +269,9 @@ MAX_BATCH_POINT_STEPS = 10 ** 10
 
 def window_pieces(field: DriveField, t_span):
     """Pieces ``[(a, b), ...]`` covering ``t_span``: ``BATCH_PIECES`` uniform
-    cuts plus a cut at every breakpoint of ``field`` inside, so a jump in the
-    drive falls on a piece edge and costs a stepper no order."""
+    cuts plus a cut at every breakpoint of ``field`` inside, every batch
+    member's edges included, so a jump in the drive falls on a piece edge
+    and costs a stepper no order."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     inner = [b for b in field.breakpoints() if t0 < b < t1]
     edges = np.unique(np.concatenate(
@@ -304,33 +305,37 @@ def check_batch_work(point_steps: float) -> None:
             f"of {MAX_BATCH_POINT_STEPS:.3g}; reduce the grid or the window")
 
 
-def integrate_population_batch(omega_of_t, detuning, gamma1: float, gamma2: float,
+def integrate_population_batch(omega_of_t, detuning, gamma1, gamma2,
                                t_span, n_steps: int, initial=None):
     """Vectorized fixed-step Bloch integration over one schedule segment.
 
     ``omega_of_t(t)``, e.g. a batch ``DriveField.rabi``, returns every batch
-    member's Rabi frequency at scalar time t; it and ``detuning`` broadcast
-    to the batch shape. The drive is sampled as one-sided limits inside
-    ``t_span``, so a jump on either end costs no order. ``initial`` is the
-    tuple a previous segment returned; None starts from the ground state. Returns
-    ``(rho_end, rho12_end, integral, rho_peak)`` where ``integral`` is the
-    time integral of rho_ee since the start and ``rho_peak`` the largest
-    excited population reached on the step grid.
+    member's Rabi frequency at scalar time t; it, ``detuning``, ``gamma1``
+    and ``gamma2`` broadcast to the batch shape, and scalar rates give the
+    same bits as rates broadcast to arrays. The drive is sampled as
+    one-sided limits inside ``t_span``, so a jump on either end costs no
+    order. ``initial`` is the tuple a previous segment returned; None starts
+    from the ground state. Returns ``(rho_end, rho12_end, integral,
+    rho_peak)`` where ``integral`` is the time integral of rho_ee since the
+    start and ``rho_peak`` the largest excited population reached on the
+    step grid.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / n_steps
     nudge = 1e-9 * (t1 - t0)
     om_a = np.asarray(omega_of_t(t0 + nudge))
     det = np.asarray(detuning, dtype=float)
+    g1 = np.asarray(gamma1, dtype=float)
+    g2 = np.asarray(gamma2, dtype=float)
     if initial is None:
-        shape = np.broadcast_shapes(om_a.shape, det.shape)
+        shape = np.broadcast_shapes(om_a.shape, det.shape, g1.shape, g2.shape)
         rho, coh = np.zeros(shape), np.zeros(shape, dtype=complex)
         acc, peak = np.zeros(shape), np.zeros(shape)
     else:
         rho, coh, acc, peak = initial
     # Exact half-step factors of the linear part.
-    fr = math.exp(-0.5 * gamma1 * h)
-    fc = np.exp((1j * det - gamma2) * (0.5 * h))
+    fr = np.exp(-0.5 * g1 * h)
+    fc = np.exp((1j * det - g2) * (0.5 * h))
     hh, h6 = 0.5 * h, h / 6.0
 
     def coupling(om, rho, coh):
@@ -584,9 +589,12 @@ def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1: float,
 
 
 def emitted_photons_per_period(rho_end, window_integral, gamma1: float,
-                               tail: float):
-    """Mean emitted photons per period: window emission plus the decay tail."""
-    tail_factor = -math.expm1(-gamma1 * max(tail, 0.0))
+                               tail):
+    """Mean emitted photons per period: window emission plus the decay tail.
+
+    ``tail``, the drive-free time after the window, may hold one value per
+    batch member; a scalar gives the same bits as an array of it."""
+    tail_factor = -np.expm1(-gamma1 * np.maximum(tail, 0.0))
     return gamma1 * np.asarray(window_integral) + np.asarray(rho_end) * tail_factor
 
 

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval, chebvander
 from scipy.fft import dct
+from scipy.special import jv
 
 from . import rng
 from .bloch import (BATCH_PIECES, EmitterModel, batch_schedule,
@@ -58,12 +58,13 @@ class PowerScan:
     step schedule: on 4 ns pulses from 0.2 pi to 12 pi without jitter it
     sits up to 2.8e-4 below the DOP853 maximum and never above it. With 7 %
     jitter and 60 draws the surrogate moves it from the mean of direct
-    per-draw solves by up to 4.0e-5 on 12 amplitudes from 0.5 pi to 6 pi
-    (their own amplitude axis) and 2.2e-5 on 120 from 0.5 pi to 12 pi
-    (75 x 44 nodes). ``interp_error`` is the estimated largest error of the
-    interpolated per-draw signal at each amplitude: 4e-15 to 4e-13 on those
-    two scans, and at least twice the actual error there. It is zero where
-    the draws were solved directly or without jitter, and on a dark row.
+    per-draw solves by up to 3.0e-5 on 12 amplitudes from 0.5 pi to 6 pi
+    (39 x 11 area x duration nodes) and 3.3e-5 on 120 from 0.5 pi to 12 pi
+    (60 x 11 nodes). ``interp_error`` is the estimated largest error of the
+    interpolated per-draw signal at each amplitude: 3.5e-11 and 6.7e-11 on
+    those two scans, over 2000 times the actual error there (9e-15 and
+    2.3e-14). It is zero where the draws were solved directly or without
+    jitter, and on a dark row.
     """
 
     amplitudes: np.ndarray
@@ -135,23 +136,23 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     For each amplitude the main-pulse duration is re-drawn ``n_samples``
     times at fixed peak (area fluctuates with duration), and the emission
     is accumulated over the full repetition period including the decay
-    tail. The Bloch dynamics are not integrated per draw: the scan is solved
-    once, at a tensor grid of Chebyshev-Lobatto nodes in |amplitude| and in
-    the duration over the scan's [min, max] draw, and the per-draw signal
-    and peak excitation are the Chebyshev interpolants through those solves
-    (:func:`_scan_surrogate`). Where the amplitude nodes would not be fewer
-    than the amplitudes, the amplitudes themselves are the amplitude axis.
-    The whole scan is one batch on one window and step schedule
-    (:func:`scan_schedule`). The mean, ``stderr`` and ``area_std`` stay
-    Monte Carlo moments over the seeded draws; ``interp_error`` estimates
-    the largest interpolation error of the per-draw signal. Without jitter
-    every amplitude takes one solve, and a scan with no more draws than
-    duration nodes solves its draws directly. The signal is detector-free:
-    a long-integration average count rate is proportional to this mean, and
-    the Monte Carlo detector chain exists separately for cross-checks.
-    Raises StepFailure before any stepping when the scan exceeds the batch
-    work budget, and ValueError when ``rep_period`` is shorter than the
-    pulse window.
+    tail. Every draw is solved in the time frame of the scan's longest draw
+    (:func:`frame_field`), where it is a pulse of one fixed shape set by its
+    area and by its duration. The Bloch dynamics are not integrated per
+    draw: the scan is solved once, at a tensor grid of Chebyshev-Lobatto
+    nodes in the pulse area and in the duration, and the per-draw signal and
+    peak excitation are the Chebyshev interpolants through those solves
+    (:func:`_scan_surrogate`). The whole scan is one batch on one window and
+    step schedule (:func:`frame_schedule`). The mean, ``stderr`` and
+    ``area_std`` stay Monte Carlo moments over the seeded draws;
+    ``interp_error`` estimates the largest interpolation error of the
+    per-draw signal. Without jitter every amplitude takes one solve, and a
+    scan whose grid would not be smaller than its draws solves its draws.
+    The signal is detector-free: a long-integration average count rate is
+    proportional to this mean, and the Monte Carlo detector chain exists
+    separately for cross-checks. Raises StepFailure before any stepping
+    when the scan exceeds the batch work budget, and ValueError when
+    ``rep_period`` is shorter than the pulse window.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if n_samples < 1:
@@ -160,26 +161,29 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
         raise ValueError("a power scan needs at least one amplitude")
 
     # The schedule takes at least BATCH_PIECES steps, which bounds the work
-    # before any draw. The second check bounds a solve of every draw. The
-    # surrogate solves fewer points, except when a tail check still fails
-    # once an axis's node count nears half its amplitudes or draws: it then
-    # solves its duration nodes at every amplitude, or its draws, on top of
-    # its nodes. Each adds at most the checked work, so the scan stays under
-    # three times it.
+    # before any draw. The second check bounds a solve of every draw, with
+    # one step more for each of their breakpoints (a rectangular pedestal's
+    # edges move with the duration in the frame). The grid has fewer points
+    # than the draws, and when its tail check fails once a doubling would
+    # reach them the draws are solved on top of it: the scan stays under
+    # twice the checked work.
     check_batch_work(BATCH_PIECES * amplitudes.size * n_samples)
     durations = np.vstack([
         sample_durations(template.main_fwhm, jitter, seed, n_samples, point=i)
         for i in range(amplitudes.size)])
-    plan = scan_schedule(emitter, template, amplitudes, durations)
-    (w0, w1), schedule = plan
-    check_batch_work(durations.size * sum(n for _, _, n in schedule))
+    plan = frame_schedule(emitter, template, amplitudes, durations)
+    t_ref, (w0, w1), schedule = plan
+    cuts = frame_field(template, 1.0, durations / t_ref, t_ref).breakpoints()
+    check_batch_work(durations.size * (sum(n for _, _, n in schedule)
+                                       + len(cuts)))
     if rep_period < w1 - w0:
         raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
                          f"{w1 - w0:.3g} s pulse window")
 
     signal, peak, error = _scan_surrogate(
-        lambda a, t: solve_draws(emitter, template, a, t, plan, rep_period),
-        amplitudes, durations)
+        lambda p, s: solve_frames(emitter, template, p, s, plan, rep_period),
+        amplitudes, durations,
+        emitter.gamma1 + emitter.gamma2 + abs(emitter.detuning))
     areas = amplitudes[:, None] * GAUSSIAN_AREA_FACTOR * durations
     mean, se, a_std = draw_moments(signal, areas)
     return PowerScan(amplitudes=amplitudes, signal=np.maximum(mean, 0.0),
@@ -187,52 +191,83 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
                      peak_excitation=np.mean(peak, axis=1), interp_error=error)
 
 
-def draw_field(template: PowerScanTemplate, amps, durations) -> DriveField:
-    """Batch field of a scan's draws: row i of ``durations`` holds the main
-    pulse FWHMs at peak ``|amps[i]|``, and the pedestal scales with it (the
-    sign of a drive does not change the populations)."""
-    peaks = np.abs(amps)[:, None]
-    comps = [FieldComponent(GaussianEnvelope(peaks, durations, template.center))]
+def frame_field(template: PowerScanTemplate, peaks, sigma,
+                t_ref: float) -> DriveField:
+    """Batch field of scan points in the time frame of a main pulse of
+    FWHM ``t_ref``.
+
+    A point whose main pulse has peak |a| and FWHM ``sigma * t_ref`` is
+    solved in the time t' = c + (t - c) / sigma about the main pulse's
+    center c. There its main pulse has FWHM ``t_ref`` and peak ``peaks`` =
+    |a| sigma, which is its area over GAUSSIAN_AREA_FACTOR t_ref, and its
+    pedestal, at ``pedestal.peak * peaks``, is stretched by 1 / sigma about
+    c. ``peaks`` and ``sigma`` broadcast to the batch shape; at sigma = 1
+    the field is the point's own.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    comps = [FieldComponent(GaussianEnvelope(peaks, t_ref, template.center))]
     if template.pedestal is not None:
-        comps.append(FieldComponent(template.pedestal.scaled(peaks)))
+        comps.append(FieldComponent(template.pedestal.scaled(peaks).stretched(
+            1.0 / sigma, template.center)))
     return DriveField(comps)
 
 
-def scan_schedule(emitter: EmitterModel, template: PowerScanTemplate,
-                  amps: np.ndarray, durations: np.ndarray):
-    """Pulse window and step schedule ``((w0, w1), schedule)`` of a scan.
+def frame_schedule(emitter: EmitterModel, template: PowerScanTemplate,
+                   amps: np.ndarray, durations: np.ndarray):
+    """Frame FWHM, pulse window and step schedule ``(t_ref, (w0, w1),
+    schedule)`` of a scan.
 
-    At fixed peak a Gaussian grows pointwise with its FWHM, so the draw
-    field of each row's longest draw spans and bounds every duration of
-    the row. A scan of zero amplitudes has no drive; it takes its draws'
-    window at unit peak.
+    The frame is that of the scan's longest draw t_ref, so every draw has
+    sigma <= 1 and frame rates at most the emitter's. Its frame peak |a|
+    sigma is at most that of the draw of largest area, which also bounds
+    the surrogate's grid. The schedule's field holds the main pulse at that
+    peak, and the pedestal at its peak for it, stretched for the shortest
+    and for the longest draw: it bounds every frame point of an on-center
+    pedestal. A scan of zero amplitudes has no drive; it takes the window
+    at unit peak.
     """
-    longest = durations.max(axis=1, keepdims=True)
-    field = draw_field(template, amps, longest)
-    window = field.support() or draw_field(template, [1.0], longest).support()
-    return window, batch_schedule(field, window, emitter.detuning,
-                                  emitter.gamma1)
+    t_ref = float(np.max(durations))
+    sigma = np.array([np.min(durations) / t_ref, 1.0])
+    peak = float(np.max(np.abs(amps)[:, None] * (durations / t_ref)))
+    field = frame_field(template, peak, sigma, t_ref)
+    window = field.support() or frame_field(template, 1.0, sigma, t_ref).support()
+    return t_ref, window, batch_schedule(field, window, emitter.detuning,
+                                         emitter.gamma1)
 
 
-def solve_draws(emitter: EmitterModel, template: PowerScanTemplate,
-                amps: np.ndarray, durations: np.ndarray, plan,
-                rep_period: float):
-    """Emitted photons per period and peak excitation of every draw.
+def solve_frames(emitter: EmitterModel, template: PowerScanTemplate, peaks,
+                 sigma, plan, rep_period: float):
+    """Emitted photons per period and peak excitation of scan points.
 
-    One batch-kernel solve of the (amplitudes x durations) grid on the
-    scan ``plan`` from :func:`scan_schedule`; ``durations`` has one row
-    per amplitude, or is one row (1-D) that every amplitude shares.
+    One batch-kernel solve, on the ``plan`` of :func:`frame_schedule`, of the
+    :func:`frame_field` points at frame peaks ``peaks`` and duration ratios
+    ``sigma``, which broadcast. In the frame the emitter's rates are sigma
+    Gamma1, sigma Gamma2 and sigma Delta; the window integral of rho_ee is
+    sigma times the frame's, and the drive-free tail after the window lasts
+    ``rep_period - sigma (w1 - w0)``. A piece holding breakpoints of the
+    points is cut there, each part taking its share of the piece's steps,
+    rounded up. At sigma = 1 this is the point's real-time solve, bit for
+    bit.
     """
-    (w0, w1), schedule = plan
-    drive = draw_field(template, amps, durations).rabi
+    t_ref, (w0, w1), schedule = plan
+    sigma = np.asarray(sigma, dtype=float)
+    field = frame_field(template, peaks, sigma, t_ref)
+    cuts = np.array(field.breakpoints())
     state = None
     for a, b, n_steps in schedule:
-        state = integrate_population_batch(
-            drive, emitter.detuning, emitter.gamma1, emitter.gamma2,
-            (a, b), n_steps, initial=state)
+        inner = cuts[(cuts > a) & (cuts < b)].tolist()
+        edges = [a, *inner, b]
+        for x, y in zip(edges[:-1], edges[1:]):
+            state = integrate_population_batch(
+                field.rabi, sigma * emitter.detuning, sigma * emitter.gamma1,
+                sigma * emitter.gamma2, (x, y),
+                math.ceil(n_steps * (y - x) / (b - a)) if inner else n_steps,
+                initial=state)
     rho_end, _, integral, rho_peak = state
-    return (emitted_photons_per_period(rho_end, integral, emitter.gamma1,
-                                       rep_period - (w1 - w0)), rho_peak)
+    return (emitted_photons_per_period(rho_end, sigma * integral,
+                                       emitter.gamma1,
+                                       rep_period - sigma * (w1 - w0)),
+            rho_peak)
 
 
 def draw_moments(signal: np.ndarray, areas: np.ndarray):
@@ -253,23 +288,26 @@ def draw_moments(signal: np.ndarray, areas: np.ndarray):
 # ---------------------------------------------------------------------------
 # Scan surrogate.
 #
-# On one step schedule a draw's signal is an analytic function of |a| and of
-# its duration, so the tensor Chebyshev interpolant through solves at
-# (m + 1) x (n + 1) Chebyshev-Lobatto points in |a| and in the duration
-# converges geometrically in m and n (Trefethen, Approximation Theory and
-# Approximation Practice, SIAM 2013, ch. 3; Townsend & Trefethen, SIAM J.
-# Sci. Comput. 35, C495 (2013)). A DCT-I along each axis of the node values
-# gives its Chebyshev coefficients. The amplitude axis is evaluated first: one
-# Chebyshev-Vandermonde product gives each row's duration series, and
-# Clenshaw's recurrence evaluates that series stably at every draw. A row
-# whose |a| is a node takes the node's own series, so it reads its solves
-# exactly and a = 0 stays dark. When the amplitude nodes would not be fewer
-# than the amplitudes, the amplitudes themselves are the amplitude axis:
-# every row is a node. Each axis takes its degree up front from its largest
-# pulse-area spread and doubles only when its Chebyshev coefficient tail has
-# not decayed; Lobatto nodes nest, so a doubling solves only the new nodes.
-# The peak excitation is a maximum over the step grid, with kinks in both
-# variables; it is interpolated the same way.
+# On resonance, a Gaussian pulse measured in units of its own duration
+# depends only on its area and on the rates times its duration (Gamma1 tau,
+# Gamma2 tau, Delta tau; Allen & Eberly, Optical Resonance and Two-Level
+# Atoms, Wiley 1975, ch. 3). In the frame of the scan's longest draw every
+# draw is therefore the same unit pulse, scaled by its area, under rates
+# scaled by its duration, on one window and one step schedule: its signal is
+# an analytic function of the area, through which it oscillates, and of the
+# duration, in which it only drifts with the rates. The tensor Chebyshev
+# interpolant through solves at (m + 1) x (n + 1) Chebyshev-Lobatto points in
+# the area and in the duration converges geometrically in m and n
+# (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
+# chs. 3 and 8; Townsend & Trefethen, SIAM J. Sci. Comput. 35, C495 (2013)),
+# and fast in n. A DCT-I along each axis of the node values gives its
+# Chebyshev coefficients, and each draw reads the interpolant at its own
+# (area, duration) from the two axes' Chebyshev-Vandermonde rows. Each axis
+# takes its degree up front from the phase that the signal sweeps along it
+# and doubles only when its Chebyshev coefficient tail has not decayed;
+# Lobatto nodes nest, so a doubling solves only the new nodes. The peak
+# excitation is a maximum over the step grid, with kinks in both variables;
+# it is interpolated the same way.
 # ---------------------------------------------------------------------------
 
 #: An axis has converged when, along it, every Chebyshev coefficient in the
@@ -277,22 +315,40 @@ def draw_moments(signal: np.ndarray, areas: np.ndarray):
 #: largest value.
 SURROGATE_TAIL = 1e-9
 
+#: The starting degree sizes an axis for a coefficient tail this many times
+#: below SURROGATE_TAIL.
+SURROGATE_MARGIN = 10.0
 
-def _surrogate_degree(area_spread: float) -> int:
-    """Starting degree (nodes - 1) of an axis along which the scan's pulse
-    area spans at most ``area_spread`` rad.
+#: Draws whose interpolant values are evaluated together: bounds the
+#: transient heap of their Chebyshev columns (about 0.9 kB per draw).
+SURROGATE_CHUNK = 1024
 
-    A signal oscillating in the pulse area spans ``area_spread / 2`` rad per
-    unit of the node variable, so its Chebyshev coefficients decay past
-    degree ~spread/2. On the c05 scans (4 ns pulses, T1 = 9.5 ns, 7 %
-    jitter, up to 12 pi, 200 or 2000 draws, with and without pedestal) the
-    smallest even degree that passes the tail check is 60-62 on the
-    amplitude axis (spreads of 48-50 rad, rule 77-80) and 36-40 on the
-    duration axis (21-25 rad, rule 43-47): at most 1.25 spread + 14 on
-    either axis. The rule adds a margin of two, so that no doubling is
-    needed there.
+
+def _surrogate_degree(phase_spread: float) -> int:
+    """Starting degree (nodes - 1) of an axis along which the signal's phase
+    spans at most ``phase_spread`` rad.
+
+    On [-1, 1] the Chebyshev coefficients of cos(rho x + phi), rho =
+    phase_spread / 2, are at most 2 |J_k(rho)|, which falls
+    super-geometrically once k passes rho. The rule takes the first k >= rho
+    where |J_k(rho)| is at most SURROGATE_TAIL / SURROGATE_MARGIN, and puts
+    it at the start of the last quarter that the tail check reads: degree
+    ceil(4 k / 3). The area axis sweeps the pulse area; the duration axis
+    sweeps (Gamma1 + Gamma2 + |Delta|) times the duration spread. On the
+    c05 scans (4 ns pulses, T1 = 9.5 ns, 7 % jitter, up to 12 pi, 200 draws
+    at seeds 1, 2, 3 and 7, and 2000 at seed 5) this gives 61-65 area and
+    11 duration nodes (63 x 11 = 693 points at seed 1), and no doubling;
+    the smallest degrees that pass there are 58-60 and 10, and at degree
+    10 the duration axis's last-quarter coefficients sit about 50 times
+    under the tail bound. A pedestal, stretched by 1 / sigma in the frame,
+    adds a dependence on the duration that the rule does not count: with a
+    1 %, 30 ns Gaussian pedestal the duration axis doubles once.
     """
-    return math.ceil(1.25 * area_spread + 16.0)
+    rho = 0.5 * phase_spread
+    k = math.ceil(rho)
+    while abs(jv(k, rho)) > SURROGATE_TAIL / SURROGATE_MARGIN:
+        k += 1
+    return math.ceil(4 * k / 3)
 
 
 def _lobatto_nodes(lo: float, hi: float, n: int, odd: bool = False):
@@ -304,6 +360,25 @@ def _lobatto_nodes(lo: float, hi: float, n: int, odd: bool = False):
     nodes[k == 0] = hi
     nodes[k == n] = lo
     return nodes
+
+
+def _node_variable(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``values`` mapped from [lo, hi] onto [-1, 1], clipped there: roundoff
+    puts end values just outside. A degenerate axis maps to 0."""
+    return np.clip((2.0 * values - (lo + hi)) / ((hi - lo) or 1.0), -1.0, 1.0)
+
+
+def _chebyshev_columns(x: np.ndarray, degree: int) -> np.ndarray:
+    """T_0(x) ... T_degree(x) of the 1-D ``x``, one row per degree, by the
+    three-term recurrence."""
+    t = np.empty((degree + 1, x.size))
+    t[0] = 1.0
+    t[1:2] = x
+    twice = 2.0 * x
+    for k in range(2, degree + 1):
+        np.multiply(twice, t[k - 1], out=t[k])
+        t[k] -= t[k - 2]
+    return t
 
 
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
@@ -322,86 +397,91 @@ def _tail(coef: np.ndarray) -> np.ndarray:
     return np.max(np.abs(coef[..., (3 * n) // 4:]), axis=-1)
 
 
-def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray):
+def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray,
+                    rate: float):
     """Signal, peak excitation and interpolation error at every draw.
 
-    ``solve(a, t)`` returns (signal, peak) of amplitudes ``a`` at durations
-    ``t``, which has one row per amplitude or is one row for all; row i
-    of ``durations`` holds the draws at ``amps[i]``. Returns the
-    (rows x samples) signal and peak at ``durations`` and, per row, the
-    estimated largest error of the interpolated signal: twice the
-    coefficient tail of each axis the row interpolates plus the rounding
-    floor of the series evaluation. The duration nodes span the scan's
-    [min, max] draw. A scan whose draws have no spread (no jitter) takes one
-    solve per row; a scan that needs as many duration nodes as it has draws
-    solves its draws directly. Both report zero error.
+    ``solve(p, s)`` returns (signal, peak) of the scan points at frame peaks
+    ``p`` and duration ratios ``s`` to the longest draw t_ref, which
+    broadcast (:func:`solve_frames`). Row i of ``durations`` holds the draws
+    at ``amps[i]``; draw t is the point (|a| t / t_ref, t / t_ref), whose
+    frame peak is its main pulse's area over GAUSSIAN_AREA_FACTOR t_ref.
+    ``rate`` is Gamma1 + Gamma2 + |Delta|. Returns the (rows x samples)
+    signal and peak at the draws and, per row, the estimated largest error
+    of the interpolated signal: twice the coefficient tail of each axis plus
+    the rounding floor of the series evaluation. The grid spans the draws'
+    range of areas and of durations. A scan whose draws have no spread (no
+    jitter) takes one solve per row, and a scan whose grid would not be
+    smaller than its draws solves its draws. Both report zero error, and so
+    does a dark row (a = 0): it lies on the grid's zero-area node line,
+    whose solves are exactly zero, and takes that zero.
     """
     rows, n_samples = durations.shape
-    lo, hi = float(np.min(durations)), float(np.max(durations))
-    if lo == hi:
-        signal, peak = solve(amps, durations[:, :1])
+    t_ref = float(np.max(durations))
+    sigma = durations / t_ref
+    mag = np.abs(amps)[:, None]
+    s_lo = float(np.min(sigma))
+    if s_lo == 1.0:
+        signal, peak = solve(mag, sigma[:, :1])
         return (np.broadcast_to(signal, durations.shape),
                 np.broadcast_to(peak, durations.shape), np.zeros(rows))
-    mag = np.abs(amps)
-    a_lo, a_hi = float(np.min(mag)), float(np.max(mag))
-    n = _surrogate_degree(a_hi * GAUSSIAN_AREA_FACTOR * (hi - lo))
-    m = _surrogate_degree((a_hi - a_lo) * GAUSSIAN_AREA_FACTOR * hi)
-    if n + 1 >= n_samples:
-        return (*solve(amps, durations), np.zeros(rows))
+    peaks = mag * sigma
+    p_lo, p_hi = float(np.min(peaks)), float(np.max(peaks))
+    m = _surrogate_degree((p_hi - p_lo) * GAUSSIAN_AREA_FACTOR * t_ref)
+    n = _surrogate_degree(rate * (t_ref - float(np.min(durations))))
 
-    # vals[0] and vals[1]: signal and peak at (axis x duration) nodes. The
-    # amplitude axis is Chebyshev nodes, or else the amplitudes themselves.
-    on_nodes = m + 1 < rows
-    axis = _lobatto_nodes(a_lo, a_hi, m) if on_nodes else mag
-    vals = np.stack(solve(axis, _lobatto_nodes(lo, hi, n)))
+    def grid(p_nodes, s_nodes):
+        return np.stack(solve(p_nodes[:, None], s_nodes))
+
+    def draws():
+        return (*solve(peaks, sigma), np.zeros(rows))
+
+    # vals[0] and vals[1]: signal and peak at (area x duration) nodes.
+    if (m + 1) * (n + 1) >= peaks.size:
+        return draws()
+    vals = grid(_lobatto_nodes(p_lo, p_hi, m), _lobatto_nodes(s_lo, 1.0, n))
     while True:
         signal = vals[0]
-        if on_nodes and np.any(
-                _tail(_chebyshev_coefficients(signal.T))
-                > SURROGATE_TAIL * np.max(np.abs(signal), axis=0)):
-            if 2 * m + 1 >= rows:
-                on_nodes, axis = False, mag
-                vals = np.stack(solve(axis, _lobatto_nodes(lo, hi, n)))
-                continue
-            new = solve(_lobatto_nodes(a_lo, a_hi, 2 * m, odd=True),
-                        _lobatto_nodes(lo, hi, n))
+        if np.any(_tail(_chebyshev_coefficients(signal.T))
+                  > SURROGATE_TAIL * np.max(np.abs(signal), axis=0)):
+            if (2 * m + 1) * (n + 1) >= peaks.size:
+                return draws()
+            new = grid(_lobatto_nodes(p_lo, p_hi, 2 * m, odd=True),
+                       _lobatto_nodes(s_lo, 1.0, n))
             vals = np.insert(vals, np.arange(1, m + 1), new, axis=1)
             m *= 2
-            axis = _lobatto_nodes(a_lo, a_hi, m)
         elif np.any(_tail(_chebyshev_coefficients(signal))
                     > SURROGATE_TAIL * np.max(np.abs(signal), axis=1)):
-            if 2 * n + 1 >= n_samples:
-                return (*solve(amps, durations), np.zeros(rows))
-            new = solve(axis, _lobatto_nodes(lo, hi, 2 * n, odd=True))
+            if (m + 1) * (2 * n + 1) >= peaks.size:
+                return draws()
+            new = grid(_lobatto_nodes(p_lo, p_hi, m),
+                       _lobatto_nodes(s_lo, 1.0, 2 * n, odd=True))
             vals = np.insert(vals, np.arange(1, n + 1), new, axis=2)
             n *= 2
         else:
             break
 
-    # Each row's duration series: its node's own, else read off the
-    # amplitude axis's Chebyshev series of the node series.
-    coef = _chebyshev_coefficients(vals)
-    if on_nodes:
-        hit = mag[:, None] == axis
-        node = np.where(np.any(hit, axis=1), np.argmax(hit, axis=1), -1)
-    else:
-        node = np.arange(rows)
-    off = node < 0
-    series = coef[:, node]
-    if np.any(off):
-        x = (2.0 * mag[off] - (a_lo + a_hi)) / (a_hi - a_lo)
-        series[:, off] = chebvander(x, m) @ np.swapaxes(
-            _chebyshev_coefficients(np.swapaxes(coef, 1, 2)), 1, 2)
+    # coef[q, l, k] multiplies T_k(area) T_l(duration) in quantity q. Each
+    # chunk of draws takes the coefficients times its area columns, then
+    # sums the result against its duration columns.
+    coef = _chebyshev_coefficients(
+        np.swapaxes(_chebyshev_coefficients(vals), 1, 2))
+    flat = coef.reshape(2 * (n + 1), m + 1)
+    out = np.empty((2, peaks.size))
+    for i in range(0, peaks.size, SURROGATE_CHUNK):
+        part = slice(i, i + SURROGATE_CHUNK)
+        x = _node_variable(peaks.ravel()[part], p_lo, p_hi)
+        y = _node_variable(sigma.ravel()[part], s_lo, 1.0)
+        by_area = (flat @ _chebyshev_columns(x, m)).reshape(2, n + 1, -1)
+        out[:, part] = np.sum(by_area * _chebyshev_columns(y, n), axis=1)
+    signal, peak = out.reshape(2, rows, n_samples)
 
     eps = np.finfo(float).eps
-    scale = np.max(np.abs(vals[0]), axis=1)
-    error = 2.0 * _tail(series[0]) + (n + 1) * eps * np.where(
-        off, np.max(scale), scale[node])
-    if np.any(off):
-        error[off] += (2.0 * np.max(_tail(_chebyshev_coefficients(vals[0].T)))
-                       + (m + 1) * eps * np.max(scale))
-    x = np.clip((2.0 * durations - (lo + hi)) / (hi - lo), -1.0, 1.0)
-    signal, peak = (chebval(x, s.T[..., None], tensor=False) for s in series)
+    tails = np.max(_tail(coef[0])) + np.max(_tail(coef[0].T))
+    error = np.full(rows, 2.0 * tails
+                    + (m + n + 2) * eps * np.max(np.abs(vals[0])))
+    dark = mag[:, 0] == 0.0
+    signal[dark] = peak[dark] = error[dark] = 0.0
     return signal, peak, error
 
 

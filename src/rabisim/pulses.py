@@ -11,10 +11,11 @@ usual convention for measured pulse durations), so the amplitude envelope
 is ``exp(-2 ln2 (t-c)^2 / w^2)`` and a resonant Gaussian pulse has area
 ``peak * w * sqrt(pi / (2 ln2))``.
 
-A Gaussian's ``peak`` and ``fwhm`` and a rectangle's ``peak`` may hold one
+A Gaussian's or a rectangle's ``peak``, width and ``center`` may hold one
 value per batch member, so that one :class:`DriveField` describes a whole
-scan or map: values broadcast against a scalar t, and ``support`` (hull),
-``max_on``, ``peak_value`` and ``feature_time`` bound every member.
+scan or map: values broadcast against a scalar t, ``support`` (hull),
+``max_on``, ``peak_value`` and ``feature_time`` bound every member, and
+``breakpoints`` lists every member's edges.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ class RectangularEnvelope:
     """Flat-top pulse: ``peak`` on [center - duration/2, center + duration/2]."""
 
     peak: float | np.ndarray
-    duration: float
-    center: float = 0.0
+    duration: float | np.ndarray
+    center: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if np.any(_require_finite("peak", self.peak) < 0):
             raise ValueError("peak amplitude must be >= 0")
-        if _require_finite("duration", self.duration) <= 0:
+        if np.any(_require_finite("duration", self.duration) <= 0):
             raise ValueError("duration must be > 0")
         _require_finite("center", self.center)
 
@@ -67,28 +68,43 @@ class RectangularEnvelope:
         inside = np.abs(t - self.center) <= 0.5 * self.duration
         return np.where(inside, self.peak, 0.0)
 
+    def _edges(self):
+        half = 0.5 * np.asarray(self.duration)
+        return self.center - half, self.center + half
+
     def support(self, cutoff: float = SUPPORT_CUTOFF):
-        return self.breakpoints() if np.any(self.peak) else None
+        if not np.any(self.peak):
+            return None
+        lo, hi = self._edges()
+        return (float(np.min(lo)), float(np.max(hi)))
 
     def breakpoints(self):
-        half = 0.5 * self.duration
-        return (self.center - half, self.center + half)
+        """Both edges of every member, sorted."""
+        return tuple(np.unique(np.concatenate(
+            [np.ravel(edge) for edge in self._edges()])).tolist())
 
     kinks = breakpoints
 
     def max_on(self, a: float, b: float) -> float:
         """Largest value on the open interval (a, b)."""
-        lo, hi = self.breakpoints()
-        return self.peak_value() if a < hi and b > lo else 0.0
+        lo, hi = self._edges()
+        return float(np.max(np.where((a < hi) & (b > lo), self.peak, 0.0)))
 
     def feature_time(self) -> float:
-        return self.duration
+        return float(np.min(self.duration))
 
     def peak_value(self) -> float:
         return float(np.max(self.peak))
 
     def scaled(self, factor) -> "RectangularEnvelope":
         return replace(self, peak=self.peak * factor)
+
+    def stretched(self, factor, about: float) -> "RectangularEnvelope":
+        """The pulse stretched in time by ``factor`` (one per member, or
+        one for all) about the time ``about``; a factor of 1 returns the
+        same values."""
+        return replace(self, duration=self.duration * factor,
+                       center=self.center + (self.center - about) * (factor - 1.0))
 
 
 @dataclass(frozen=True)
@@ -97,7 +113,7 @@ class GaussianEnvelope:
 
     peak: float | np.ndarray
     fwhm: float | np.ndarray
-    center: float = 0.0
+    center: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if np.any(_require_finite("peak", self.peak) < 0):
@@ -114,9 +130,10 @@ class GaussianEnvelope:
     def support(self, cutoff: float = SUPPORT_CUTOFF):
         if not np.any(self.peak):
             return None
-        half = float(np.max(self.fwhm)) * math.sqrt(
+        half = np.asarray(self.fwhm) * math.sqrt(
             math.log(1.0 / cutoff) / (2.0 * math.log(2.0)))
-        return (self.center - half, self.center + half)
+        return (float(np.min(self.center - half)),
+                float(np.max(self.center + half)))
 
     def breakpoints(self):
         return ()
@@ -124,8 +141,9 @@ class GaussianEnvelope:
     kinks = breakpoints
 
     def max_on(self, a: float, b: float) -> float:
-        """Largest value on [a, b]: the value at its point nearest the center."""
-        return float(np.max(self.value(min(max(self.center, a), b))))
+        """Largest value on [a, b]: each member's value at its point nearest
+        its center."""
+        return float(np.max(self.value(np.clip(self.center, a, b))))
 
     def feature_time(self) -> float:
         return float(np.min(self.fwhm))
@@ -135,6 +153,13 @@ class GaussianEnvelope:
 
     def scaled(self, factor) -> "GaussianEnvelope":
         return replace(self, peak=self.peak * factor)
+
+    def stretched(self, factor, about: float) -> "GaussianEnvelope":
+        """The pulse stretched in time by ``factor`` (one per member, or
+        one for all) about the time ``about``; a factor of 1 returns the
+        same values."""
+        return replace(self, fwhm=self.fwhm * factor,
+                       center=self.center + (self.center - about) * (factor - 1.0))
 
 
 class SampledEnvelope:
