@@ -46,6 +46,9 @@ FLOAT_FMT = "%.9g"
 #: Most rows `trace` writes (a ~0.3 GB trace.csv); the defaults write ~3.5k.
 MAX_TRACE_ROWS = 10 ** 7
 
+#: Most drive components (``field.count`` or ``field.N.*``) a config may set.
+MAX_FIELD_COMPONENTS = 1000
+
 
 def _fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
@@ -262,6 +265,9 @@ def parse_config(text: str):
     if field_count < 1:
         raise ValidationError("field.count must be >= 1")
     field_count = max([field_count, *map(_component_index, explicit)])
+    if field_count > MAX_FIELD_COMPONENTS:
+        raise ValidationError(f"{field_count} field components (at most "
+                              f"{MAX_FIELD_COMPONENTS})")
     skeleton = ExperimentConfig(field=(FieldComponentConfig(),) * field_count)
     table = {key: (owner, f) for key, owner, f, _ in _table(skeleton)}
     values: dict = {owner: {} for owner, _ in table.values()}
@@ -804,7 +810,7 @@ def run_command(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         if args.command == "selftest":
-            return run_selftest(verbose=True)
+            return run_selftest()
         t_start = time.monotonic()
         cfg, defaults, cfg_text = _load_config(args)
         out = Path(cfg.output_dir)

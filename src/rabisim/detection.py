@@ -35,7 +35,7 @@ index), which makes results independent of chunking and evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,12 +86,12 @@ class DetectorModel:
 
 @dataclass(frozen=True, eq=False)
 class TcspcHistogram:
-    """Histogram of detected arrival times relative to the pulse trigger."""
+    """Detection times after the pulse trigger, binned over ``n_pulses``
+    periods; the seed and detector settings live in the run's config."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
     n_pulses: int
-    metadata: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         if self.counts.size != self.bin_edges.size - 1:
@@ -153,7 +153,6 @@ class _JumpEngine:
         self.gphi = emitter.pure_dephasing
         self.t0 = float(t0)
         self.t_limit = float(t_limit)
-        self.field_hash = field.content_hash()
         support = field.support(SUPPORT_CUTOFF)
         driven = support is not None and support[0] < t_limit and support[1] > t0
         grid_end = min(support[1], t_limit) if driven else self.t0
@@ -446,7 +445,7 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
     timestamps get Gaussian timing jitter, and a non-paralyzable dead time
     is enforced on the merged absolute-time stream, carrying across period
     boundaries. Fixed (seed, n_pulses, config) gives bit-identical
-    histograms for any chunking.
+    histograms for any chunking; detections jittered below 0 count in bin 0.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -460,14 +459,9 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
         ids = np.arange(start, min(start + _TCSPC_CHUNK, n_pulses),
                         dtype=np.int64)
         pulses, times = _emission_times_batch(engine, seed, ids, initial)
-        # Emission ordinal within its pulse (pulses are sorted, times
-        # ascending within a pulse).
-        if pulses.size:
-            firsts = np.nonzero(np.diff(pulses, prepend=pulses[0] - 1))[0]
-            seg = np.repeat(firsts, np.diff(np.append(firsts, pulses.size)))
-            ordinal = np.arange(pulses.size) - seg
-        else:
-            ordinal = np.empty(0, dtype=np.int64)
+        # Emission ordinal within its pulse: pulses are sorted, so each
+        # pulse's first emission sits at searchsorted(pulses, pulse).
+        ordinal = np.arange(pulses.size) - np.searchsorted(pulses, pulses)
         kept = rng.uniform(seed, rng.STREAM_THIN, pulses, ordinal) < detector.efficiency
         pulses, times, ordinal = pulses[kept], times[kept], ordinal[kept]
         if detector.timing_jitter_sigma > 0 and pulses.size:
@@ -498,18 +492,8 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
     n_bins = detector.n_bins()
     edges = detector.bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(np.maximum(times, 0.0), bins=edges)
-    meta = {
-        "seed": int(seed),
-        "n_pulses": int(n_pulses),
-        "field_hash": engine.field_hash,
-        "efficiency": detector.efficiency,
-        "dead_time": detector.dead_time,
-        "timing_jitter_sigma": detector.timing_jitter_sigma,
-        "rep_period": detector.rep_period,
-        "bin_width": detector.bin_width,
-    }
     hist = TcspcHistogram(bin_edges=edges, counts=counts.astype(np.int64),
-                          n_pulses=n_pulses, metadata=meta)
+                          n_pulses=n_pulses)
     if detector.dead_time >= edges[-1] and hist.total() > n_pulses:
         raise AssertionError("dead time exceeding the histogram span must cap "
                              "counts at one per pulse")

@@ -190,10 +190,11 @@ def least_squares(problem: FitProblem) -> FitResult:
 
 @dataclass(frozen=True, eq=False)
 class TraceFit:
+    """Fitted parameters, peak Rabi frequency and pulse area of a trace."""
+
     result: FitResult
     omega_max: float
     area: float
-    model: np.ndarray
 
 
 def _forward_series(pulse_envelope: SampledEnvelope, emitter: EmitterModel,
@@ -311,7 +312,8 @@ def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
 
     Reports the peak Rabi frequency ``s * max(envelope)`` and the resonant
     pulse area of the scaled envelope. Scaling the stored envelope samples
-    by k while scaling the fitted s by 1/k leaves both unchanged.
+    by k while scaling the fitted s by 1/k leaves both unchanged. The fitted
+    curve is :func:`trace_model` at the fitted parameters.
     """
     times = np.asarray(times, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -378,10 +380,6 @@ def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
         residual_fn=residual_fn, max_iter=max_iter,
         scale=np.array([x0[0], span, max(abs(x0[2]), 1.0), x0[3]])))
     s_fit = result.param("scale")
-    scaled = pulse_envelope.scaled(s_fit)
-    omega_max = s_fit * pulse_envelope.peak_value()
-    area = pulse_area(DriveField.single(scaled))
-    fitted = (result.param("norm")
-              * model_values(s_fit, result.param("t0"))
-              + result.param("background"))
-    return TraceFit(result=result, omega_max=omega_max, area=area, model=fitted)
+    area = pulse_area(DriveField.single(pulse_envelope.scaled(s_fit)))
+    return TraceFit(result=result, omega_max=s_fit * pulse_envelope.peak_value(),
+                    area=area)

@@ -103,19 +103,21 @@ class PowerScanTemplate:
 
 
 def sample_durations(base_t: float, model: JitterModel, seed: int, n: int,
-                     point: int = 0, draw0: int = 0) -> np.ndarray:
-    """n truncated-Gaussian durations from the counter stream of ``point``.
+                     point=0) -> np.ndarray:
+    """n truncated-Gaussian durations per scan ``point`` (int or array).
 
-    Rejection of non-positive draws re-draws deterministically from later
-    counters; at the few-percent level the rejection probability is
-    astronomically small, so the truncation is a formality.
+    Draw k of a point takes counter point * 2**32 + k, so an array of points
+    gives ``point.shape + (n,)`` rows equal to scalar calls. A non-positive
+    draw is re-drawn at the next draw index: at the few-percent level that
+    is astronomically rare, so the truncation is a formality.
     """
     if base_t <= 0:
         raise ValueError("base_t must be > 0")
+    point = np.asarray(point, dtype=np.uint64)[..., None]
     if model.sigma_t_rel == 0.0:
-        return np.full(n, base_t)
-    counters = np.uint64(point) * np.uint64(1 << 32) + np.arange(n, dtype=np.uint64)
-    draws = np.full(n, draw0, dtype=np.uint64)
+        return np.full(point.shape[:-1] + (n,), base_t)
+    counters = point * np.uint64(1 << 32) + np.arange(n, dtype=np.uint64)
+    draws = np.zeros(counters.shape, dtype=np.uint64)
     vals = base_t * (1.0 + model.sigma_t_rel
                      * rng.normal(seed, rng.STREAM_DURATION, counters, draws))
     for _ in range(64):
@@ -168,9 +170,8 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     # reach them the draws are solved on top of it: the scan stays under
     # twice the checked work.
     check_batch_work(BATCH_PIECES * amplitudes.size * n_samples)
-    durations = np.vstack([
-        sample_durations(template.main_fwhm, jitter, seed, n_samples, point=i)
-        for i in range(amplitudes.size)])
+    durations = sample_durations(template.main_fwhm, jitter, seed, n_samples,
+                                 point=np.arange(amplitudes.size))
     plan = frame_schedule(emitter, template, amplitudes, durations)
     t_ref, (w0, w1), schedule = plan
     cuts = frame_field(template, 1.0, durations / t_ref, t_ref).breakpoints()

@@ -19,13 +19,13 @@ from .pulses import (DriveField, GaussianEnvelope, GAUSSIAN_AREA_FACTOR,
                      RectangularEnvelope, photons_per_pulse, pulse_area)
 
 
-def run_selftest(verbose: bool = True) -> int:
+def run_selftest() -> int:
+    """Print one line per check and the pass count; 0 if all pass, else 4."""
     checks = []
 
     def check(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok))
-        if verbose:
-            print(f"{'ok  ' if ok else 'FAIL'} {name}" + (f"  ({detail})" if detail else ""))
+        print(f"{'ok  ' if ok else 'FAIL'} {name}" + (f"  ({detail})" if detail else ""))
 
     omega = 2.0 * math.pi * 125e6
     period = 2.0 * math.pi / omega
@@ -88,6 +88,5 @@ def run_selftest(verbose: bool = True) -> int:
           f"mean {mean * 1e9:.3f} ns")
 
     failures = [name for name, ok in checks if not ok]
-    if verbose:
-        print(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
+    print(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
     return 0 if not failures else 4

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from rabisim import errors
-from rabisim.cli_io import (ExperimentConfig, MHZ, NS, _table,
-                            build_drive_field, build_emitter, ingest_trace,
-                            parse_config, read_sweep_long, run_command,
-                            serialize_config)
+from rabisim.cli_io import (ExperimentConfig, MAX_FIELD_COMPONENTS, MHZ, NS,
+                            _table, build_drive_field, build_emitter,
+                            ingest_trace, parse_config, read_sweep_long,
+                            run_command, serialize_config)
 from rabisim.errors import (NonMonotonicTime, ParseError, RabisimError,
                             ValidationError)
 from rabisim.fitting import trace_model
@@ -214,6 +214,22 @@ def test_trace_with_too_many_rows_is_refused(tmp_path, capsys):
     assert time.monotonic() - start < 1.0
     assert "ERROR kind=ValidationError" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_field_component_count_is_bounded(tmp_path, capsys):
+    # The parser builds one config per component before checking any, so a
+    # count or an index past the bound must be refused before that.
+    over = MAX_FIELD_COMPONENTS + 1
+    with pytest.raises(ValidationError, match="field components"):
+        parse_config(f"field.count = {over}\n")
+    with pytest.raises(ValidationError, match="field components"):
+        parse_config(f"field.{over}.peak_MHz = 1\n")
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(f"field.count = {over}\nsweep.det_points = 3\n"
+                   f"sweep.amp_points = 2\noutput.dir = {tmp_path / 'out'}\n")
+    assert run_command(["sweep2d", "--config", str(cfg)]) == 3
+    assert "ERROR kind=ValidationError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_rank_lost_jump_table_is_a_step_failure(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import solve_ivp
 
 from rabisim import detection, rng
 from rabisim.bloch import BlochState, EmitterModel, integrate, steady_state
@@ -12,8 +13,9 @@ from rabisim.detection import (DetectorModel, _JumpEngine,
                                emission_rate, first_detected_density,
                                simulate_photon_stream, simulate_tcspc)
 from rabisim.errors import StepFailure
-from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
-                            PhaseLaw, RectangularEnvelope, scale_to_area)
+from rabisim.pulses import (DriveField, FieldComponent, GAUSSIAN_AREA_FACTOR,
+                            GaussianEnvelope, PhaseLaw, RectangularEnvelope,
+                            scale_to_area)
 
 TWO_PI = 2.0 * math.pi
 T1 = 9.5e-9
@@ -355,6 +357,34 @@ def test_engine_table_matches_sequential_product(emitter, field, t_limit, nodes)
     # Per node the two products part by roundoff that grows with the node
     # count (2.4e-13 after 12,545 steps), well under n * eps.
     assert np.max(err / scale) <= 1e-12
+
+
+def test_engine_table_converges_at_fourth_order(monkeypatch):
+    # The c04 pulse, detuned and dephased: the table's last propagator
+    # against DOP853 on psi' = A(t) psi over the same window. RK4 steps cut
+    # the error 16x per halving; 2^3.5 leaves room for the rounded step
+    # count.
+    fwhm = 5.7 * math.pi / (TWO_PI * 370e6 * GAUSSIAN_AREA_FACTOR)
+    field = DriveField.single(GaussianEnvelope(peak=TWO_PI * 370e6, fwhm=fwhm,
+                                               center=12e-9))
+    emitter = EmitterModel(gamma1=1.0 / T1, gamma2=1.4 / T1,
+                           detuning=TWO_PI * 40e6)
+    errors = []
+    for step in (0.2, 0.1, 0.05):
+        monkeypatch.setattr(detection, "ENGINE_PHASE_STEP", step)
+        engine = _JumpEngine(emitter, field, 0.0, 100e-9)
+
+        def rhs(t, y):
+            a = engine._generators(field, np.array([t]))[0]
+            return (a @ y.reshape(2, 2)).ravel()
+
+        ref = solve_ivp(rhs, (engine.t0, engine.times[-1]),
+                        np.eye(2, dtype=complex).ravel(), method="DOP853",
+                        rtol=1e-12, atol=1e-15).y[:, -1].reshape(2, 2)
+        errors.append(np.max(np.abs(engine.cum[-1] - ref)))
+    for coarse, fine in zip(errors, errors[1:]):
+        if coarse > 1e-10:
+            assert coarse / fine >= 2.0 ** 3.5
 
 
 def test_tail_jump_time_without_dephasing_is_the_closed_form():

@@ -41,6 +41,14 @@ def test_sample_duration_deterministic_per_point():
     c = sample_durations(4e-9, model, seed=8, n=100, point=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # An array of points draws each point's scalar stream, byte for byte.
+    rows = sample_durations(4e-9, model, seed=8, n=100, point=np.arange(5))
+    assert rows.tobytes() == np.stack([
+        sample_durations(4e-9, model, seed=8, n=100, point=i)
+        for i in range(5)]).tobytes()
+    off = sample_durations(4e-9, JitterModel(0.0), seed=8, n=100,
+                           point=np.arange(5))
+    assert off.shape == (5, 100) and np.all(off == 4e-9)
 
 
 def test_jitter_model_validation():
@@ -68,9 +76,8 @@ RATE = EM.gamma1 + EM.gamma2
 
 def _scan(amps, model, n_samples, seed, template=TPL):
     """A scan's draws and a solver ``solve(p, s)`` on its own frame plan."""
-    durations = np.vstack([
-        sample_durations(template.main_fwhm, model, seed, n_samples, point=i)
-        for i in range(amps.size)])
+    durations = sample_durations(template.main_fwhm, model, seed, n_samples,
+                                 point=np.arange(amps.size))
     plan = frame_schedule(EM, template, amps, durations)
     return durations, lambda p, s: solve_frames(EM, template, p, s, plan,
                                                 1.4e-6)
@@ -350,9 +357,8 @@ def test_frame_schedule_bounds_every_draw(template, n_samples, seed):
     # draws' own frame field would ask.
     a_max = 12.0 * math.pi / (template.main_fwhm * GAUSSIAN_AREA_FACTOR)
     for amps in (np.linspace(a_max / 240, a_max, 240), np.zeros(3)):
-        durations = np.vstack([
-            sample_durations(template.main_fwhm, JitterModel(0.07), seed,
-                             n_samples, point=i) for i in range(amps.size)])
+        durations = sample_durations(template.main_fwhm, JitterModel(0.07),
+                                     seed, n_samples, point=np.arange(amps.size))
         t_ref, (w0, w1), schedule = frame_schedule(EM, template, amps,
                                                    durations)
         assert t_ref == np.max(durations)
