@@ -233,163 +233,42 @@ def steady_state(emitter: EmitterModel, omega: float) -> BlochState:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step batch integrator for power scans.
+# Dyson propagator for scans and maps.
 #
-# Power scans integrate thousands of parameter points over a common window.
-# The kernel is the integrating-factor ("Lawson") fourth-order Runge-Kutta
-# method (Lawson, SIAM J. Numer. Anal. 4, 372 (1967); Hochbruck &
-# Ostermann, Acta Numer. 19, 209 (2010)): the constant linear part -- decay
-# exp(-Gamma1 h) of rho_ee, precession and dephasing exp((i Delta - Gamma2) h)
-# of rho12 -- is applied exactly per batch member, and classical RK4 sees only
-# the drive coupling and the running integral of rho_ee. The step then
-# follows the local drive, not the detuning alone, so :func:`batch_schedule`
-# cuts the window at the drive's breakpoints and into ``BATCH_PIECES`` pieces
-# and sizes the step on each from a bound on |Omega| there. Callers step the
-# schedule segment by segment, carrying the returned state; the result is
-# validated against the adaptive reference integrator in the tests. The
-# Lawson step is still set by |Delta| where the drive is weak, so maps, whose
-# detuning axis reaches far off resonance, step with the Dyson propagator
-# below instead.
+# Scans and maps integrate thousands of parameter points over a common
+# window, and both drive every point with a real amplitude times one known
+# unit drive f: a map's grid point with |a| f(t) at its detuning column, a
+# scan's point, in the time frame of its longest draw, with its frame peak
+# times the unit pulse of its duration column under that column's rates.
+# Over a step the interaction-frame propagator on (rho_ee, rho12,
+# conj(rho12), 1) is then the Dyson series sum_n a^n J_n, and the J_n
+# depend only on the column. They are integrated once per column and step
+# by Chebyshev-Lobatto spectral integration of f against the exact
+# e^{(L_j - L_i) s} factors of the linear part, so the fast phase
+# e^{+-i Delta s} is integrated exactly against the slow drive (Iserles,
+# BIT 42, 561 (2002); Hochbruck & Ostermann, Acta Numer. 19, 209 (2010)),
+# and only the drive sets the step. Those factors and the quadrature weights
+# depend only on the step length, the nodes and the columns' rates, so a
+# solve builds them once per distinct step and a step multiplies its
+# sampled f into them. The sum over n at every point is a polynomial in a:
+# for the whole batch it is one real matrix product per parity, the
+# (amplitudes x orders) Vandermonde in a^2 times the step's J_n stacked over
+# the columns. The bipartite coupling (rho_ee and 1 couple only to rho12 and
+# its conjugate) makes odd and even J_n live on disjoint entries, and the
+# real structure of the Bloch equations makes the conj(rho12) row the
+# conjugate of the rho12 row, so about 3 of the 12 entries per order are
+# integrated. :func:`window_pieces` cuts the window at the drive's
+# breakpoints, so a jump in the drive costs no order, and
+# :func:`dyson_schedule` plans each piece from its local drive bound.
 # ---------------------------------------------------------------------------
-
-#: Target phase per step (rad). A piece with drive bound W and rate bound
-#: R = |Delta| + W + |chirp| + Gamma1 takes steps h = BATCH_PHASE_STEP /
-#: max((W R^4)^(1/5), Gamma1): the Lawson local error scales as W R^4 h^5, and
-#: a drive-free piece only has to resolve the decay in the rho_ee integral.
-BATCH_PHASE_STEP = 0.08
 
 #: Uniform pieces a schedule cuts its window into, before breakpoint cuts.
 BATCH_PIECES = 48
 
 #: Work budget of one scan or sweep, in point-steps (batch width x steps; a
 #: Dyson step of order p counts p + 1). The largest test scan (240 amplitudes
-#: x 2000 jitter draws) is checked at ~3.5e8.
+#: x 2000 jitter draws) is checked at ~7.1e8.
 MAX_BATCH_POINT_STEPS = 10 ** 10
-
-
-def window_pieces(field: DriveField, t_span):
-    """Pieces ``[(a, b), ...]`` covering ``t_span``: ``BATCH_PIECES`` uniform
-    cuts plus a cut at every breakpoint of ``field`` inside, every batch
-    member's edges included, so a jump in the drive falls on a piece edge
-    and costs a stepper no order."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    inner = [b for b in field.breakpoints() if t0 < b < t1]
-    edges = np.unique(np.concatenate(
-        [np.linspace(t0, t1, BATCH_PIECES + 1), inner]))
-    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
-
-
-def batch_schedule(field: DriveField, t_span, max_detuning: float,
-                   gamma1: float):
-    """Step schedule ``[(a, b, n_steps), ...]`` on :func:`window_pieces`.
-
-    ``field`` bounds the drive of every batch member (|Omega(t)| of each is
-    at most ``field.max_amplitude_on`` there) and ``max_detuning`` bounds
-    their |Delta|; every piece takes at least one step.
-    """
-    base = abs(max_detuning) + field.max_abs_chirp() + gamma1
-    schedule = []
-    for a, b in window_pieces(field, t_span):
-        drive = field.max_amplitude_on(a, b)
-        rate = max((drive * (base + drive) ** 4) ** 0.2, gamma1)
-        n_steps = math.ceil((b - a) * rate / BATCH_PHASE_STEP)
-        schedule.append((a, b, max(1, n_steps)))
-    return schedule
-
-
-def check_batch_work(point_steps: float) -> None:
-    """Raise StepFailure when a batch solve exceeds the work budget."""
-    if point_steps > MAX_BATCH_POINT_STEPS:
-        raise StepFailure(
-            f"batch solve needs {point_steps:.3g} point-steps, over the budget "
-            f"of {MAX_BATCH_POINT_STEPS:.3g}; reduce the grid or the window")
-
-
-def integrate_population_batch(omega_of_t, detuning, gamma1, gamma2,
-                               t_span, n_steps: int, initial=None):
-    """Vectorized fixed-step Bloch integration over one schedule segment.
-
-    ``omega_of_t(t)``, e.g. a batch ``DriveField.rabi``, returns every batch
-    member's Rabi frequency at scalar time t; it, ``detuning``, ``gamma1``
-    and ``gamma2`` broadcast to the batch shape, and scalar rates give the
-    same bits as rates broadcast to arrays. The drive is sampled as
-    one-sided limits inside ``t_span``, so a jump on either end costs no
-    order. ``initial`` is the tuple a previous segment returned; None starts
-    from the ground state. Returns ``(rho_end, rho12_end, integral,
-    rho_peak)`` where ``integral`` is the time integral of rho_ee since the
-    start and ``rho_peak`` the largest excited population reached on the
-    step grid.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    h = (t1 - t0) / n_steps
-    nudge = 1e-9 * (t1 - t0)
-    om_a = np.asarray(omega_of_t(t0 + nudge))
-    det = np.asarray(detuning, dtype=float)
-    g1 = np.asarray(gamma1, dtype=float)
-    g2 = np.asarray(gamma2, dtype=float)
-    if initial is None:
-        shape = np.broadcast_shapes(om_a.shape, det.shape, g1.shape, g2.shape)
-        rho, coh = np.zeros(shape), np.zeros(shape, dtype=complex)
-        acc, peak = np.zeros(shape), np.zeros(shape)
-    else:
-        rho, coh, acc, peak = initial
-    # Exact half-step factors of the linear part.
-    fr = np.exp(-0.5 * g1 * h)
-    fc = np.exp((1j * det - g2) * (0.5 * h))
-    hh, h6 = 0.5 * h, h / 6.0
-
-    def coupling(om, rho, coh):
-        """Drive terms: Im(conj(Omega) rho12) and -(i/2) Omega (2 rho - 1)."""
-        return (om.conj() * coh).imag, -1j * om * (rho - 0.5)
-
-    for k in range(n_steps):
-        t = t0 + k * h
-        om_m = np.asarray(omega_of_t(t + hh))
-        om_b = np.asarray(omega_of_t(t1 - nudge if k == n_steps - 1 else t + h))
-        # Stages live in the frame of t + h/2: the state and k1 are carried
-        # there by the half-step factors, stage 4 and the result on to t + h.
-        rho_e, coh_e = fr * rho, fc * coh
-        k1r, k1c = coupling(om_a, rho, coh)
-        k1r, k1c = fr * k1r, fc * k1c
-        rho2, coh2 = rho_e + hh * k1r, coh_e + hh * k1c
-        k2r, k2c = coupling(om_m, rho2, coh2)
-        rho3, coh3 = rho_e + hh * k2r, coh_e + hh * k2c
-        k3r, k3c = coupling(om_m, rho3, coh3)
-        rho4, coh4 = fr * (rho_e + h * k3r), fc * (coh_e + h * k3c)
-        k4r, k4c = coupling(om_b, rho4, coh4)
-        acc = acc + h6 * (rho + 2.0 * (rho2 + rho3) + rho4)
-        rho = fr * (rho_e + h6 * (k1r + 2.0 * (k2r + k3r))) + h6 * k4r
-        coh = fc * (coh_e + h6 * (k1c + 2.0 * (k2c + k3c))) + h6 * k4c
-        peak = np.maximum(peak, rho)
-        om_a = om_b
-
-    return rho, coh, acc, peak
-
-
-# ---------------------------------------------------------------------------
-# Dyson propagator for maps.
-#
-# Lawson's step is set by resolving e^{i Delta h} at the largest |Delta| of
-# the batch, wherever the drive is. A map drives every grid point with
-# |a| f(t) for one known unit drive f, so over a step the interaction-frame
-# propagator on (rho_ee, rho12, conj(rho12), 1) is the Dyson series
-# sum_n |a|^n J_n, and the J_n depend only on the detuning column. They are
-# integrated once per column and step by Chebyshev-Lobatto spectral
-# integration of f against the exact e^{(L_j - L_i) s} factors of the linear
-# part, so the fast phase e^{+-i Delta s} is integrated exactly against the
-# slow drive (Iserles, BIT 42, 561 (2002); Hochbruck & Ostermann, Acta
-# Numer. 19, 209 (2010)). Those factors and the quadrature weights depend
-# only on the step length, the nodes and the detunings, so they are built
-# once per piece and a step multiplies its sampled f into them. The sum over
-# n at every grid point is a polynomial in |a|: for the whole grid it is one
-# real matrix product per parity, the piece's (amplitudes x orders)
-# Vandermonde in |a|^2 times the step's J_n stacked over the detuning
-# columns, and only the drive sets the step. The bipartite coupling (rho_ee
-# and 1 couple only to rho12 and its conjugate) makes odd and even J_n live
-# on disjoint entries, and the real structure of the Bloch equations makes
-# the conj(rho12) row the conjugate of the rho12 row, so about 3 of the 12
-# entries per order are integrated.
-# ---------------------------------------------------------------------------
 
 #: Largest drive bound x step (rad) of a Dyson step.
 DYSON_STEP = 0.5
@@ -412,6 +291,32 @@ DYSON_NODES_PER_RAD = 0.55
 DYSON_NODES_PER_FEATURE = 4.0
 DYSON_MIN_NODES = 8
 DYSON_MAX_NODES = 128
+
+#: Step frames a solve keeps for later pieces to reuse, the oldest dropped
+#: first. The bench map steps 9 distinct steps on 48 pieces; a rectangle
+#: whose edges differ per column gives most pieces a step of their own, and
+#: the bound keeps their frames from piling up.
+DYSON_FRAMES = 16
+
+
+def window_pieces(field: DriveField, t_span):
+    """Pieces ``[(a, b), ...]`` covering ``t_span``: ``BATCH_PIECES`` uniform
+    cuts plus a cut at every breakpoint of ``field`` inside, every batch
+    member's edges included, so a jump in the drive falls on a piece edge
+    and costs a stepper no order."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    inner = [b for b in field.breakpoints() if t0 < b < t1]
+    edges = np.unique(np.concatenate(
+        [np.linspace(t0, t1, BATCH_PIECES + 1), inner]))
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def check_batch_work(point_steps: float) -> None:
+    """Raise StepFailure when a batch solve exceeds the work budget."""
+    if point_steps > MAX_BATCH_POINT_STEPS:
+        raise StepFailure(
+            f"batch solve needs {point_steps:.3g} point-steps, over the budget "
+            f"of {MAX_BATCH_POINT_STEPS:.3g}; reduce the grid or the window")
 
 
 def dyson_plan(drive: float, length: float, max_offset: float,
@@ -440,6 +345,28 @@ def dyson_plan(drive: float, length: float, max_offset: float,
     return n_steps, order, math.ceil(nodes / n_steps) + DYSON_MIN_NODES
 
 
+def dyson_schedule(field: DriveField, t_span, max_detuning: float,
+                   damping: float, scale: float = 1.0):
+    """Plan ``[(a, b, n_steps, order, n_nodes), ...]`` of ``field``'s
+    :func:`window_pieces` on ``t_span``, each piece by :func:`dyson_plan`.
+
+    ``scale`` times ``field`` bounds every batch point's drive,
+    ``max_detuning`` its |Delta| and ``damping`` its Gamma1 + Gamma2.
+    """
+    offset = abs(max_detuning) + field.max_abs_chirp()
+    feature = field.min_feature_time()
+    return [(a, b, *dyson_plan(scale * field.max_amplitude_on(a, b), b - a,
+                               offset, damping, feature))
+            for a, b in window_pieces(field, t_span)]
+
+
+def schedule_work(schedule) -> int:
+    """Point-steps per batch point of a :func:`dyson_schedule`: a step of
+    order p updates each point with a degree-p polynomial in its amplitude,
+    so it counts p + 1."""
+    return sum(n * (order + 1) for _, _, n, order, _ in schedule)
+
+
 @functools.lru_cache(maxsize=DYSON_MAX_NODES)
 def _lobatto_integration(n: int):
     """Chebyshev-Lobatto nodes x on [-1, 1], ascending, and the matrix Q
@@ -454,61 +381,76 @@ def _lobatto_integration(n: int):
     return x, q
 
 
-def _dyson_frame(s, q, det, gamma1: float, gamma2: float):
+def _dyson_frame(s, q, det, gamma1, gamma2):
     """The drive-free factors of :func:`_dyson_terms`, shared by every step
-    of a piece: at the step's nodes ``s`` (``q`` integrates on them) and
-    the detunings ``det``, ``(fu, fv, fw)`` of the interaction-frame
-    couplings u = B[0,1] = conj(g) fu, v = B[1,0] = g fv and w = B[1,3] =
-    g fw of a drive g, each shaped (nodes, detunings), and the quadrature
-    weights of the rho_ee integral, decay included, as a (nodes, 1)
-    column."""
+    of one length: at the step's nodes ``s`` (``q`` integrates on them) and
+    the columns' detunings and rates (1-D, or one value for every column),
+    ``(fu, fv, fw)`` of the interaction-frame couplings u = B[0,1] =
+    conj(g) fu, v = B[1,0] = g fv and w = B[1,3] = g fw of a drive g, the
+    quadrature weights of the rho_ee integral, decay included, and the
+    decay e^{-Gamma1 s} itself, each shaped (nodes, columns)."""
     s_col = s[:, None]
     spin = np.exp(1j * det * s_col)
+    decay = np.exp(-gamma1 * s_col)
     fu = -0.5j * np.exp((gamma1 - gamma2) * s_col) * spin
     fv = -1j * np.exp((gamma2 - gamma1) * s_col) * spin.conj()
     fw = 0.5j * np.exp(gamma2 * s_col) * spin.conj()
-    return fu, fv, fw, q[-1][:, None] * np.exp(-gamma1 * s_col)
+    return fu, fv, fw, q[-1][:, None] * decay, decay
 
 
-def _dyson_terms(g, frame, q, order: int):
+def _dyson_terms(g, frame, q, order: int, width: int):
     """Dyson terms J_n, n = 1..order, of one step, and the rows K_n of
     their rho_ee integral, for a unit drive ``g`` sampled at the step's
-    nodes, in the :func:`_dyson_frame` ``frame`` of the step (``q``
-    integrates on its nodes).
+    nodes (one column, or one per column), in the :func:`_dyson_frame`
+    ``frame`` of the step (``q`` integrates on its nodes).
 
-    Returns ``(odd, even)``: ``odd[m]`` stacks J[0,1], J[1,0], J[1,3] and
-    K[0,1] of order 2m + 1 at the step's end, and ``even[m]`` J[0,0],
-    J[0,3], J[1,1], J[1,2], K[0,0] and K[0,3] of order 2m + 2, each over
-    the detuning axis. Every other entry is zero or a conjugate of these.
+    Returns ``(odd, even)``: ``odd[m]`` stacks J[0,1] of order 2m + 1 at
+    the step's last ``width`` nodes, then J[1,0] and J[1,3] at its end and
+    K[0,1]; ``even[m]`` stacks J[0,0] and J[0,3] of order 2m + 2 at each
+    of those nodes in turn, then J[1,1] and J[1,2] at the end, K[0,0] and
+    K[0,3]; each over the columns. J[0,0], J[0,1] and J[0,3] at a node give
+    rho_ee there. Every other entry is zero or a conjugate of these.
     """
-    fu, fv, fw, wts = frame
-    g = g[:, None]
+    fu, fv, fw, wts, _ = frame
     u, v, w = g.conj() * fu, g * fv, g * fw
     n, cols = u.shape
+    keep = slice(n - width, n)
+    odd = np.empty(((order + 1) // 2, width + 3, cols), dtype=complex)
+    even = np.empty((order // 2, 2 * width + 4, cols), dtype=complex)
+    # The integrands of an odd and of an even order.
+    three = np.stack((u, v, w), axis=1)
+    four = np.empty((n, 4, cols), dtype=complex)
 
-    def integrate(*fs):
-        stack = np.stack(fs, axis=1)
-        out = (q @ stack.reshape(n, -1).view(float)).view(complex)
-        return out.reshape(stack.shape).swapaxes(0, 1)
+    def integrate(parts):
+        out = (q @ parts.reshape(n, -1).view(float)).view(complex)
+        return out.reshape(parts.shape).swapaxes(0, 1)
 
-    odd = np.empty(((order + 1) // 2, 4, cols), dtype=complex)
-    even = np.empty((order // 2, 6, cols), dtype=complex)
-    j01, j10, j13 = integrate(u, v, w)
+    def weigh(j):
+        return np.add.reduce(wts * j, axis=0)
+
     for m in range(1, order + 1):
+        i = (m - 1) // 2
         if m % 2:
             if m > 1:
-                j01, j10, j13 = integrate(u * j11 + (u * j12).conj(),
-                                          v * j00, v * j03)
-            odd[m // 2] = (j01[-1], j10[-1], j13[-1],
-                           np.sum(wts * j01, axis=0))
+                np.multiply(u, j11, out=three[:, 0])
+                three[:, 0] += (u * j12).conj()
+                np.multiply(v, j00, out=three[:, 1])
+                np.multiply(v, j03, out=three[:, 2])
+            j01, j10, j13 = integrate(three)
+            odd[i, :width] = j01[keep]
+            odd[i, width], odd[i, width + 1] = j10[-1], j13[-1]
+            odd[i, width + 2] = weigh(j01)
         else:
-            j00, j03, j11, j12 = integrate(
-                2.0 * (u * j10).real, 2.0 * (u * j13).real, v * j01,
-                v * j01.conj())
+            four[:, 0] = 2.0 * (u * j10).real
+            four[:, 1] = 2.0 * (u * j13).real
+            np.multiply(v, j01, out=four[:, 2])
+            np.multiply(v, j01.conj(), out=four[:, 3])
+            j00, j03, j11, j12 = integrate(four)
             j00, j03 = j00.real, j03.real
-            even[m // 2 - 1] = (j00[-1], j03[-1], j11[-1], j12[-1],
-                                np.sum(wts * j00, axis=0),
-                                np.sum(wts * j03, axis=0))
+            even[i, 0:2 * width:2], even[i, 1:2 * width:2] = j00[keep], j03[keep]
+            tail = even[i, 2 * width:]
+            tail[0], tail[1], tail[2], tail[3] = (j11[-1], j12[-1], weigh(j00),
+                                                  weigh(j03))
     return odd, even
 
 
@@ -531,61 +473,91 @@ def _power_sums(powers, coeffs):
     return out.view(complex).reshape(-1, k, cols).swapaxes(0, 1)
 
 
-def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1: float,
-                    gamma2: float, t_span, n_steps: int, order: int,
-                    n_nodes: int, initial=None):
-    """Dyson-series steps of a map over one schedule piece.
+def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
+                    n_steps: int, order: int, n_nodes: int, initial=None,
+                    node_peak: bool = False):
+    """Dyson-series steps of a batch over one schedule piece.
 
-    The map's grid point (i, j) is driven by ``amplitudes[i] *
-    unit_rabi(t)`` at detuning ``detunings[j]``: ``unit_rabi`` takes an
-    array of times, and ``amplitudes`` (real) and ``detunings`` are 1-D
-    axes, a scalar acting as an axis of length 1. Each of the ``n_steps``
-    steps sums the Dyson series to ``order`` in the amplitude, with its
-    terms integrated once per detuning on ``n_nodes`` Chebyshev-Lobatto
-    nodes (see :func:`dyson_plan`); the per-point sums are two real matrix
-    products, the piece's Vandermonde in amplitude^2 (odd orders lead with
-    the amplitude, even ones with its square) times the step's stacked
-    terms. ``initial`` is the tuple a previous piece returned; None starts
-    from the ground state. Returns ``(rho_end, rho12_end, integral)``, each
-    shaped (amplitudes, detunings), with ``integral`` the time integral of
-    rho_ee since the start.
+    Batch point (i, j) is driven by ``amplitudes[i]`` times column j of
+    ``unit_rabi(t)`` under detuning ``detunings[j]`` and rates
+    ``gamma1[j]``, ``gamma2[j]``: ``unit_rabi`` takes a (times, 1) column
+    and returns one unit drive for every column or one per column,
+    ``amplitudes`` (real) is a 1-D axis of rows, and the detunings and
+    rates are 1-D columns, a scalar acting as one value for every column.
+    Each of the ``n_steps`` steps sums the Dyson series to ``order`` in the
+    amplitude, with its terms integrated once per column on ``n_nodes``
+    Chebyshev-Lobatto nodes (see :func:`dyson_plan`); the per-point sums
+    are two real matrix products, the Vandermonde in amplitude^2 (odd
+    orders lead with the amplitude, even ones with its square) times the
+    step's stacked terms. ``initial`` is the state a previous piece
+    returned; None starts from the ground state.
+
+    Returns ``(rho_end, rho12_end, integral, rho_peak, frames)``, the first
+    four shaped (amplitudes, columns): ``integral`` is the time integral of
+    rho_ee since the start and ``rho_peak`` the largest rho_ee at the step
+    ends or, with ``node_peak``, at every step's nodes as well. ``frames``
+    holds the :func:`_dyson_frame` of each step length, node count and
+    columns stepped so far, for the next piece to reuse.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / n_steps
     amp = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    det = np.atleast_1d(np.asarray(detunings, dtype=float))
-    if amp.ndim != 1 or det.ndim != 1:
-        raise ValueError("amplitude and detuning axes must be 1-D")
+    det, g1, g2 = (np.atleast_1d(np.asarray(x, dtype=float))
+                   for x in (detunings, gamma1, gamma2))
+    if amp.ndim != 1 or det.ndim != 1 or g1.ndim != 1 or g2.ndim != 1:
+        raise ValueError("amplitude, detuning and rate axes must be 1-D")
     if initial is None:
-        shape = (amp.size, det.size)
+        shape = (amp.size, np.broadcast_shapes(det.shape, g1.shape,
+                                               g2.shape)[0])
         rho, coh = np.zeros(shape), np.zeros(shape, dtype=complex)
-        acc = np.zeros(shape)
+        acc, peak, frames = np.zeros(shape), np.zeros(shape), {}
     else:
-        rho, coh, acc = initial
-    fr = math.exp(-gamma1 * h)
-    fc = np.exp((1j * det - gamma2) * h)
-    k0 = -math.expm1(-gamma1 * h) / gamma1 if gamma1 > 0 else h
+        rho, coh, acc, peak, frames = initial
+    fr = np.exp(-g1 * h)
+    fc = np.exp((1j * det - g2) * h)
+    # The rho_ee integral of a drive-free step, h in the limit Gamma1 = 0.
+    k0 = np.where(g1 > 0, -np.expm1(-g1 * h) / np.where(g1 > 0, g1, 1.0), h)
     a2 = amp * amp
     p_odd = _powers(amp, a2, (order + 1) // 2)
     p_even = _powers(a2, a2, order // 2)
-    odd = np.zeros((0, 4, det.size), dtype=complex)
-    even = np.zeros((0, 6, det.size), dtype=complex)
+    width = n_nodes if node_peak and order else 1
+    odd = np.zeros((0, width + 3, rho.shape[1]), dtype=complex)
+    even = np.zeros((0, 2 * width + 4, rho.shape[1]), dtype=complex)
+    decay = fr
     if order:
         x, q = _lobatto_integration(n_nodes)
         s, q = 0.5 * h * (x + 1.0), 0.5 * h * q
-        frame = _dyson_frame(s, q, det, gamma1, gamma2)
+        key = (h, n_nodes, det.tobytes(), g1.tobytes(), g2.tobytes())
+        if key not in frames:
+            if len(frames) == DYSON_FRAMES:
+                del frames[next(iter(frames))]
+            frames[key] = _dyson_frame(s, q, det, g1, g2)
+        frame = frames[key]
+        if width > 1:
+            decay = frame[4][:, None, :]
+    # The drive is sampled as one-sided limits inside the piece, so a jump
+    # on either end costs no order.
+    nudge = 16.0 * np.spacing(abs(t0) + abs(t1))
     for k in range(n_steps):
         if order:
-            g = np.asarray(unit_rabi(t0 + k * h + s), dtype=complex)
-            odd, even = _dyson_terms(g, frame, q, order)
-        j01, j10, j13, k01 = _power_sums(p_odd, odd)
-        j00, j03, j11, j12, k00, k03 = _power_sums(p_even, even)
+            t = t0 + k * h + s
+            t[0], t[-1] = max(t[0], t0 + nudge), min(t[-1], t1 - nudge)
+            g = np.asarray(unit_rabi(t[:, None]), dtype=complex)
+            odd, even = _dyson_terms(g, frame, q, order, width)
+        odd_sums = _power_sums(p_odd, odd)
+        even_sums = _power_sums(p_even, even)
+        j01, (j10, j13, k01) = odd_sums[:width], odd_sums[width:]
+        j00, j03 = even_sums[0:2 * width:2], even_sums[1:2 * width:2]
+        j11, j12, k00, k03 = even_sums[2 * width:]
         acc = (acc + (k0 + k00.real) * rho + 2.0 * (k01 * coh).real
                + k03.real)
-        rho, coh = (
-            fr * ((1.0 + j00.real) * rho + 2.0 * (j01 * coh).real + j03.real),
-            fc * (j10 * rho + (1.0 + j11) * coh + j12 * coh.conj() + j13))
-    return rho, coh, acc
+        # rho_ee at the step's last width nodes, the step's end last.
+        rho_w = decay * ((1.0 + j00.real) * rho + 2.0 * (j01 * coh).real
+                         + j03.real)
+        coh = fc * (j10 * rho + (1.0 + j11) * coh + j12 * coh.conj() + j13)
+        rho = rho_w[-1]
+        peak = np.maximum(peak, rho_w.max(axis=0))
+    return rho, coh, acc, peak, frames
 
 
 def emitted_photons_per_period(rho_end, window_integral, gamma1: float,

@@ -19,9 +19,9 @@ from scipy.fft import dct
 from scipy.special import jv
 
 from . import rng
-from .bloch import (BATCH_PIECES, EmitterModel, batch_schedule,
-                    check_batch_work, emitted_photons_per_period,
-                    integrate_population_batch)
+from .bloch import (BATCH_PIECES, EmitterModel, check_batch_work,
+                    dyson_schedule, emitted_photons_per_period,
+                    propagate_dyson, schedule_work)
 from .errors import FitDiverged
 from .pulses import (DriveField, FieldComponent, GAUSSIAN_AREA_FACTOR,
                      GaussianEnvelope, RectangularEnvelope)
@@ -53,18 +53,18 @@ class PowerScan:
     for the linear area-noise growth); ``peak_excitation`` the
     jitter-averaged largest excited population during the pulse window,
     whose first maximum stays below full inversion when the pulse length
-    is comparable to the lifetime. It is the largest rho_ee on the batch
-    kernel's step grid, read through the scan surrogate, so it follows the
-    step schedule: on 4 ns pulses from 0.2 pi to 12 pi without jitter it
-    sits up to 2.8e-4 below the DOP853 maximum and never above it. With 7 %
-    jitter and 60 draws the surrogate moves it from the mean of direct
-    per-draw solves by up to 3.0e-5 on 12 amplitudes from 0.5 pi to 6 pi
-    (39 x 11 area x duration nodes) and 3.3e-5 on 120 from 0.5 pi to 12 pi
-    (60 x 11 nodes). ``interp_error`` is the estimated largest error of the
-    interpolated per-draw signal at each amplitude: 3.5e-11 and 6.7e-11 on
-    those two scans, over 2000 times the actual error there (9e-15 and
-    2.3e-14). It is zero where the draws were solved directly or without
-    jitter, and on a dark row.
+    is comparable to the lifetime. It is the largest rho_ee at the Dyson
+    steps' ends and Lobatto nodes, read through the scan surrogate, so it
+    follows the step schedule: on 4 ns pulses from 0.2 pi to 12 pi without
+    jitter it sits up to 2.5e-4 below the DOP853 maximum and never above
+    it. With 7 % jitter and 60 draws the surrogate moves it from the mean
+    of direct per-draw solves by up to 2.4e-5 on 12 amplitudes from 0.5 pi
+    to 6 pi (39 x 11 area x duration nodes) and 1.8e-5 on 120 from 0.5 pi
+    to 12 pi (60 x 11 nodes). ``interp_error`` is the estimated largest
+    error of the interpolated per-draw signal at each amplitude: 3.5e-11
+    and 6.7e-11 on those two scans, over 10000 times the actual error
+    there (3.6e-15 and 4.4e-15). It is zero where the draws were solved
+    directly or without jitter, and on a dark row.
     """
 
     amplitudes: np.ndarray
@@ -144,8 +144,10 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     draw: the scan is solved once, at a tensor grid of Chebyshev-Lobatto
     nodes in the pulse area and in the duration, and the per-draw signal and
     peak excitation are the Chebyshev interpolants through those solves
-    (:func:`_scan_surrogate`). The whole scan is one batch on one window and
-    step schedule (:func:`frame_schedule`). The mean, ``stderr`` and
+    (:func:`_scan_surrogate`). The grid is one batch of the Dyson
+    propagator (:func:`rabisim.bloch.propagate_dyson`), the frame peaks
+    its rows and the durations its columns, on one window
+    (:func:`frame_schedule`). The mean, ``stderr`` and
     ``area_std`` stay Monte Carlo moments over the seeded draws;
     ``interp_error`` estimates the largest interpolation error of the
     per-draw signal. Without jitter every amplitude takes one solve, and a
@@ -163,20 +165,20 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
         raise ValueError("a power scan needs at least one amplitude")
 
     # The schedule takes at least BATCH_PIECES steps, which bounds the work
-    # before any draw. The second check bounds a solve of every draw, with
-    # one step more for each of their breakpoints (a rectangular pedestal's
-    # edges move with the duration in the frame). The grid has fewer points
-    # than the draws, and when its tail check fails once a doubling would
-    # reach them the draws are solved on top of it: the scan stays under
-    # twice the checked work.
+    # before any draw. The second check bounds a solve of every draw on the
+    # scan's schedule, a Dyson step of order p counting p + 1, with one step
+    # more for each of their breakpoints (a rectangular pedestal's edges
+    # move with the duration in the frame). The grid has fewer points than
+    # the draws, and when its tail check fails once a doubling would reach
+    # them the draws are solved on top of it: the scan stays under twice
+    # the checked work.
     check_batch_work(BATCH_PIECES * amplitudes.size * n_samples)
     durations = sample_durations(template.main_fwhm, jitter, seed, n_samples,
                                  point=np.arange(amplitudes.size))
     plan = frame_schedule(emitter, template, amplitudes, durations)
     t_ref, (w0, w1), schedule = plan
     cuts = frame_field(template, 1.0, durations / t_ref, t_ref).breakpoints()
-    check_batch_work(durations.size * (sum(n for _, _, n in schedule)
-                                       + len(cuts)))
+    check_batch_work(durations.size * (schedule_work(schedule) + len(cuts)))
     if rep_period < w1 - w0:
         raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
                          f"{w1 - w0:.3g} s pulse window")
@@ -224,51 +226,62 @@ def frame_schedule(emitter: EmitterModel, template: PowerScanTemplate,
     the surrogate's grid. The schedule's field holds the main pulse at that
     peak, and the pedestal at its peak for it, stretched for the shortest
     and for the longest draw: it bounds every frame point of an on-center
-    pedestal. A scan of zero amplitudes has no drive; it takes the window
-    at unit peak.
+    pedestal, and its Dyson schedule bounds the scan's work. A scan of zero
+    amplitudes has no drive; it takes the window at unit peak.
     """
     t_ref = float(np.max(durations))
     sigma = np.array([np.min(durations) / t_ref, 1.0])
     peak = float(np.max(np.abs(amps)[:, None] * (durations / t_ref)))
     field = frame_field(template, peak, sigma, t_ref)
     window = field.support() or frame_field(template, 1.0, sigma, t_ref).support()
-    return t_ref, window, batch_schedule(field, window, emitter.detuning,
-                                         emitter.gamma1)
+    return t_ref, window, dyson_schedule(field, window, emitter.detuning,
+                                         emitter.gamma1 + emitter.gamma2)
 
 
 def solve_frames(emitter: EmitterModel, template: PowerScanTemplate, peaks,
                  sigma, plan, rep_period: float):
     """Emitted photons per period and peak excitation of scan points.
 
-    One batch-kernel solve, on the ``plan`` of :func:`frame_schedule`, of the
-    :func:`frame_field` points at frame peaks ``peaks`` and duration ratios
-    ``sigma``, which broadcast. In the frame the emitter's rates are sigma
-    Gamma1, sigma Gamma2 and sigma Delta; the window integral of rho_ee is
-    sigma times the frame's, and the drive-free tail after the window lasts
-    ``rep_period - sigma (w1 - w0)``. A piece holding breakpoints of the
-    points is cut there, each part taking its share of the piece's steps,
-    rounded up. At sigma = 1 this is the point's real-time solve, bit for
-    bit.
+    One Dyson solve (:func:`rabisim.bloch.propagate_dyson`), on the window
+    of the ``plan`` of :func:`frame_schedule`, of the :func:`frame_field`
+    points at frame peaks ``peaks`` and duration ratios ``sigma``. Peaks
+    (rows, 1) by a 1-D ``sigma`` are a tensor: the propagator's columns
+    are the sigma, each with its unit pulse, and its rows the peaks. Any
+    other ``peaks`` and ``sigma`` broadcast to paired points, each a column
+    whose unit pulse carries its own peak at amplitude 1 (the Dyson term
+    J_n is n-linear in the drive). In the frame the emitter's rates are
+    sigma Gamma1, sigma Gamma2 and sigma Delta; the window integral of
+    rho_ee is sigma times the frame's, and the drive-free tail after the
+    window lasts ``rep_period - sigma (w1 - w0)``. The solve is planned on
+    its own field's pieces, so every column's edges are piece edges, and
+    the peak is read at every step's nodes. At sigma = 1 this is the
+    point's real-time solve, bit for bit.
     """
-    t_ref, (w0, w1), schedule = plan
+    t_ref, (w0, w1), _ = plan
+    peaks = np.asarray(peaks, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    field = frame_field(template, peaks, sigma, t_ref)
-    cuts = np.array(field.breakpoints())
+    if peaks.ndim == 2 and peaks.shape[1] == 1 and sigma.ndim == 1:
+        shape, rows, unit = None, peaks[:, 0], 1.0
+    else:
+        shape = np.broadcast_shapes(peaks.shape, sigma.shape)
+        rows, unit = np.ones(1), np.broadcast_to(peaks, shape).ravel()
+        sigma = np.broadcast_to(sigma, shape).ravel()
+    field = frame_field(template, unit, sigma, t_ref)
     state = None
-    for a, b, n_steps in schedule:
-        inner = cuts[(cuts > a) & (cuts < b)].tolist()
-        edges = [a, *inner, b]
-        for x, y in zip(edges[:-1], edges[1:]):
-            state = integrate_population_batch(
-                field.rabi, sigma * emitter.detuning, sigma * emitter.gamma1,
-                sigma * emitter.gamma2, (x, y),
-                math.ceil(n_steps * (y - x) / (b - a)) if inner else n_steps,
-                initial=state)
-    rho_end, _, integral, rho_peak = state
-    return (emitted_photons_per_period(rho_end, sigma * integral,
-                                       emitter.gamma1,
-                                       rep_period - sigma * (w1 - w0)),
-            rho_peak)
+    for a, b, *steps in dyson_schedule(field, (w0, w1), emitter.detuning,
+                                       emitter.gamma1 + emitter.gamma2,
+                                       scale=float(np.max(rows))):
+        state = propagate_dyson(
+            field.rabi, rows, sigma * emitter.detuning, sigma * emitter.gamma1,
+            sigma * emitter.gamma2, (a, b), *steps, initial=state,
+            node_peak=True)
+    rho_end, _, integral, rho_peak, _ = state
+    signal = emitted_photons_per_period(rho_end, sigma * integral,
+                                        emitter.gamma1,
+                                        rep_period - sigma * (w1 - w0))
+    if shape is None:
+        return signal, rho_peak
+    return signal.reshape(shape), rho_peak.reshape(shape)
 
 
 def draw_moments(signal: np.ndarray, areas: np.ndarray):
@@ -307,8 +320,8 @@ def draw_moments(signal: np.ndarray, areas: np.ndarray):
 # takes its degree up front from the phase that the signal sweeps along it
 # and doubles only when its Chebyshev coefficient tail has not decayed;
 # Lobatto nodes nest, so a doubling solves only the new nodes. The peak
-# excitation is a maximum over the step grid, with kinks in both variables;
-# it is interpolated the same way.
+# excitation is a maximum over the steps' nodes, with kinks in both
+# variables; it is interpolated the same way.
 # ---------------------------------------------------------------------------
 
 #: An axis has converged when, along it, every Chebyshev coefficient in the
@@ -423,7 +436,7 @@ def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray,
     mag = np.abs(amps)[:, None]
     s_lo = float(np.min(sigma))
     if s_lo == 1.0:
-        signal, peak = solve(mag, sigma[:, :1])
+        signal, peak = solve(mag, sigma[0, :1])
         return (np.broadcast_to(signal, durations.shape),
                 np.broadcast_to(peak, durations.shape), np.zeros(rows))
     peaks = mag * sigma

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .bloch import (BlochState, EmitterModel, analytic_rabi, batch_schedule,
-                    integrate, integrate_population_batch, steady_state)
+from .bloch import (BlochState, EmitterModel, analytic_rabi, dyson_schedule,
+                    integrate, propagate_dyson, steady_state)
 from .detection import _JumpEngine, _emission_times_batch
 from .pulses import (DriveField, GaussianEnvelope, GAUSSIAN_AREA_FACTOR,
                      RectangularEnvelope, photons_per_pulse, pulse_area)
@@ -66,17 +66,18 @@ def run_selftest() -> int:
     n = photons_per_pulse(1.180411e-10, 700e3, 589e-9)
     check("photon budget arithmetic", abs(n - 500.0) < 0.05, f"n {n:.3f}")
 
-    # The kernel stepped over its schedule's segments, as the scans call it.
+    # The Dyson propagator stepped over its schedule's pieces, as the scans
+    # and maps call it.
     fld = DriveField.single(GaussianEnvelope(peak=2.0e9, fwhm=4e-9, center=10e-9))
     sup = fld.support()
     emf = EmitterModel.from_lifetime(9.5e-9, detuning=2.0 * math.pi * 40e6)
     state = None
-    for a, b, steps in batch_schedule(fld, sup, emf.detuning, emf.gamma1):
-        state = integrate_population_batch(
-            fld.rabi, np.array([emf.detuning]), emf.gamma1, emf.gamma2,
-            (a, b), steps, initial=state)
+    for a, b, *steps in dyson_schedule(fld, sup, emf.detuning,
+                                       emf.gamma1 + emf.gamma2):
+        state = propagate_dyson(fld.rabi, 1.0, emf.detuning, emf.gamma1,
+                                emf.gamma2, (a, b), *steps, initial=state)
     ref = integrate(emf, fld, BlochState(0.0), sup, (sup[1] - sup[0]) / 4000)
-    gap = abs(float(state[0][0]) - float(ref.rho_ee[-1]))
+    gap = abs(float(state[0][0, 0]) - float(ref.rho_ee[-1]))
     check("batch integrator vs reference", gap < 1e-5, f"gap {gap:.2e}")
 
     engine = _JumpEngine(em, zero, 0.0, 300e-9)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (EmitterModel, check_batch_work, dyson_plan,
-                    emitted_photons_per_period, propagate_dyson, window_pieces)
+from .bloch import (EmitterModel, check_batch_work, dyson_schedule,
+                    emitted_photons_per_period, propagate_dyson, schedule_work)
 from .errors import OutOfRange
 from .pulses import DriveField, FieldComponent, GaussianEnvelope, PhaseLaw
 
@@ -124,12 +124,14 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     (which spans the pedestal) and adds the exact free-decay emission over
     the rest of the repetition period. All grid points step together as
     one batch through the Dyson propagator
-    (:func:`rabisim.bloch.propagate_dyson`), on the |amplitude| and
-    detuning axes: its steps follow the drive, not the detuning, and a
-    step updates the whole grid with two real matrix products. Raises
-    ValueError when ``rep_period`` is shorter than the pulse window, and
-    StepFailure before any stepping when the grid exceeds the batch work
-    budget (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
+    (:func:`rabisim.bloch.propagate_dyson`), the |amplitudes| as its rows
+    and the detunings as its columns: its steps follow the drive, not the
+    detuning, and a step updates the whole grid with two real matrix
+    products. The map reads no peak excitation, so it sums the series at
+    the step ends only. Raises ValueError when ``rep_period`` is shorter
+    than the pulse window, and StepFailure before any stepping when the
+    grid exceeds the batch work budget
+    (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
     """
     detunings = np.asarray(detunings, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -148,23 +150,17 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
         raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
                          f"{t1 - t0:.3g} s pulse window")
     rows = np.abs(amplitudes)
-    top = float(np.max(rows))
-    offset = float(np.max(np.abs(detunings))) + unit.max_abs_chirp()
-    damping = emitter.gamma1 + emitter.gamma2
-    plan = [(a, b, *dyson_plan(top * unit.max_amplitude_on(a, b), b - a,
-                               offset, damping, unit.min_feature_time()))
-            for a, b in window_pieces(unit, (t0, t1))]
-    # A Dyson step of order p updates each point with a degree-p polynomial
-    # in |a|, so it counts as p + 1 point-steps of the budget.
-    check_batch_work(sum(n * (order + 1) for _, _, n, order, _ in plan)
-                     * amplitudes.size * detunings.size)
+    plan = dyson_schedule(unit, (t0, t1), float(np.max(np.abs(detunings))),
+                          emitter.gamma1 + emitter.gamma2,
+                          scale=float(np.max(rows)))
+    check_batch_work(schedule_work(plan) * amplitudes.size * detunings.size)
 
     state = None
     for a, b, *steps in plan:
         state = propagate_dyson(unit.rabi, rows, detunings,
                                 emitter.gamma1, emitter.gamma2, (a, b), *steps,
                                 initial=state)
-    rho_end, _, integral = state
+    rho_end, _, integral, _, _ = state
     signal = emitted_photons_per_period(rho_end, integral, emitter.gamma1,
                                         rep_period - (t1 - t0))
     floor = -1e-12 * max(float(np.max(signal)), 1.0)

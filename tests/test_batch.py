@@ -6,13 +6,13 @@ import pytest
 
 from rabisim import bloch
 from rabisim.bloch import (BATCH_PIECES, MAX_BATCH_POINT_STEPS, BlochState,
-                           EmitterModel, batch_schedule, dyson_plan,
-                           integrate, integrate_population_batch,
-                           population_series_fixed, propagate_dyson,
-                           window_pieces)
+                           EmitterModel, dyson_plan, dyson_schedule,
+                           integrate, population_series_fixed,
+                           propagate_dyson)
 from rabisim.cli_io import run_command
 from rabisim.errors import StepFailure
-from rabisim.jitter import JitterModel, PowerScanTemplate, averaged_power_scan
+from rabisim.jitter import (JitterModel, PowerScanTemplate, averaged_power_scan,
+                            frame_schedule, solve_frames)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, SUPPORT_CUTOFF, DriveField,
                             FieldComponent, GaussianEnvelope, PhaseLaw,
                             RectangularEnvelope, SampledEnvelope)
@@ -22,12 +22,13 @@ TWO_PI = 2.0 * math.pi
 EM = EmitterModel.from_lifetime(9.5e-9, detuning=-TWO_PI * 40e6)
 
 
-def run_schedule(field, emitter, schedule):
+def run_schedule(field, emitter, schedule, node_peak=False):
+    """One batch point driven by ``field``, stepped over a Dyson schedule."""
     state = None
-    for a, b, n_steps in schedule:
-        state = integrate_population_batch(
-            lambda t: np.array([field.rabi(t)]), emitter.detuning,
-            emitter.gamma1, emitter.gamma2, (a, b), n_steps, initial=state)
+    for a, b, *steps in schedule:
+        state = propagate_dyson(field.rabi, 1.0, emitter.detuning,
+                                emitter.gamma1, emitter.gamma2, (a, b), *steps,
+                                initial=state, node_peak=node_peak)
     return state
 
 
@@ -37,18 +38,19 @@ def run_schedule(field, emitter, schedule):
     (DriveField.single(RectangularEnvelope(peak=TWO_PI * 300e6,
                                            duration=3.33e-9)), (-3e-9, 3e-9)),
 ], ids=["chirped_gaussian", "rectangular"])
-def test_batch_convergence_order_vs_reference(field, span, monkeypatch):
+def test_batch_convergence_order_vs_reference(field, span):
+    # Dyson steps truncated at order 4 on the schedule's pieces: a
+    # rectangle's edges fall on piece edges and cost no order.
     ref = integrate(EM, field, BlochState(0.0), span, span[1] - span[0],
-                    rtol=1e-9)
-    # A coarse step keeps the error well above the reference's tolerance.
-    monkeypatch.setattr(bloch, "BATCH_PHASE_STEP", 0.4)
-    coarse = batch_schedule(field, span, abs(EM.detuning), EM.gamma1)
+                    rtol=1e-12, atol=1e-15)
+    plan = dyson_schedule(field, span, EM.detuning, EM.gamma1 + EM.gamma2)
     errors = []
     for factor in (1, 2):
-        rho, coh, _, _ = run_schedule(
-            field, EM, [(a, b, factor * n) for a, b, n in coarse])
-        errors.append(max(abs(rho[0] - ref.rho_ee[-1]),
-                          abs(coh[0] - ref.coherence[-1])))
+        rho, coh, *_ = run_schedule(field, EM, [
+            (a, b, factor * n, min(order, 4), nodes)
+            for a, b, n, order, nodes in plan])
+        errors.append(max(abs(rho[0, 0] - ref.rho_ee[-1]),
+                          abs(coh[0, 0] - ref.coherence[-1])))
     assert errors[0] < 1e-4
     # Fourth order gives 16; 12 means order >= 3.5.
     assert errors[0] / errors[1] >= 12.0, errors
@@ -74,7 +76,7 @@ def test_weak_drive_order_vs_reference():
     floor = 1e-10  # what DOP853 at rtol 1e-9 resolves here
     errors = []
     for p in range(1, order + 1):
-        rho, coh, _ = propagate_dyson(
+        rho, coh, *_ = propagate_dyson(
             unit.rabi, amp, dets, em.gamma1, em.gamma2, (t0, t1), n_steps,
             p, n_nodes)
         rho, coh = rho[0], coh[0]
@@ -94,7 +96,7 @@ def test_weak_drive_order_vs_reference():
     for d, r, c in zip(dets, ref_rho, ref_coh):
         plan = dyson_plan(amp, t1 - t0, abs(d), damping, 4e-9)
         assert plan[:2] == (n_steps, order)
-        rho, coh, _ = propagate_dyson(
+        rho, coh, *_ = propagate_dyson(
             unit.rabi, amp, d, em.gamma1, em.gamma2, (t0, t1), *plan)
         assert max(abs(rho[0, 0] - r), abs(coh[0, 0] - c)) <= floor, d
 
@@ -114,7 +116,7 @@ def test_weak_drive_nodes_resolve_a_chirped_drive():
                         (t0, t1), t1 - t0, rtol=1e-12, atol=1e-15)
         plan = dyson_plan(amp, t1 - t0, abs(d) + chirp,
                                em.gamma1 + em.gamma2, 4e-9)
-        rho, coh, _ = propagate_dyson(
+        rho, coh, *_ = propagate_dyson(
             unit.rabi, amp, d, em.gamma1, em.gamma2, (t0, t1), *plan)
         assert abs(rho[0, 0] - ref.rho_ee[-1]) <= 1e-11
         assert abs(coh[0, 0] - ref.coherence[-1]) <= 1e-11
@@ -127,11 +129,11 @@ def test_weak_drive_without_drive_is_exact_free_evolution():
     em = EmitterModel.from_lifetime(9.5e-9, pure_dephasing=3e7)
     dets = np.array([0.0, 2e9, -5e9])
     start = (np.full((1, 3), 0.4), np.full((1, 3), 0.1 + 0.3j),
-             np.zeros((1, 3)))
+             np.zeros((1, 3)), np.zeros((1, 3)), {})
     span, tau = (1e-9, 31e-9), 30e-9
     unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=20e-9, center=10e-9))
     for amp, order in ((1.0, 0), (0.0, 6)):
-        rho, coh, acc = propagate_dyson(
+        rho, coh, acc, *_ = propagate_dyson(
             unit.rabi, amp, dets, em.gamma1, em.gamma2, span, 3, order, 40,
             initial=start)
         assert np.allclose(rho, 0.4 * math.exp(-em.gamma1 * tau), rtol=1e-13)
@@ -179,18 +181,106 @@ def test_dyson_propagator_at_strong_drive_vs_reference(area):
     dets = np.array([-600e6, 0.0, 70e6, 600e6]) * TWO_PI
     damping = em.gamma1 + em.gamma2
     state = None
-    for a, b in window_pieces(unit, span):
-        plan = dyson_plan(amp * unit.max_amplitude_on(a, b), b - a,
-                          float(np.max(np.abs(dets))) + unit.max_abs_chirp(),
-                          damping, unit.min_feature_time())
+    for a, b, *plan in dyson_schedule(unit, span, float(np.max(np.abs(dets))),
+                                      damping, scale=amp):
         state = propagate_dyson(unit.rabi, amp, dets, em.gamma1, em.gamma2,
                                 (a, b), *plan, initial=state)
-    rho, coh, _ = state
+    rho, coh, *_ = state
     for d, r, c in zip(dets, rho[0], coh[0]):
         ref = integrate(em.with_detuning(d), unit.scaled(amp), BlochState(0.0),
                         span, span[1] - span[0], rtol=1e-11, atol=1e-14)
         assert abs(r - ref.rho_ee[-1]) <= 1e-10, d
         assert abs(c - ref.coherence[-1]) <= 1e-10, d
+
+
+# Four columns with their own unit pulse, decay, dephasing and detuning;
+# the second has no decay (the Gamma1 = 0 limit of the rho_ee integral).
+COL_FWHM = np.array([3e-9, 4e-9, 5e-9, 3.5e-9])
+COL_RATES = (np.array([0.0, 2e8, -5e8, 1e9]),       # detuning
+             np.array([1e8, 0.0, 3e7, 1e8]),        # Gamma1
+             np.array([0.5e8, 2e7, 5e7, 3e8]))      # Gamma2
+COL_AMPS = np.array([0.5e9, 2e9])
+
+
+def _column_solve(fwhm, rates, node_peak=True):
+    """Dyson solve of COL_AMPS rows on the plan of all four columns."""
+    unit = DriveField.single(GaussianEnvelope(1.0, fwhm, 0.0),
+                             PhaseLaw(chirp=TWO_PI * 60e6))
+    plan = dyson_schedule(
+        DriveField.single(GaussianEnvelope(1.0, COL_FWHM, 0.0),
+                          PhaseLaw(chirp=TWO_PI * 60e6)),
+        (-12e-9, 12e-9), 1e9, 4e8, scale=2e9)
+    state = None
+    for a, b, *steps in plan:
+        state = propagate_dyson(unit.rabi, COL_AMPS, *rates, (a, b), *steps,
+                                initial=state, node_peak=node_peak)
+    return state[:4]
+
+
+def test_per_column_rates_match_single_column_calls():
+    # Per-column pulses and rates give each column the solve it gets alone.
+    together = _column_solve(COL_FWHM, COL_RATES)
+    for j, fwhm in enumerate(COL_FWHM):
+        alone = _column_solve(fwhm, [r[j] for r in COL_RATES])
+        for got, want in zip(together, alone):
+            assert want.shape == (COL_AMPS.size, 1)
+            assert np.max(np.abs(got[:, j] - want[:, 0])) <= (
+                1e-15 * np.max(np.abs(want))), j
+    # The driven Gamma1 = 0 column integrates rho_ee with weight h.
+    assert np.all(together[2][:, 1] > 0)
+
+
+def test_node_peak_is_never_below_step_end_peak():
+    nodes = _column_solve(COL_FWHM, COL_RATES)
+    ends = _column_solve(COL_FWHM, COL_RATES, node_peak=False)
+    for a, b in zip(nodes[:3], ends[:3]):
+        assert np.array_equal(a, b)
+    assert np.all(nodes[3] >= ends[3]) and np.any(nodes[3] > ends[3])
+    assert np.all(ends[3] >= ends[0])
+
+
+def test_paired_points_match_the_tensor_solve():
+    # J_n is n-linear in the drive, so a point at peak p on a unit pulse is
+    # the point at amplitude 1 on p times that pulse: paired frame points,
+    # each a column of its own, equal the tensor of peaks x sigma columns.
+    template = PowerScanTemplate(
+        main_fwhm=4e-9, pedestal=RectangularEnvelope(peak=0.003, duration=20e-9,
+                                                     center=3e-9))
+    durations = np.array([[3.3e-9, 3.7e-9, 4.1e-9, 4.4e-9]] * 3)
+    amps = np.array([1.0, 3.0, 6.0]) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    plan = frame_schedule(EM, template, amps, durations)
+    peaks = amps[:, None] * np.array([0.75, 0.85, 1.0])
+    sigma = np.array([0.8, 0.9, 1.0])
+    tensor = solve_frames(EM, template, peaks[:, :1], sigma, plan, 1.4e-6)
+    paired = solve_frames(EM, template, np.repeat(peaks[:, :1], 3, axis=1),
+                          np.broadcast_to(sigma, (3, 3)), plan, 1.4e-6)
+    for got, want in zip(paired, tensor):
+        assert got.shape == want.shape == (3, 3)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_step_frames_are_built_once_per_distinct_step(monkeypatch):
+    # The map's pieces repeat a few step lengths and node counts: each
+    # distinct one builds its drive-free frame once.
+    builds = []
+    frame = bloch._dyson_frame
+
+    def counted(s, *args):
+        builds.append(s.size)
+        return frame(s, *args)
+
+    monkeypatch.setattr(bloch, "_dyson_frame", counted)
+    em = EmitterModel.from_lifetime(9.5e-9)
+    tpl = CompositeFieldTemplate(center=200e-9)
+    dets = np.linspace(-600.0, 600.0, 13) * TWO_PI * 1e6
+    amps = np.linspace(0.1, 4.0, 4) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    sweep_2d(em, tpl, dets, amps)
+    unit = build_composite(tpl, 1.0)
+    driven = [((b - a) / n, nodes) for a, b, n, order, nodes in dyson_schedule(
+        unit, unit.support(), float(np.max(np.abs(dets))),
+        em.gamma1 + em.gamma2, scale=float(amps[-1])) if order]
+    assert len(set(driven)) <= bloch.DYSON_FRAMES
+    assert len(builds) == len(set(driven)) < len(driven) / 4
 
 
 def test_schedule_follows_local_drive_and_cuts_at_breakpoints():
@@ -199,27 +289,27 @@ def test_schedule_follows_local_drive_and_cuts_at_breakpoints():
         (RectangularEnvelope(peak=2e7, duration=50e-9, center=0.3e-9),
          PhaseLaw())])
     span = (-40e-9, 40e-9)
-    schedule = batch_schedule(field, span, 1e9, EM.gamma1)
-    edges = [a for a, _, _ in schedule] + [schedule[-1][1]]
+    schedule = dyson_schedule(field, span, 1e9, EM.gamma1 + EM.gamma2)
+    edges = [p[0] for p in schedule] + [schedule[-1][1]]
     assert edges[0] == span[0] and edges[-1] == span[1]
-    assert all(b == a2 for (_, b, _), (a2, _, _) in zip(schedule, schedule[1:]))
+    assert all(p[1] == q[0] for p, q in zip(schedule, schedule[1:]))
     for edge in field.breakpoints():
         assert edge in edges
     assert len(schedule) == BATCH_PIECES + 2
-    steps = [n for _, _, n in schedule]
+    steps = [n for _, _, n, _, _ in schedule]
     assert min(steps) >= 1
     # The wings outside the pedestal only resolve decay and detuning drift.
-    assert steps[0] < steps[len(steps) // 2] / 10
+    work = [n * (order + 1) for _, _, n, order, _ in schedule]
+    assert work[0] < work[len(work) // 2] / 10
 
 
 def test_segmented_solve_matches_single_call():
     env = GaussianEnvelope(peak=1.5e9, fwhm=3e-9)
     field = DriveField.single(env)
-    whole = integrate_population_batch(lambda t: np.array([env.value(t)]),
-                                       EM.detuning, EM.gamma1, EM.gamma2,
-                                       (-6e-9, 6e-9), 4000)
-    split = run_schedule(field, EM, [(-6e-9, 0.0, 2000), (0.0, 6e-9, 2000)])
-    for a, b in zip(whole, split):
+    whole = run_schedule(field, EM, [(-6e-9, 6e-9, 40, 12, 16)])
+    split = run_schedule(field, EM, [(-6e-9, 0.0, 20, 12, 16),
+                                     (0.0, 6e-9, 20, 12, 16)])
+    for a, b in zip(whole[:4], split[:4]):
         assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
 
 

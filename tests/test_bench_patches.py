@@ -3,9 +3,9 @@
 ``bench/spans.py`` skips a patch target that no longer exists, so a rename
 in the program would silently drop a layer from ``--trace 1``. The only
 targets allowed to be missing are the three CSV writers the single
-``_write_csv`` replaced, and ``sweeps.integrate_population_batch``: maps
-step with the Dyson propagator alone, so ``sweeps`` no longer imports the
-Lawson kernel (the scan's ``jitter.integrate_population_batch`` stays).
+``_write_csv`` replaced, and ``sweeps.integrate_population_batch`` and
+``jitter.integrate_population_batch``: maps and scans both step with the
+Dyson propagator, and the Lawson kernel is gone.
 """
 
 import importlib.util
@@ -13,7 +13,8 @@ from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 GONE = {"cli_io.write_histogram_csv", "cli_io.write_sweep_csv",
-        "cli_io.write_sweep_long", "sweeps.integrate_population_batch"}
+        "cli_io.write_sweep_long", "sweeps.integrate_population_batch",
+        "jitter.integrate_population_batch"}
 
 
 def _load_spans():

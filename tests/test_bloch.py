@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rabisim.bloch import (BlochState, EmitterModel,
-                           analytic_rabi, batch_schedule, integrate,
-                           integrate_population_batch, population_series_fixed,
+                           analytic_rabi, dyson_schedule, integrate,
+                           population_series_fixed, propagate_dyson,
                            steady_state)
 from rabisim.pulses import (DriveField, GaussianEnvelope, PhaseLaw,
                             RectangularEnvelope)
@@ -163,11 +163,13 @@ def test_batch_integrator_matches_reference():
         fld = DriveField.single(env, PhaseLaw(chirp=chirp))
         sup = fld.support()
         state = None
-        for a, b, n in batch_schedule(fld, sup, em.detuning, em.gamma1):
-            state = integrate_population_batch(
-                fld.rabi, np.array([em.detuning]), em.gamma1, em.gamma2,
-                (a, b), n, initial=state)
-        rho_end, coh_end, integral, _ = state
+        for a, b, *steps in dyson_schedule(fld, sup, em.detuning,
+                                           em.gamma1 + em.gamma2):
+            state = propagate_dyson(
+                fld.rabi, 1.0, np.array([em.detuning]), em.gamma1, em.gamma2,
+                (a, b), *steps, initial=state, node_peak=True)
+        rho_end, coh_end, integral, _, _ = state
+        rho_end, integral = rho_end[0], integral[0]
         ref = integrate(em, fld, BlochState(0.0), sup,
                         (sup[1] - sup[0]) / 3000)
         assert abs(rho_end[0] - ref.rho_ee[-1]) < 1e-5
@@ -176,24 +178,25 @@ def test_batch_integrator_matches_reference():
 
 
 def test_batch_rates_broadcast_bit_identically():
-    # Rates given as scalars and as arrays broadcast over the batch (one
-    # value per member, all equal) give the same bits.
+    # Rates given as scalars and as arrays broadcast over the columns (one
+    # value per column, all equal) give the same bits.
     em = EmitterModel.from_lifetime(9.5e-9, detuning=2.5e8,
                                     pure_dephasing=4e7)
-    env = GaussianEnvelope(peak=np.array([[4e8], [1.5e9], [3e9]]),
-                           fwhm=np.array([3e-9, 4e-9]), center=0.0)
+    env = GaussianEnvelope(peak=1.0, fwhm=np.array([3e-9, 4e-9]), center=0.0)
     fld = DriveField.single(env, PhaseLaw(chirp=1e8))
     sup = fld.support()
-    ones = np.ones((3, 2))
+    amps = np.array([4e8, 1.5e9, 3e9])
+    ones = np.ones(2)
     runs = []
     for rates in ((em.detuning, em.gamma1, em.gamma2),
                   (em.detuning * ones, em.gamma1 * ones, em.gamma2 * ones),
                   (em.detuning, em.gamma1 * ones[:1], em.gamma2)):
         state = None
-        for a, b, n in batch_schedule(fld, sup, em.detuning, em.gamma1):
-            state = integrate_population_batch(fld.rabi, *rates, (a, b), n,
-                                               initial=state)
-        runs.append(state)
+        for a, b, *steps in dyson_schedule(fld, sup, em.detuning,
+                                           em.gamma1 + em.gamma2, scale=3e9):
+            state = propagate_dyson(fld.rabi, amps, *rates, (a, b), *steps,
+                                    initial=state, node_peak=True)
+        runs.append(state[:4])
     for other in runs[1:]:
         for x, y in zip(runs[0], other):
             assert x.shape == (3, 2) and x.tobytes() == y.tobytes()

@@ -1,12 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from rabisim import jitter
-from rabisim.bloch import (BlochState, EmitterModel, batch_schedule,
+from rabisim.bloch import (BlochState, EmitterModel, dyson_schedule,
                            emitted_photons_per_period, integrate,
-                           integrate_population_batch)
+                           propagate_dyson)
 from rabisim.errors import FitDiverged
 from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
                             _scan_surrogate, averaged_power_scan,
@@ -16,6 +17,8 @@ from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, RectangularEnvelope,
                             SampledEnvelope, scale_to_area, DriveField,
                             GaussianEnvelope)
+
+import lawson
 
 EM = EmitterModel.from_lifetime(9.5e-9)
 
@@ -288,33 +291,51 @@ def test_pedestal_must_be_gaussian_or_rectangular():
 
 def _real_time(template, amps, durations, rep_period=1.4e-6):
     """Emitted photons per period, rho_end and rho_ee integral of every
-    draw: one real-time solve of the draws on their own window and step
-    schedule."""
+    draw: one real-time solve of the draws on their own window by the
+    Lawson reference."""
     peaks = np.abs(amps)[:, None]
     comps = [GaussianEnvelope(peaks, durations, template.center)]
     if template.pedestal is not None:
         comps.append(template.pedestal.scaled(peaks))
     field = DriveField([(c,) for c in comps])
     w0, w1 = field.support()
-    state = None
-    for a, b, n in batch_schedule(field, (w0, w1), EM.detuning, EM.gamma1):
-        state = integrate_population_batch(field.rabi, EM.detuning, EM.gamma1,
-                                           EM.gamma2, (a, b), n,
-                                           initial=state)
-    rho_end, _, integral, peak = state
+    rho_end, _, integral, _ = lawson.solve(field, EM.detuning, EM.gamma1,
+                                           EM.gamma2, (w0, w1))
     return (emitted_photons_per_period(rho_end, integral, EM.gamma1,
                                        rep_period - (w1 - w0)),
-            rho_end, integral, peak)
+            rho_end, integral)
+
+
+def _dyson_real_time(field, amps, window, rep_period=1.4e-6):
+    """Emitted photons per period and node peak of ``amps`` times the unit
+    ``field``: one real-time Dyson solve on the field's own schedule."""
+    state = None
+    for a, b, *steps in dyson_schedule(field, window, EM.detuning,
+                                       EM.gamma1 + EM.gamma2,
+                                       scale=float(np.max(amps))):
+        state = propagate_dyson(field.rabi, amps, EM.detuning, EM.gamma1,
+                                EM.gamma2, (a, b), *steps, initial=state,
+                                node_peak=True)
+    rho_end, _, integral, peak, _ = state
+    return (emitted_photons_per_period(rho_end, integral, EM.gamma1,
+                                       rep_period - (window[1] - window[0])),
+            peak)
 
 
 def test_no_jitter_scan_is_one_direct_solve():
     amps = np.linspace(2e8, 2e9, 24)
     scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=9,
                                seed=1)
-    signal, _, _, peak = _real_time(TPL, amps, np.full((amps.size, 1), 4e-9))
+    unit = DriveField.single(GaussianEnvelope(1.0, 4e-9, TPL.center))
+    signal, peak = _dyson_real_time(unit, amps, unit.scaled(amps[-1]).support())
     assert scan.signal.tobytes() == signal[:, 0].tobytes()
     # The peak is a mean over identical draws, exact to rounding.
     assert scan.peak_excitation == pytest.approx(peak[:, 0], rel=1e-15)
+    # And it is the real-time solve of the Lawson reference, to within the
+    # batch tolerances against DOP853.
+    ref, _, integral = _real_time(TPL, amps, np.full((amps.size, 1), 4e-9))
+    bound = 1e-5 + 1e-4 * EM.gamma1 * integral[:, 0]
+    assert np.all(np.abs(scan.signal - ref[:, 0]) <= bound)
 
 
 def test_scan_is_one_batch(monkeypatch):
@@ -368,9 +389,13 @@ def test_frame_schedule_bounds_every_draw(template, n_samples, seed):
         lo, hi = (field.support()
                   or frame_field(template, sigma, sigma, t_ref).support())
         assert w0 <= lo and hi <= w1
-        own = batch_schedule(field, (w0, w1), EM.detuning, EM.gamma1)
+        # The draws' own schedule cuts its pieces further at their edges;
+        # the scan's plan bounds each of its pieces' steps and orders.
+        own = dyson_schedule(field, (w0, w1), EM.detuning,
+                             EM.gamma1 + EM.gamma2)
         assert [p[:2] for p in own] == [p[:2] for p in schedule]
-        assert all(n >= k for (_, _, n), (_, _, k) in zip(schedule, own))
+        assert all(n >= k and p >= q for (_, _, n, p, _), (_, _, k, q, _)
+                   in zip(schedule, own))
 
 
 @pytest.mark.parametrize("pedestal", [
@@ -380,24 +405,45 @@ def test_frame_schedule_bounds_every_draw(template, n_samples, seed):
 def test_pedestal_scan_matches_real_time_solves(pedestal):
     # In the frame an off-center pedestal is stretched about the main
     # pulse's center, a rectangle's edges moving with each draw. The scan
-    # sits within the batch kernel's tolerances against DOP853 (1e-5 on
-    # rho_end, 1e-4 relative on the rho_ee integral) of one real-time
-    # solve of its draws. Both interpolate their grid.
+    # sits within the batch tolerances against DOP853 (1e-5 on rho_end,
+    # 1e-4 relative on the rho_ee integral) of one real-time solve of its
+    # draws by the Lawson reference. Both interpolate their grid.
     template = PowerScanTemplate(main_fwhm=4e-9, pedestal=pedestal)
     amps = np.linspace(0.5, 6.0, 8) * math.pi * UNIT
     scan = averaged_power_scan(EM, template, amps, JitterModel(0.07), 200,
                                seed=3)
     assert np.all(scan.interp_error > 0)
     durations, _ = _scan(amps, JitterModel(0.07), 200, 3, template)
-    signal, _, integral, _ = _real_time(template, amps, durations)
+    signal, _, integral = _real_time(template, amps, durations)
+    bound = 1e-5 + 1e-4 * EM.gamma1 * np.mean(integral, axis=1)
+    assert np.all(np.abs(scan.signal - np.mean(signal, axis=1)) <= bound)
+
+
+def test_off_center_rectangular_pedestal_scan_uses_its_grid():
+    # The pedestal's left edge (-2 ns) falls under the main pulse. In the
+    # frame it moves with each draw, and each grid column is planned on its
+    # own edges, so the node values stay smooth: the scan interpolates its
+    # grid (the duration axis doubles once) instead of solving every draw
+    # with two cuts of its own.
+    template = PowerScanTemplate(
+        main_fwhm=4e-9, pedestal=RectangularEnvelope(peak=0.003, duration=20e-9,
+                                                     center=8e-9))
+    amps = np.linspace(0.5, 12.0, 24) * math.pi * UNIT
+    start = time.monotonic()
+    scan = averaged_power_scan(EM, template, amps, JitterModel(0.07), 200,
+                               seed=1)
+    assert time.monotonic() - start < 5.0
+    assert np.all(scan.interp_error > 0)
+    durations, _ = _scan(amps, JitterModel(0.07), 200, 1, template)
+    signal, _, integral = _real_time(template, amps, durations)
     bound = 1e-5 + 1e-4 * EM.gamma1 * np.mean(integral, axis=1)
     assert np.all(np.abs(scan.signal - np.mean(signal, axis=1)) <= bound)
 
 
 def test_frame_solves_match_dop853():
-    # Frame solves at sigma != 1 on the scan's plan against DOP853 on the
-    # real-time pulses, within the batch kernel's tolerances; at sigma = 1
-    # the frame solve is the real-time solve, bit for bit.
+    # Frame solves at sigma != 1, each point a column at its own rates,
+    # against DOP853 on the real-time pulses, within the batch tolerances;
+    # at sigma = 1 the frame solve is the real-time solve, bit for bit.
     template = PowerScanTemplate(
         main_fwhm=4e-9, pedestal=GaussianEnvelope(peak=0.01, fwhm=30e-9,
                                                   center=2e-9))
@@ -406,14 +452,16 @@ def test_frame_solves_match_dop853():
     t_ref = 4.6e-9
     plan = frame_schedule(EM, template, amps, durations)
     peaks, sigma = _frame_points(amps, durations)
-    field = frame_field(template, peaks, sigma, t_ref)
-    state = None
-    for a, b, n in plan[2]:
-        state = integrate_population_batch(
-            field.rabi, sigma * EM.detuning, sigma * EM.gamma1,
-            sigma * EM.gamma2, (a, b), n, initial=state)
-    rho_end, _, integral, _ = state
+    field = frame_field(template, peaks.ravel(), sigma.ravel(), t_ref)
     w0, w1 = plan[1]
+    s_col = sigma.ravel()
+    state = None
+    for a, b, *steps in dyson_schedule(field, (w0, w1), EM.detuning,
+                                       EM.gamma1 + EM.gamma2):
+        state = propagate_dyson(
+            field.rabi, 1.0, s_col * EM.detuning, s_col * EM.gamma1,
+            s_col * EM.gamma2, (a, b), *steps, initial=state)
+    rho_end, integral = state[0].reshape(2, 3), state[2].reshape(2, 3)
     c = template.center
     for i, j in np.ndindex(durations.shape):
         real = DriveField([
@@ -428,17 +476,13 @@ def test_frame_solves_match_dop853():
             np.trapezoid(ref.rho_ee, ref.times), rel=1e-4, abs=1e-17)
     one = sigma == 1.0
     assert np.count_nonzero(one) == 2
-    got = solve_frames(EM, template, peaks[one], sigma[one], plan, 1.4e-6)
-    state = None
-    real = DriveField([(GaussianEnvelope(amps[:, None], t_ref, c),),
-                       (template.pedestal.scaled(amps[:, None]),)])
-    for a, b, n in plan[2]:
-        state = integrate_population_batch(real.rabi, EM.detuning, EM.gamma1,
-                                           EM.gamma2, (a, b), n, initial=state)
-    want = emitted_photons_per_period(state[0], state[2], EM.gamma1,
-                                      1.4e-6 - (w1 - w0))
-    assert got[0].tobytes() == want[:, 0].tobytes()
-    assert got[1].tobytes() == state[3][:, 0].tobytes()
+    got = solve_frames(EM, template, peaks[one][:, None], np.ones(1), plan,
+                       1.4e-6)
+    real = DriveField([(GaussianEnvelope(1.0, t_ref, c),),
+                       (template.pedestal,)])
+    want = _dyson_real_time(real, amps, (w0, w1))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_scan_control_extrema_at_integer_pi():
@@ -562,16 +606,16 @@ def _dop853_peak(amp, fwhm):
 
 def test_peak_excitation_accuracy():
     unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
-    # Without jitter: the step-grid maximum sits below the DOP853 maximum,
-    # by up to 2.8e-4 here, and never above it.
+    # Without jitter: the maximum over the steps' nodes sits below the
+    # DOP853 maximum, by up to 2.5e-4 here, and never above it.
     amps = np.linspace(0.2, 12.0, 24) * math.pi * unit
     scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=1,
                                seed=1)
     below = np.array([_dop853_peak(a, 4e-9) for a in amps]) - scan.peak_excitation
     assert np.all(below <= 1e-3) and np.all(below >= -1e-6), below
     # With jitter the surrogate reads it within 1e-4 of the mean over one
-    # frame solve of all the scan's draws (3.0e-5 on twelve amplitudes and
-    # 3.3e-5 on 120).
+    # frame solve of all the scan's draws (2.4e-5 on twelve amplitudes and
+    # 1.8e-5 on 120).
     model = JitterModel(0.07)
     narrow = (np.linspace(0.5, 6.0, 12) * math.pi * unit, 60, 2)
     for amps, n_samples, seed in (narrow, WIDE):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rabisim.bloch import batch_schedule
+from rabisim.bloch import window_pieces
 from rabisim.errors import NonConvergedQuadrature, UnreachableArea
 from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
                             GAUSSIAN_AREA_FACTOR, PhaseLaw,
@@ -322,7 +322,8 @@ def _gauss_rect_field(peak, fwhm, rect_peak):
 def test_batch_field_members_match_their_scalar_fields(members, t):
     # One batch field holds a parameter per member; each member must give
     # the bits of the scalar field built from its own parameters, and the
-    # batch bound must cover every member on each piece of the batch schedule.
+    # batch bound must cover every member on each of the batch's window
+    # pieces.
     peak, fwhm, rect = (np.array(col)[:, None] for col in zip(*members))
     batch = _gauss_rect_field(peak, fwhm, rect)
     values = batch.rabi(t)
@@ -333,6 +334,6 @@ def test_batch_field_members_match_their_scalar_fields(members, t):
 
     window = batch.support()
     assume(window is not None)
-    for a, b, _ in batch_schedule(batch, window, 0.0, 1e8):
+    for a, b in window_pieces(batch, window):
         sampled = np.abs(batch.rabi(np.linspace(a, b, 35)[1:-1]))
         assert np.all(batch.max_amplitude_on(a, b) >= sampled * (1.0 - 1e-12))

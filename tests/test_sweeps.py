@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from rabisim import bloch, sweeps
-from rabisim.bloch import (EmitterModel, batch_schedule,
-                           emitted_photons_per_period, integrate_population_batch)
+from rabisim import bloch, jitter
+from rabisim.bloch import EmitterModel, emitted_photons_per_period
 from rabisim.errors import OutOfRange, StepFailure
-from rabisim.pulses import GAUSSIAN_AREA_FACTOR, pulse_area
+from rabisim.jitter import JitterModel, PowerScanTemplate, averaged_power_scan
+from rabisim.pulses import GAUSSIAN_AREA_FACTOR, GaussianEnvelope, pulse_area
 from rabisim.sweeps import (CompositeFieldTemplate, SweepResult,
                             ThirdComponent, build_composite, cross_section,
                             sweep_2d)
 
+import lawson
 from linewidth import half_max_width, pulse_spectrum_sigma, voigt_fwhm
 
 MHZ = 2.0 * math.pi * 1e6
@@ -30,17 +31,12 @@ MAP_AMPS = np.linspace(0.1, 4.0, 4) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
 
 
 def lawson_map(em, tpl, dets, amps, rep_period=1.4e-6):
-    """sweep_2d's signal stepped by the Lawson kernel instead, a reference."""
+    """sweep_2d's signal stepped by the Lawson reference instead."""
     field = build_composite(tpl, np.abs(amps)[:, None])
     t0, t1 = field.support()
-    schedule = batch_schedule(field, (t0, t1), float(np.max(np.abs(dets))),
-                              em.gamma1)
-    state = None
-    for a, b, n in schedule:
-        state = integrate_population_batch(
-            field.rabi, dets[None, :], em.gamma1, em.gamma2, (a, b), n,
-            initial=state)
-    return emitted_photons_per_period(state[0], state[2], em.gamma1,
+    rho_end, _, integral, _ = lawson.solve(field, dets[None, :], em.gamma1,
+                                           em.gamma2, (t0, t1))
+    return emitted_photons_per_period(rho_end, integral, em.gamma1,
                                       rep_period - (t1 - t0))
 
 
@@ -222,10 +218,11 @@ def test_map_budget_weights_steps_by_order(monkeypatch):
     pieces = []
 
     def recorded(*args):
-        pieces.append(bloch.dyson_plan(*args))
+        pieces.append(plan(*args))
         return pieces[-1]
 
-    monkeypatch.setattr(sweeps, "dyson_plan", recorded)
+    plan = bloch.dyson_plan
+    monkeypatch.setattr(bloch, "dyson_plan", recorded)
     sweep_2d(EM, template(), MAP_DETS, MAP_AMPS)
     points = MAP_DETS.size * MAP_AMPS.size
     steps = sum(n for n, _, _ in pieces) * points
@@ -234,6 +231,40 @@ def test_map_budget_weights_steps_by_order(monkeypatch):
     monkeypatch.setattr(bloch, "MAX_BATCH_POINT_STEPS", (steps + weighted) // 2)
     with pytest.raises(StepFailure, match="budget"):
         sweep_2d(EM, template(), MAP_DETS, MAP_AMPS)
+
+
+SCAN_AMPS = np.linspace(0.5, 12.0, 6) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
+
+
+def test_scan_budget_weights_steps_by_order(monkeypatch):
+    # The scan's second check bounds a solve of every draw on the scan's
+    # schedule, a Dyson step of order p counting p + 1: a scan whose plain
+    # step count fits the budget but whose weighted count does not is
+    # refused before stepping.
+    plans = []
+
+    def recorded(*args):
+        plans.append(schedule(*args))
+        return plans[-1]
+
+    schedule = jitter.frame_schedule
+    monkeypatch.setattr(jitter, "frame_schedule", recorded)
+    averaged_power_scan(EM, PowerScanTemplate(), SCAN_AMPS, JitterModel(0.07),
+                        20, seed=1)
+    draws = SCAN_AMPS.size * 20
+    pieces = plans[0][2]
+    steps = sum(n for _, _, n, _, _ in pieces) * draws
+    weighted = sum(n * (order + 1) for _, _, n, order, _ in pieces) * draws
+    assert weighted > 2 * steps
+
+    def stepped(*args, **kwargs):
+        raise AssertionError("the scan stepped")
+
+    monkeypatch.setattr(jitter, "propagate_dyson", stepped)
+    monkeypatch.setattr(bloch, "MAX_BATCH_POINT_STEPS", (steps + weighted) // 2)
+    with pytest.raises(StepFailure, match="budget"):
+        averaged_power_scan(EM, PowerScanTemplate(), SCAN_AMPS,
+                            JitterModel(0.07), 20, seed=1)
 
 
 def test_sweep_refuses_period_shorter_than_window():
@@ -248,19 +279,31 @@ FAR_THIRD = template(third=ThirdComponent(ratio_db=-20.0,
                                           frequency_offset=2400 * MHZ))
 
 
+# A jittered scan with an off-center pedestal, 6 amplitudes to 12 pi x 20
+# draws: it solves its draws, each a column at its own rates.
+SCAN_TPL = PowerScanTemplate(
+    main_fwhm=4e-9, pedestal=GaussianEnvelope(peak=0.01, fwhm=30e-9,
+                                              center=2e-9))
+
+
 @pytest.mark.parametrize("tpl, dets", [
     (template(), MAP_DETS), (template(third=ThirdComponent()), MAP_DETS),
     (template(main_enabled=False), MAP_DETS),
-    (FAR_THIRD, np.linspace(-50.0, 50.0, 5) * MHZ)],
-    ids=["plain", "third", "pedestal_only", "far_third"])
+    (FAR_THIRD, np.linspace(-50.0, 50.0, 5) * MHZ), (SCAN_TPL, None)],
+    ids=["plain", "third", "pedestal_only", "far_third", "scan"])
 def test_weak_drive_nodes_are_converged(tpl, dets, monkeypatch):
-    base = sweep_2d(EM, tpl, dets, MAP_AMPS).signal
+    def signal():
+        if dets is None:
+            return averaged_power_scan(EM, tpl, SCAN_AMPS, JitterModel(0.07),
+                                       20, seed=1).signal
+        return sweep_2d(EM, tpl, dets, MAP_AMPS).signal
+
+    base = signal()
     monkeypatch.setattr(bloch, "DYSON_NODES_PER_RAD", 2 * bloch.DYSON_NODES_PER_RAD)
     monkeypatch.setattr(bloch, "DYSON_NODES_PER_FEATURE",
                         2 * bloch.DYSON_NODES_PER_FEATURE)
     monkeypatch.setattr(bloch, "DYSON_MIN_NODES", 2 * bloch.DYSON_MIN_NODES)
-    doubled = sweep_2d(EM, tpl, dets, MAP_AMPS).signal
-    assert np.max(np.abs(doubled - base)) <= 1e-12
+    assert np.max(np.abs(signal() - base)) <= 1e-12
 
 
 @pytest.mark.parametrize("em, tpl", [
@@ -275,6 +318,6 @@ def test_weak_drive_map_matches_refined_lawson(em, tpl, monkeypatch):
     # The whole window is on the Dyson propagator; the Lawson reference is
     # refined 4x so that its own error stays below the bound.
     got = sweep_2d(em, tpl, MAP_DETS, MAP_AMPS).signal
-    monkeypatch.setattr(bloch, "BATCH_PHASE_STEP", bloch.BATCH_PHASE_STEP / 4)
+    monkeypatch.setattr(lawson, "PHASE_STEP", lawson.PHASE_STEP / 4)
     ref = lawson_map(em, tpl, MAP_DETS, MAP_AMPS)
     assert np.max(np.abs(got - ref) / ref) <= 1e-7
