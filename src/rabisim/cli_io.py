@@ -476,16 +476,17 @@ def ingest_trace(text: str, mode: str = "counts") -> TraceRecord:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header_lines, rows):
-    """'#'-prefixed header lines, then one comma-separated line per row.
+def _write_csv(path: Path, header_lines, columns):
+    """'#'-prefixed header lines, then one comma-separated line per row of the
+    equal-length ``columns``.
 
     Floats are written with 9 significant digits, integers as integers.
     """
-    lines = [f"# {h}" for h in header_lines]
-    for row in rows:
-        lines.append(",".join(str(int(x)) if isinstance(x, (int, np.integer))
-                              else _fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in columns) + "\n"
+    with path.open("w") as f:
+        f.writelines(f"# {h}\n" for h in header_lines)
+        f.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def write_manifest(path: Path, command: str, cfg_text: str, seed: int,
@@ -588,7 +589,7 @@ def cmd_trace(args, cfg, out):
               f"detuning_MHz={_fmt(emitter.detuning / MHZ)}"]
     trace_path = out / "trace.csv"
     _write_csv(trace_path, header + ["t_ns,rho_ee,emission_rate_per_s"],
-               zip(times / NS, traj.rho_ee, rates))
+               (times / NS, traj.rho_ee, rates))
     if detector is None:
         return [trace_path], _wrote([trace_path])
     hist = simulate_tcspc(emitter, field, detector, cfg.trace.n_pulses, cfg.seed)
@@ -597,11 +598,11 @@ def cmd_trace(args, cfg, out):
     _write_csv(hist_path, header + [f"seed={cfg.seed}",
                                     f"n_pulses={hist.n_pulses}",
                                     "bin_start_ns,bin_end_ns,counts"],
-               zip(edges[:-1], edges[1:], hist.counts))
+               (edges[:-1], edges[1:], hist.counts))
     density = first_detected_density(times, rates, detector.efficiency)
     dens_path = out / "first_detected.csv"
     _write_csv(dens_path, header + ["t_ns,first_detected_density_per_s"],
-               zip(times / NS, density))
+               (times / NS, density))
     outputs = [trace_path, hist_path, dens_path]
     return outputs, _wrote(outputs)
 
@@ -621,8 +622,7 @@ def cmd_power_scan(args, cfg, out):
     header = [_header(args), f"seed={cfg.seed}",
               f"sigma_T_rel={_fmt(jm.sigma_t_rel)}", f"samples={ps.samples}"]
     _write_csv(path, header + ["amplitude_MHz,signal,stderr,area_std_rad"],
-               zip(scan.amplitudes / MHZ, scan.signal, scan.stderr,
-                   scan.area_std))
+               (scan.amplitudes / MHZ, scan.signal, scan.stderr, scan.area_std))
     return [path], _wrote([path])
 
 
@@ -643,10 +643,10 @@ def cmd_sweep2d(args, cfg, out):
     _write_csv(matrix_path, header + [
         "detuning_MHz," + ",".join(_fmt(d) for d in dets_mhz),
         "amplitude_MHz rows follow, one per line: amplitude, signal..."],
-        ((a, *row) for a, row in zip(amps_mhz, result.signal)))
+        (amps_mhz, *result.signal.T))
     _write_csv(long_path, header + ["detuning_MHz,amplitude_MHz,signal"],
-               ((d, a, x) for a, row in zip(amps_mhz, result.signal)
-                for d, x in zip(dets_mhz, row)))
+               (np.tile(dets_mhz, amps_mhz.size), np.repeat(amps_mhz, dets_mhz.size),
+                result.signal.ravel()))
     return [matrix_path, long_path], _wrote([matrix_path, long_path])
 
 
@@ -658,7 +658,7 @@ def cmd_cross_section(args, cfg, out):
     path = out / "cross_section.csv"
     header = [_header(args), f"requested_amplitude_MHz={_fmt(amp / MHZ)}",
               f"row_amplitude_MHz={_fmt(actual / MHZ)}"]
-    _write_csv(path, header + ["detuning_MHz,signal"], zip(dets / MHZ, row))
+    _write_csv(path, header + ["detuning_MHz,signal"], (dets / MHZ, row))
     return [path], f"{_wrote([path])} (row at {actual / MHZ:.6g} MHz)"
 
 

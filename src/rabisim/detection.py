@@ -13,25 +13,21 @@ builder (``bloch._rk4_step_maps``), multiplied up by its log2(n)-level
 prefix scan (``bloch._prefix_products``). Because the conditional evolution
 is linear, the survival curve of a segment restarted in state psi at node k
 is ``|C_m w|^2`` with ``w = C_k^{-1} psi``, for m >= k, and it is monotone
-non-increasing. The engine keeps each node's Gram matrix C_m^H C_m as four
-reals, so that ``|C_m w|^2 = gram[m] . quad(w)``: a trajectory's state is
-the four reals ``quad(w)`` of its segment, and a survival value costs one
-4-vector dot product. Populations and dephasing restarts are read off the
-same four reals. The batch runs in two phases. The grid phase covers the
-drive window as a loop of waves on compacted arrays from which finished
-rows drop: in the first wave every trajectory holds the same initial
-state, so the whole batch shares one survival curve and all first jumps
-are placed by one ``searchsorted``; later segments are located by
-vectorized binary search on the Gram table. A trajectory that outlives the
-grid hands its two populations to the drive-free tail phase, which places
-its at most one remaining emission in closed form in one pass: there the
-dephasing jump operator is proportional to sigma_z, which keeps the
-populations and scales every state's no-jump norm by the same factor, so
-dephasing changes neither when nor whether that emission happens. All
-randomness comes from counter-based streams keyed by (pulse index, draw
-index), which makes results independent of chunking and evaluation order.
+non-increasing. Each node's Gram matrix C_m^H C_m is kept as four reals, so
+a trajectory's state is the four reals ``quad(w)`` of its segment, a
+survival value ``gram[m] . quad(w)`` is one 4-vector dot product, and
+populations and dephasing restarts are read off the same four reals. The
+grid phase is a loop of waves on compacted arrays from which finished rows
+drop. In the first wave all trajectories share one survival curve, and one
+``searchsorted`` of the sorted thresholds places all first jumps; later
+segments bisect the Gram table. A trajectory that outlives the grid hands
+its populations to the drive-free tail, which places its at most one
+remaining emission in closed form (there the dephasing operator, prop. to
+sigma_z, changes neither when nor whether it happens). Each emission draws
+its thinning uniform as it is placed; only kept photons are timed and
+sorted. Counter-based streams keyed by (pulse index, draw index) make
+results independent of chunking and evaluation order.
 """
-
 from __future__ import annotations
 
 import math
@@ -300,40 +296,54 @@ def _initial_amplitudes(initial: BlochState) -> np.ndarray:
     return psi0 / math.sqrt(abs(psi0[0]) ** 2 + abs(psi0[1]) ** 2)
 
 
-def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
-                          initial: BlochState = BlochState(0.0)):
-    """Jump-process emission times for a batch of pulse periods.
+def _first_crossings(curve: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """First node at which ``curve`` falls to each r: one search of the sorted
+    r on the running minimum, so no roundoff bump couples the thresholds."""
+    order = np.argsort(-r)
+    nodes = np.empty_like(order)
+    nodes[order] = np.searchsorted(-np.minimum.accumulate(curve), -r[order])
+    return nodes
 
-    Returns (pulse_id, time) arrays sorted by pulse then time. The initial
-    state must be pure (the unraveling propagates a wave function):
-    coherence is honored via the amplitude pair (sqrt(1-rho), sqrt(rho)).
+
+def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
+                          initial: BlochState = BlochState(0.0),
+                          efficiency: float | None = None):
+    """Jump-process emissions for a batch of pulse periods, thinned as placed.
+
+    Returns (emitted, pulse, time, ordinal): every emission's pulse id, then
+    the pulse, time and ordinal of each one the detector keeps, by pulse then
+    time. Ordinal k of pulse p is kept if ``rng.uniform(seed, STREAM_THIN, p,
+    k) < efficiency``; ``efficiency=None`` keeps all and draws nothing. The
+    initial state must be pure: (sqrt(1-rho), sqrt(rho)), phased by coherence.
     """
-    if pulse_ids.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
     psi0 = _initial_amplitudes(initial)
-    gamma1 = engine.gamma1
-    gphi = engine.gphi
-    n_last = engine.last_node
+    gamma1, gphi, n_last = engine.gamma1, engine.gphi, engine.last_node
 
     def uniform(pid, draws):
         return rng.uniform(seed, rng.STREAM_JUMP, pid, draws)
 
-    # Grid phase. Each active row is its pulse id, draw counter, threshold r,
-    # segment start node and the four reals q = _quad(w) of its grid
-    # coordinates; a row leaves the arrays once it outlives the grid.
+    emitted, kept = [], []  # every emission's pulse; kept (pulse, time, ordinal)
+
+    def thin(pid, count, rows):
+        """Record the emissions of ``rows``; return the rows the detector keeps."""
+        emitted.append(pid.take(rows))
+        if efficiency is None:
+            return rows
+        u = rng.uniform(seed, rng.STREAM_THIN, emitted[-1], count.take(rows))
+        return rows[u < efficiency]
+
+    # Grid phase: each active row is its pulse id, draw counter, emission count
+    # (next ordinal), threshold r, segment start node and q = _quad(w).
     pid = pulse_ids
-    draws = np.zeros(pid.size, dtype=np.int64)
+    draws = count = node = np.zeros(pid.size, dtype=np.int64)  # never written in place
     r = uniform(pid, draws)
-    node = np.zeros(pid.size, dtype=np.int64)
-    w0 = engine.to_grid_coords(node[:1], psi0[None, :])
+    w0 = engine.to_grid_coords(np.zeros(1, dtype=np.int64), psi0[None, :])
     q = np.tile(_quad(w0), (pid.size, 1))
-    # Rows leaving the grid: (pulse, r, (|psi_g|^2, |psi_e|^2)).
+    # Rows leaving the grid: (pulse, count, r, (|psi_g|^2, |psi_e|^2)).
     handoff = []
-    if n_last == 0:  # no drive: every row starts in the tail
-        handoff.append((pid, r, q @ engine.end_populations))
+    if n_last == 0 or pid.size == 0:  # no drive or no rows: all start in the tail
+        handoff.append((pid, count, r, q @ engine.end_populations))
         pid = pid[:0]
-    out_pulse: list[np.ndarray] = []
-    out_time: list[np.ndarray] = []
 
     for wave in range(_WAVE_LIMIT):
         if pid.size == 0:
@@ -346,12 +356,11 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
             to_tail = curve[n_last] > r
         else:
             to_tail = q @ engine.gram[n_last] > r
-        out_pid, out_r, out_q = _rows(to_tail, pid, r, q)
-        handoff.append((out_pid, out_r, out_q @ engine.end_populations))
-        pid, draws, r, node, q = _rows(~to_tail, pid, draws, r, node, q)
+        out_pid, out_count, out_r, out_q = _rows(to_tail, pid, count, r, q)
+        handoff.append((out_pid, out_count, out_r, out_q @ engine.end_populations))
+        pid, draws, count, r, node, q = _rows(~to_tail, pid, draws, count, r, node, q)
         if wave == 0:
-            m = np.searchsorted(-curve, -r)
-            n1, n2 = curve.take(m - 1), curve.take(m)
+            m = _first_crossings(curve, r)
         else:
             lo = node
             hi = np.full(pid.size, n_last, dtype=np.int64)
@@ -361,49 +370,53 @@ def _emission_times_batch(engine: _JumpEngine, seed: int, pulse_ids: np.ndarray,
                 hi = np.where(below, mid, hi)
                 lo = np.where(below, lo, mid + 1)
             m = hi
-            n1 = engine.survival(m - 1, q)
-            n2 = engine.survival(m, q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.log(n1 / np.maximum(r, 1e-300)) / np.log(
-                np.maximum(n1 / np.maximum(n2, 1e-300), 1.0 + 1e-15))
-        frac = np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
-        t_prev = engine.times.take(m - 1)
-        t_jump = t_prev + frac * (engine.times.take(m) - t_prev)
 
-        restart = engine.ground_quad.take(m, axis=0)
+        emit = np.ones(pid.size, dtype=bool)
         if gphi > 0.0:
             # n2 = |C_m w|^2; its excited part is row 1 of C_m on q.
+            n2 = curve.take(m) if wave == 0 else engine.survival(m, q)
             w_emit = gamma1 * np.einsum("ij,ij->i", _row_quads(engine.cum[m])[:, 1], q)
             draws = draws + 1
             emit = uniform(pid, draws) * (w_emit + 0.5 * gphi * n2) < w_emit
-            dm, dq = _rows(~emit, m, q)
-            restart[~emit] = engine.dephased(dm, dq)
-            out_pid, out_t = _rows(emit, pid, t_jump)
-            out_pulse.append(out_pid)
-            out_time.append(out_t)
+            flipped = engine.dephased(*_rows(~emit, m, q))
+        rows = thin(pid, count, np.flatnonzero(emit))
+        mk, rk = m.take(rows), r.take(rows)
+        if wave == 0:
+            n1, n2 = curve.take(mk - 1), curve.take(mk)
         else:
-            out_pulse.append(pid)
-            out_time.append(t_jump)
-        node, q = m, restart
+            qk = q.take(rows, axis=0)
+            n1, n2 = engine.survival(mk - 1, qk), engine.survival(mk, qk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.log(n1 / np.maximum(rk, 1e-300)) / np.log(
+                np.maximum(n1 / np.maximum(n2, 1e-300), 1.0 + 1e-15))
+        frac = np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
+        t_prev = engine.times.take(mk - 1)
+        kept.append((pid.take(rows), t_prev + frac * (engine.times.take(mk) - t_prev),
+                     count.take(rows)))
+        # Allocated after the thinning draw, so the two do not add up in memory.
+        restart = engine.ground_quad.take(m, axis=0)
+        if gphi > 0.0:
+            restart[~emit] = flipped
+        node, q, count = m, restart, count + emit
         draws = draws + 1
         r = uniform(pid, draws)
     else:
         raise StepFailure("jump simulation exceeded the wave limit on the drive grid")
 
     # Tail phase: no drive, so dephasing (sigma_z) leaves the emission alone
-    # and a row's grid-end populations and threshold place it in closed form.
-    pid, r, pops = (np.concatenate(a) for a in zip(*handoff))
+    # and a row's grid-end populations and threshold place it in closed form;
+    # only rows whose threshold tops their ground population take the logarithm.
+    pid, count, r, pops = (np.concatenate(a) for a in zip(*handoff))
+    pid, count, r, pops = _rows(r > pops[:, 0] * (1.0 + 1e-15), pid, count, r, pops)
     t_jump = engine.times[-1] + _tail_jump_time(pops[:, 0], pops[:, 1], r, gamma1)
-    out_pid, out_t = _rows(t_jump <= engine.t_limit, pid, t_jump)
-    out_pulse.append(out_pid)
-    out_time.append(out_t)
+    rows = thin(pid, count, np.flatnonzero(t_jump <= engine.t_limit))
+    kept.append((pid.take(rows), t_jump.take(rows), count.take(rows)))
 
-    pulses, times = np.concatenate(out_pulse), np.concatenate(out_time)
-    # Each wave appends a pulse's emissions later than its earlier ones, and
-    # tail emissions come after grid emissions, so a stable sort by pulse
-    # leaves every pulse's times ascending.
+    pulses, times, ordinals = (np.concatenate(a) for a in zip(*kept))
+    # Each wave appends a pulse's emissions after its earlier ones, and tail
+    # emissions come last, so a stable sort by pulse keeps times ascending.
     order = np.argsort(pulses, kind="stable")
-    return pulses[order], times[order]
+    return np.concatenate(emitted), pulses[order], times[order], ordinals[order]
 
 
 def _tail_jump_time(cg2, ce2, r, gamma1: float) -> np.ndarray:
@@ -426,11 +439,9 @@ def simulate_photon_stream(emitter: EmitterModel, field: DriveField, t_span,
     Times are strictly increasing; re-excitation after an emission is
     captured whenever the drive is still on.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    engine = _JumpEngine(emitter, field, t0, t1)
-    _, times = _emission_times_batch(
-        engine, seed, np.array([pulse_index], dtype=np.int64), initial)
-    return times
+    engine = _JumpEngine(emitter, field, *t_span)
+    return _emission_times_batch(
+        engine, seed, np.array([pulse_index], dtype=np.int64), initial)[2]
 
 
 def simulate_tcspc(emitter: EmitterModel, field: DriveField,
@@ -441,11 +452,12 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
     Each period starts in ``initial`` (ground by default; the repetition
     period is validated to exceed the drive span, and residual excitation
     across a period boundary is negligible for any supported config).
-    Emissions are thinned with the detector efficiency, detection
-    timestamps get Gaussian timing jitter, and a non-paralyzable dead time
-    is enforced on the merged absolute-time stream, carrying across period
-    boundaries. Fixed (seed, n_pulses, config) gives bit-identical
-    histograms for any chunking; detections jittered below 0 count in bin 0.
+    Emissions are thinned with the detector efficiency as the jump engine
+    places them, so only kept photons are timed, sorted and given Gaussian
+    timing jitter; a non-paralyzable dead time is enforced on the merged
+    absolute-time stream, carrying across period boundaries. Fixed (seed,
+    n_pulses, config) gives bit-identical histograms for any chunking;
+    detections jittered below 0 count in bin 0.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -456,41 +468,29 @@ def simulate_tcspc(emitter: EmitterModel, field: DriveField,
     engine = _JumpEngine(emitter, field, 0.0, detector.rep_period)
 
     def run_chunk(start: int):
-        ids = np.arange(start, min(start + _TCSPC_CHUNK, n_pulses),
-                        dtype=np.int64)
-        pulses, times = _emission_times_batch(engine, seed, ids, initial)
-        # Emission ordinal within its pulse: pulses are sorted, so each
-        # pulse's first emission sits at searchsorted(pulses, pulse).
-        ordinal = np.arange(pulses.size) - np.searchsorted(pulses, pulses)
-        kept = rng.uniform(seed, rng.STREAM_THIN, pulses, ordinal) < detector.efficiency
-        pulses, times, ordinal = pulses[kept], times[kept], ordinal[kept]
+        ids = np.arange(start, min(start + _TCSPC_CHUNK, n_pulses), dtype=np.int64)
+        _, pulses, times, ordinal = _emission_times_batch(
+            engine, seed, ids, initial, detector.efficiency)
         if detector.timing_jitter_sigma > 0 and pulses.size:
             times = times + detector.timing_jitter_sigma * rng.normal(
                 seed, rng.STREAM_JITTER, pulses, ordinal)
         return pulses, times
 
-    parts = [run_chunk(start) for start in range(0, n_pulses, _TCSPC_CHUNK)]
-    pulses = np.concatenate([p for p, _ in parts])
-    times = np.concatenate([t for _, t in parts])
+    pulses, times = (np.concatenate(a) for a in zip(*(
+        run_chunk(start) for start in range(0, n_pulses, _TCSPC_CHUNK))))
 
     # Non-paralyzable dead time on absolute detection timestamps.
     if detector.dead_time > 0 and pulses.size:
         abs_t = pulses * detector.rep_period + times
         order = np.argsort(abs_t, kind="stable")
-        keep = np.zeros(order.size, dtype=bool)
-        blocked_until = -math.inf
-        dead = detector.dead_time
-        abs_sorted = abs_t[order]
-        for i in range(order.size):
-            ti = abs_sorted[i]
+        keep, blocked_until = [], -math.inf
+        for i, ti in zip(order.tolist(), abs_t[order].tolist()):
             if ti >= blocked_until:
-                keep[i] = True
-                blocked_until = ti + dead
-        sel = order[keep]
-        pulses, times = pulses[sel], times[sel]
+                keep.append(i)
+                blocked_until = ti + detector.dead_time
+        times = times[keep]
 
-    n_bins = detector.n_bins()
-    edges = detector.bin_width * np.arange(n_bins + 1)
+    edges = detector.bin_width * np.arange(detector.n_bins() + 1)
     counts, _ = np.histogram(np.maximum(times, 0.0), bins=edges)
     hist = TcspcHistogram(bin_edges=edges, counts=counts.astype(np.int64),
                           n_pulses=n_pulses)

@@ -297,8 +297,8 @@ def test_c08_exponential_emission_oracle():
     zero = DriveField.single(GaussianEnvelope(peak=0.0, fwhm=1e-9))
     engine = _JumpEngine(EMITTER, zero, 0.0, 2e-6)
     ids = np.arange(100_000, dtype=np.int64)
-    pulses, times = _emission_times_batch(engine, seed=17, pulse_ids=ids,
-                                          initial=BlochState(1.0))
+    _, pulses, times, _ = _emission_times_batch(engine, seed=17, pulse_ids=ids,
+                                                initial=BlochState(1.0))
     assert pulses.size == ids.size
     p_value = stats.kstest(times, "expon", args=(0.0, T1)).pvalue
     assert p_value > 0.01

@@ -8,9 +8,10 @@ from scipy.integrate import solve_ivp
 from rabisim import detection, rng
 from rabisim.bloch import BlochState, EmitterModel, integrate, steady_state
 from rabisim.detection import (DetectorModel, _JumpEngine,
-                               _emission_times_batch, _initial_amplitudes,
-                               _quad, _row_quads, _tail_jump_time,
-                               emission_rate, first_detected_density,
+                               _emission_times_batch, _first_crossings,
+                               _initial_amplitudes, _quad, _row_quads,
+                               _tail_jump_time, emission_rate,
+                               first_detected_density,
                                simulate_photon_stream, simulate_tcspc)
 from rabisim.errors import StepFailure
 from rabisim.pulses import (DriveField, FieldComponent, GAUSSIAN_AREA_FACTOR,
@@ -87,7 +88,7 @@ def test_stream_zero_field_ground_start_empty():
 def test_stream_zero_field_excited_start_single_exponential():
     engine = _JumpEngine(EM, ZERO_FIELD, 0.0, 2e-6)
     ids = np.arange(20_000, dtype=np.int64)
-    pulses, times = _emission_times_batch(engine, 17, ids, BlochState(1.0))
+    _, pulses, times, _ = _emission_times_batch(engine, 17, ids, BlochState(1.0))
     assert pulses.size == ids.size  # exactly one emission each
     assert np.array_equal(np.sort(pulses), pulses)
     assert stats.kstest(times, "expon", args=(0.0, T1)).pvalue > 0.01
@@ -100,7 +101,7 @@ def test_stream_strong_drive_matches_steady_state_flux():
                                                 center=0.5 * duration))
     engine = _JumpEngine(EM, fld, 0.0, duration + 20 * T1)
     ids = np.arange(10_000, dtype=np.int64)
-    pulses, times = _emission_times_batch(engine, 3, ids)
+    _, pulses, times, _ = _emission_times_batch(engine, 3, ids)
     counts = np.bincount(pulses, minlength=ids.size)
     expected = EM.gamma1 * steady_state(EM, omega).rho_ee * duration
     sigma = np.std(counts) / math.sqrt(ids.size)
@@ -164,7 +165,7 @@ def test_tcspc_single_count_per_pulse_with_long_dead_time():
     assert hist.total() <= hist.n_pulses
     # and detections equal pulses with >= 1 emission (efficiency 1)
     engine = _JumpEngine(EM, fld, 0.0, det.rep_period)
-    pulses, _ = _emission_times_batch(engine, 5, np.arange(5000, dtype=np.int64))
+    pulses = _emission_times_batch(engine, 5, np.arange(5000, dtype=np.int64))[1]
     assert hist.total() == np.unique(pulses).size
 
 
@@ -185,13 +186,21 @@ def test_tcspc_seed_determinism_and_chunk_independence(monkeypatch):
                         timing_jitter_sigma=50e-12, rep_period=1.4e-6,
                         bin_width=1e-9)
     fld = fig2a_field()
+    dephased = EmitterModel(gamma1=1.0 / T1, gamma2=1.4 / T1)
     h1 = simulate_tcspc(EM, fld, det, n_pulses=150_000, seed=21)
     h2 = simulate_tcspc(EM, fld, det, n_pulses=150_000, seed=21)
     assert np.array_equal(h1.counts, h2.counts)
+    d1 = simulate_tcspc(dephased, fld, det, n_pulses=150_000, seed=21)
     # Randomness is keyed by pulse index, so smaller chunks change nothing.
     monkeypatch.setattr(detection, "_TCSPC_CHUNK", 1 << 12)
     h3 = simulate_tcspc(EM, fld, det, n_pulses=150_000, seed=21)
     assert np.array_equal(h1.counts, h3.counts)
+    # Thinning keys each emission by the ordinal its row carries through the
+    # waves (dephasing jumps do not count) and into the tail; that ordinal
+    # must not depend on the batch either.
+    d3 = simulate_tcspc(dephased, fld, det, n_pulses=150_000, seed=21)
+    assert np.array_equal(d1.counts, d3.counts)
+    assert not np.array_equal(d1.counts, h1.counts)
     h4 = simulate_tcspc(EM, fld, det, n_pulses=150_000, seed=22)
     assert not np.array_equal(h1.counts, h4.counts)
 
@@ -271,7 +280,7 @@ def test_dephasing_tail_preserves_exponential_emission():
     for gamma2 in (0.5 / T1, 1.2 / T1, 2.5 / T1, 20.0 / T1):
         engine = _JumpEngine(EmitterModel(gamma1=1.0 / T1, gamma2=gamma2),
                              ZERO_FIELD, 0.0, 3e-6)
-        runs.append(_emission_times_batch(engine, 23, ids, BlochState(1.0)))
+        runs.append(_emission_times_batch(engine, 23, ids, BlochState(1.0))[1:3])
     pulses, times = runs[0]
     assert np.array_equal(pulses, ids)
     for other_pulses, other_times in runs[1:]:
@@ -293,7 +302,7 @@ def test_jump_engine_with_pure_dephasing_matches_master_equation():
             peak=omega, duration=duration, center=0.5 * duration))
         engine = _JumpEngine(em, fld, 0.0, window)
         ids = np.arange(6000, dtype=np.int64)
-        pulses, times = _emission_times_batch(engine, 77, ids)
+        _, pulses, times, _ = _emission_times_batch(engine, 77, ids)
         counts = np.bincount(pulses, minlength=ids.size)
         traj = integrate(em, fld, BlochState(0.0), (0.0, window), T1 / 50)
         expected = em.gamma1 * np.trapezoid(traj.rho_ee, traj.times)
@@ -512,7 +521,7 @@ def test_gram_search_matches_per_row_bisection(gamma2, detuning, initial, field)
     emitter = EmitterModel(gamma1=1.0 / T1, gamma2=gamma2, detuning=detuning)
     engine = _JumpEngine(emitter, field, 0.0, 80e-9)
     ids = np.arange(1000, 1250, dtype=np.int64)
-    pulses, times = _emission_times_batch(engine, 31, ids, initial)
+    _, pulses, times, _ = _emission_times_batch(engine, 31, ids, initial)
     ref_pulses, ref_times = reference_emissions(engine, 31, ids, initial)
     assert np.array_equal(pulses, ref_pulses)
     assert np.array_equal(np.bincount(pulses - 1000, minlength=ids.size),
@@ -533,9 +542,9 @@ def test_dephased_emission_times_do_not_depend_on_the_batch():
     fld = DriveField.single(RectangularEnvelope(peak=3.0 * EM.gamma1,
                                                 duration=100e-9, center=50e-9))
     engine = _JumpEngine(emitter, fld, 0.0, 300e-9)
-    alone = _emission_times_batch(engine, 3, np.arange(100, dtype=np.int64))
-    pulses, times = _emission_times_batch(engine, 3,
-                                          np.arange(2000, dtype=np.int64))
+    alone = _emission_times_batch(engine, 3, np.arange(100, dtype=np.int64))[1:3]
+    _, pulses, times, _ = _emission_times_batch(engine, 3,
+                                                np.arange(2000, dtype=np.int64))
     inside = pulses < 100
     assert np.count_nonzero(alone[1] > engine.times[-1]) >= 40  # tail jumps
     assert np.array_equal(alone[0], pulses[inside])
@@ -595,8 +604,8 @@ def test_emission_output_is_pulse_major_and_time_ascending():
     fld = DriveField.single(RectangularEnvelope(peak=4.0 * EM.gamma1,
                                                 duration=150e-9, center=75e-9))
     engine = _JumpEngine(emitter, fld, 0.0, 400e-9)
-    pulses, times = _emission_times_batch(engine, 9, np.arange(3000,
-                                                               dtype=np.int64))
+    _, pulses, times, _ = _emission_times_batch(engine, 9, np.arange(3000,
+                                                                     dtype=np.int64))
     assert np.max(np.bincount(pulses)) >= 5
     assert np.any(times > engine.times[-1])  # tail emissions are present
     order = np.lexsort((times, pulses))
@@ -621,7 +630,7 @@ def test_first_draw_at_the_grid_end_survival(monkeypatch):
 
     monkeypatch.setattr(rng, "uniform", uniform)
     ids = np.arange(9 * 40, dtype=np.int64)
-    pulses, times = _emission_times_batch(engine, 5, ids)
+    _, pulses, times, _ = _emission_times_batch(engine, 5, ids)
     assert np.all(np.isfinite(times))
     first = np.unique(pulses, return_index=True)
     first_time = dict(zip(first[0], times[first[1]]))
@@ -629,3 +638,112 @@ def test_first_draw_at_the_grid_end_survival(monkeypatch):
     on_grid = ids[ids % edge.size >= 4]
     assert all(first_time.get(p, np.inf) > engine.times[-1] for p in to_tail)
     assert all(first_time[p] <= engine.times[-1] for p in on_grid)
+
+
+SUPERPOSITION = BlochState(0.3, math.sqrt(0.21) * complex(math.cos(0.8),
+                                                          math.sin(0.8)))
+RE_EXCITING = DriveField.single(RectangularEnvelope(
+    peak=4.0 * EM.gamma1, duration=150e-9, center=75e-9))
+
+
+@pytest.mark.parametrize("gamma2", [0.5 / T1, 1.4 / T1], ids=["gphi0", "dephased"])
+@pytest.mark.parametrize("initial", [BlochState(0.0), SUPERPOSITION],
+                         ids=["ground", "superposition"])
+@pytest.mark.parametrize("field, t_limit", [(GAUSS_7PI, 80e-9),
+                                            (RE_EXCITING, 400e-9)],
+                         ids=["gaussian", "rectangle"])
+def test_thinning_at_emission_equals_thinning_afterwards(gamma2, initial, field,
+                                                         t_limit):
+    # Each emission draws its thinning uniform at (pulse, ordinal) as it is
+    # placed; that must keep exactly what a pass over the full pulse-major
+    # emission list keeps, grid and tail emissions alike.
+    engine = _JumpEngine(EmitterModel(gamma1=1.0 / T1, gamma2=gamma2), field,
+                         0.0, t_limit)
+    ids = np.arange(500, 2500, dtype=np.int64)
+    emitted, pulses, times, ordinals = _emission_times_batch(engine, 13, ids,
+                                                             initial)
+    assert np.array_equal(np.sort(emitted), pulses)
+    assert np.array_equal(ordinals,
+                          np.arange(pulses.size) - np.searchsorted(pulses, pulses))
+    assert np.max(ordinals) >= 2
+    assert np.any(times > engine.times[-1]) and np.any(times <= engine.times[-1])
+    keep = rng.uniform(13, rng.STREAM_THIN, pulses, ordinals) < 0.3
+    thinned = _emission_times_batch(engine, 13, ids, initial, 0.3)
+    # The first result counts every emission (bench's detection.emitted).
+    assert thinned[0].size == pulses.size
+    assert np.array_equal(thinned[1], pulses[keep])
+    assert thinned[2].tobytes() == times[keep].tobytes()
+    assert np.array_equal(thinned[3], ordinals[keep])
+
+
+# Excited by 1e-12 and driven 150 ns later: before the pulse the survival
+# curve decays onto a flat run just below 1, where roundoff makes it step up
+# and down by an ulp.
+NEAR_GROUND = BlochState(1e-12, complex(math.sqrt(1e-12 * (1.0 - 1e-12)), 0.0))
+
+
+@pytest.mark.parametrize("field, initial, t_limit", [
+    (GAUSS_7PI, BlochState(0.0), 80e-9),
+    (fig2a_field(center=150e-9), NEAR_GROUND, 250e-9)],
+    ids=["gaussian", "flat_run"])
+def test_sorted_first_wave_search_is_exact_at_ties(monkeypatch, field, initial,
+                                                   t_limit):
+    # Draw-0 thresholds on survival-curve values, one ulp either side of
+    # them, and on a flat run of the curve: searching the sorted thresholds
+    # must give each row the first node where the curve falls to its r.
+    engine = _JumpEngine(EM, field, 0.0, t_limit)
+    w0 = engine.to_grid_coords(np.zeros(1, dtype=np.int64),
+                               _initial_amplitudes(initial)[None])
+    curve = engine.gram @ _quad(w0)[0]
+    monotone = bool(np.all(np.diff(curve) <= 0.0))
+    flat = np.flatnonzero(np.diff(curve) == 0.0)
+    if initial is NEAR_GROUND:
+        assert not monotone and flat.size > 1000
+        on = np.unique(curve[flat])
+    else:
+        assert monotone
+        on = curve[np.linspace(1, engine.last_node, 15).astype(int)]
+    edge = np.concatenate((on, np.nextafter(on, 2.0), np.nextafter(on, 0.0)))
+    edge = edge[edge < curve[0]]  # r >= curve[0] would jump at node 0
+    true_uniform = rng.uniform
+
+    def uniform(seed, stream, counter, draw):
+        u = true_uniform(seed, stream, counter, draw)
+        return np.where(np.asarray(draw) == 0,
+                        edge[np.asarray(counter) % edge.size], u)
+
+    searches = []
+    search = detection._first_crossings
+
+    def spy(curve, r):
+        searches.append((r, search(curve, r)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(rng, "uniform", uniform)
+    monkeypatch.setattr(detection, "_first_crossings", spy)
+    ids = np.arange(3 * edge.size, dtype=np.int64)
+    pulses = _emission_times_batch(engine, 5, ids, initial)[1]
+    (r, nodes), = searches
+    assert r.size >= 2 * edge.size
+    first = np.array([np.flatnonzero(curve <= x)[0] for x in r])
+    assert np.array_equal(nodes, first)
+    if monotone:
+        assert np.array_equal(nodes, np.searchsorted(-curve, -r))
+    ref_pulses, _ = reference_emissions(engine, 5, ids, initial)
+    assert np.array_equal(pulses, ref_pulses)
+
+
+def test_first_crossings_read_the_running_minimum():
+    # Roundoff can make the shared survival curve step up by an ulp. A binary
+    # search over such a curve returns whichever crossing its probes meet,
+    # and numpy's hints from the previous needle make that depend on the
+    # other thresholds; on the running minimum every row gets its first one.
+    gen = np.random.default_rng(3)
+    curve = np.sort(gen.uniform(0.2, 1.0, 4000))[::-1].copy()
+    bumps = gen.integers(1, curve.size, 300)
+    curve[bumps] = curve[bumps - 1] + np.spacing(curve[bumps - 1])
+    r = gen.permutation(np.concatenate((curve[bumps], curve[bumps - 1],
+                                        gen.uniform(curve[-1], 1.0, 3000))))
+    first = np.array([np.flatnonzero(curve <= x)[0] for x in r])
+    assert not np.array_equal(np.searchsorted(-curve, -r), first)
+    assert np.array_equal(_first_crossings(curve, r), first)
