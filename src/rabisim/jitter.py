@@ -63,8 +63,8 @@ class PowerScan:
     to 12 pi (60 x 11 nodes). ``interp_error`` is the estimated largest
     error of the interpolated per-draw signal at each amplitude: 3.5e-11
     and 6.7e-11 on those two scans, over 10000 times the actual error
-    there (3.6e-15 and 4.4e-15). It is zero where the draws were solved
-    directly or without jitter, and on a dark row.
+    there (3.6e-15 and 4.4e-15). It is zero without jitter and on a dark
+    row. Amplitudes, signals and ``stderr`` must be finite.
     """
 
     amplitudes: np.ndarray
@@ -75,6 +75,9 @@ class PowerScan:
     interp_error: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("amplitudes", "signal", "stderr"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.amplitudes) <= 0):
             raise ValueError("amplitude axis must be strictly increasing")
         if np.any(self.signal < 0):
@@ -147,16 +150,16 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     (:func:`_scan_surrogate`). The grid is one batch of the Dyson
     propagator (:func:`rabisim.bloch.propagate_dyson`), the frame peaks
     its rows and the durations its columns, on one window
-    (:func:`frame_schedule`). The mean, ``stderr`` and
+    (:func:`frame_window`). The mean, ``stderr`` and
     ``area_std`` stay Monte Carlo moments over the seeded draws;
     ``interp_error`` estimates the largest interpolation error of the
-    per-draw signal. Without jitter every amplitude takes one solve, and a
-    scan whose grid would not be smaller than its draws solves its draws.
+    per-draw signal. Without jitter every amplitude takes one solve.
     The signal is detector-free: a long-integration average count rate is
     proportional to this mean, and the Monte Carlo detector chain exists
-    separately for cross-checks. Raises StepFailure before any stepping
-    when the scan exceeds the batch work budget, and ValueError when
-    ``rep_period`` is shorter than the pulse window.
+    separately for cross-checks. Raises StepFailure before any draw when the
+    draws alone exceed the batch work budget, and before any solve that
+    would exceed it (:func:`solve_frames`); ValueError when ``rep_period``
+    is shorter than the pulse window.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if n_samples < 1:
@@ -165,26 +168,18 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
         raise ValueError("a power scan needs at least one amplitude")
 
     # The schedule takes at least BATCH_PIECES steps, which bounds the work
-    # before any draw. The second check bounds a solve of every draw on the
-    # scan's schedule, a Dyson step of order p counting p + 1, with one step
-    # more for each of their breakpoints (a rectangular pedestal's edges
-    # move with the duration in the frame). The grid has fewer points than
-    # the draws, and when its tail check fails once a doubling would reach
-    # them the draws are solved on top of it: the scan stays under twice
-    # the checked work.
+    # before any draw; each grid solve checks its own work before it steps.
     check_batch_work(BATCH_PIECES * amplitudes.size * n_samples)
     durations = sample_durations(template.main_fwhm, jitter, seed, n_samples,
                                  point=np.arange(amplitudes.size))
-    plan = frame_schedule(emitter, template, amplitudes, durations)
-    t_ref, (w0, w1), schedule = plan
-    cuts = frame_field(template, 1.0, durations / t_ref, t_ref).breakpoints()
-    check_batch_work(durations.size * (schedule_work(schedule) + len(cuts)))
+    frame = frame_window(template, amplitudes, durations)
+    _, (w0, w1) = frame
     if rep_period < w1 - w0:
         raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
                          f"{w1 - w0:.3g} s pulse window")
 
     signal, peak, error = _scan_surrogate(
-        lambda p, s: solve_frames(emitter, template, p, s, plan, rep_period),
+        lambda p, s: solve_frames(emitter, template, p, s, frame, rep_period),
         amplitudes, durations,
         emitter.gamma1 + emitter.gamma2 + abs(emitter.detuning))
     areas = amplitudes[:, None] * GAUSSIAN_AREA_FACTOR * durations
@@ -215,73 +210,63 @@ def frame_field(template: PowerScanTemplate, peaks, sigma,
     return DriveField(comps)
 
 
-def frame_schedule(emitter: EmitterModel, template: PowerScanTemplate,
-                   amps: np.ndarray, durations: np.ndarray):
-    """Frame FWHM, pulse window and step schedule ``(t_ref, (w0, w1),
-    schedule)`` of a scan.
+def frame_window(template: PowerScanTemplate, amps: np.ndarray,
+                 durations: np.ndarray):
+    """Frame FWHM and pulse window ``(t_ref, (w0, w1))`` of a scan.
 
     The frame is that of the scan's longest draw t_ref, so every draw has
     sigma <= 1 and frame rates at most the emitter's. Its frame peak |a|
     sigma is at most that of the draw of largest area, which also bounds
-    the surrogate's grid. The schedule's field holds the main pulse at that
-    peak, and the pedestal at its peak for it, stretched for the shortest
-    and for the longest draw: it bounds every frame point of an on-center
-    pedestal, and its Dyson schedule bounds the scan's work. A scan of zero
-    amplitudes has no drive; it takes the window at unit peak.
+    the surrogate's grid. The window is the support of the main pulse at
+    that peak and of the pedestal at its peak for it, stretched for the
+    shortest and for the longest draw: it holds every frame point of an
+    on-center pedestal. A scan of zero amplitudes has no drive; it takes
+    the window at unit peak.
     """
     t_ref = float(np.max(durations))
     sigma = np.array([np.min(durations) / t_ref, 1.0])
     peak = float(np.max(np.abs(amps)[:, None] * (durations / t_ref)))
-    field = frame_field(template, peak, sigma, t_ref)
-    window = field.support() or frame_field(template, 1.0, sigma, t_ref).support()
-    return t_ref, window, dyson_schedule(field, window, emitter.detuning,
-                                         emitter.gamma1 + emitter.gamma2)
+    window = (frame_field(template, peak, sigma, t_ref).support()
+              or frame_field(template, 1.0, sigma, t_ref).support())
+    return t_ref, window
 
 
 def solve_frames(emitter: EmitterModel, template: PowerScanTemplate, peaks,
-                 sigma, plan, rep_period: float):
+                 sigma, frame, rep_period: float):
     """Emitted photons per period and peak excitation of scan points.
 
-    One Dyson solve (:func:`rabisim.bloch.propagate_dyson`), on the window
-    of the ``plan`` of :func:`frame_schedule`, of the :func:`frame_field`
-    points at frame peaks ``peaks`` and duration ratios ``sigma``. Peaks
-    (rows, 1) by a 1-D ``sigma`` are a tensor: the propagator's columns
-    are the sigma, each with its unit pulse, and its rows the peaks. Any
-    other ``peaks`` and ``sigma`` broadcast to paired points, each a column
-    whose unit pulse carries its own peak at amplitude 1 (the Dyson term
-    J_n is n-linear in the drive). In the frame the emitter's rates are
+    One Dyson solve (:func:`rabisim.bloch.propagate_dyson`), in the
+    ``frame`` of :func:`frame_window` and on its window, of the :func:`frame_field`
+    points at the 1-D frame peaks ``peaks`` times the 1-D duration ratios
+    ``sigma``: the propagator's columns are the sigma, each with its unit
+    pulse, and its rows the peaks. In the frame the emitter's rates are
     sigma Gamma1, sigma Gamma2 and sigma Delta; the window integral of
     rho_ee is sigma times the frame's, and the drive-free tail after the
     window lasts ``rep_period - sigma (w1 - w0)``. The solve is planned on
     its own field's pieces, so every column's edges are piece edges, and
-    the peak is read at every step's nodes. At sigma = 1 this is the
-    point's real-time solve, bit for bit.
+    the peak is read at every step's nodes. It raises StepFailure before
+    it steps when it exceeds the batch work budget. At sigma = 1 this is
+    the point's real-time solve, bit for bit.
     """
-    t_ref, (w0, w1), _ = plan
+    t_ref, (w0, w1) = frame
     peaks = np.asarray(peaks, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if peaks.ndim == 2 and peaks.shape[1] == 1 and sigma.ndim == 1:
-        shape, rows, unit = None, peaks[:, 0], 1.0
-    else:
-        shape = np.broadcast_shapes(peaks.shape, sigma.shape)
-        rows, unit = np.ones(1), np.broadcast_to(peaks, shape).ravel()
-        sigma = np.broadcast_to(sigma, shape).ravel()
-    field = frame_field(template, unit, sigma, t_ref)
+    field = frame_field(template, 1.0, sigma, t_ref)
+    schedule = dyson_schedule(field, (w0, w1), emitter.detuning,
+                              emitter.gamma1 + emitter.gamma2,
+                              scale=float(np.max(peaks)))
+    check_batch_work(schedule_work(schedule) * peaks.size * sigma.size)
     state = None
-    for a, b, *steps in dyson_schedule(field, (w0, w1), emitter.detuning,
-                                       emitter.gamma1 + emitter.gamma2,
-                                       scale=float(np.max(rows))):
+    for a, b, *steps in schedule:
         state = propagate_dyson(
-            field.rabi, rows, sigma * emitter.detuning, sigma * emitter.gamma1,
+            field.rabi, peaks, sigma * emitter.detuning, sigma * emitter.gamma1,
             sigma * emitter.gamma2, (a, b), *steps, initial=state,
             node_peak=True)
     rho_end, _, integral, rho_peak, _ = state
     signal = emitted_photons_per_period(rho_end, sigma * integral,
                                         emitter.gamma1,
                                         rep_period - sigma * (w1 - w0))
-    if shape is None:
-        return signal, rho_peak
-    return signal.reshape(shape), rho_peak.reshape(shape)
+    return signal, rho_peak
 
 
 def draw_moments(signal: np.ndarray, areas: np.ndarray):
@@ -415,59 +400,52 @@ def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray,
                     rate: float):
     """Signal, peak excitation and interpolation error at every draw.
 
-    ``solve(p, s)`` returns (signal, peak) of the scan points at frame peaks
-    ``p`` and duration ratios ``s`` to the longest draw t_ref, which
-    broadcast (:func:`solve_frames`). Row i of ``durations`` holds the draws
-    at ``amps[i]``; draw t is the point (|a| t / t_ref, t / t_ref), whose
-    frame peak is its main pulse's area over GAUSSIAN_AREA_FACTOR t_ref.
+    ``solve(p, s)`` returns (signal, peak) of the scan points at the 1-D
+    frame peaks ``p`` (rows) times the 1-D duration ratios ``s`` to the
+    longest draw t_ref (columns; :func:`solve_frames`). Row i of
+    ``durations`` holds the draws at ``amps[i]``; draw t is the point
+    (|a| t / t_ref, t / t_ref), whose frame peak is its main pulse's area
+    over GAUSSIAN_AREA_FACTOR t_ref.
     ``rate`` is Gamma1 + Gamma2 + |Delta|. Returns the (rows x samples)
     signal and peak at the draws and, per row, the estimated largest error
     of the interpolated signal: twice the coefficient tail of each axis plus
     the rounding floor of the series evaluation. The grid spans the draws'
-    range of areas and of durations. A scan whose draws have no spread (no
-    jitter) takes one solve per row, and a scan whose grid would not be
-    smaller than its draws solves its draws. Both report zero error, and so
-    does a dark row (a = 0): it lies on the grid's zero-area node line,
-    whose solves are exactly zero, and takes that zero.
+    range of areas and of durations, and each axis doubles until its tail
+    passes; every solve checks its own work against the batch budget, so a
+    grid that never converges ends in StepFailure. A scan whose draws have
+    no spread (no jitter) takes one solve per row and reports zero error,
+    and so does a dark row (a = 0): it lies on the grid's zero-area node
+    line, whose solves are exactly zero, and takes that zero.
     """
     rows, n_samples = durations.shape
     t_ref = float(np.max(durations))
     sigma = durations / t_ref
-    mag = np.abs(amps)[:, None]
+    mag = np.abs(amps)
     s_lo = float(np.min(sigma))
     if s_lo == 1.0:
         signal, peak = solve(mag, sigma[0, :1])
         return (np.broadcast_to(signal, durations.shape),
                 np.broadcast_to(peak, durations.shape), np.zeros(rows))
-    peaks = mag * sigma
+    peaks = mag[:, None] * sigma
     p_lo, p_hi = float(np.min(peaks)), float(np.max(peaks))
     m = _surrogate_degree((p_hi - p_lo) * GAUSSIAN_AREA_FACTOR * t_ref)
     n = _surrogate_degree(rate * (t_ref - float(np.min(durations))))
 
     def grid(p_nodes, s_nodes):
-        return np.stack(solve(p_nodes[:, None], s_nodes))
-
-    def draws():
-        return (*solve(peaks, sigma), np.zeros(rows))
+        return np.stack(solve(p_nodes, s_nodes))
 
     # vals[0] and vals[1]: signal and peak at (area x duration) nodes.
-    if (m + 1) * (n + 1) >= peaks.size:
-        return draws()
     vals = grid(_lobatto_nodes(p_lo, p_hi, m), _lobatto_nodes(s_lo, 1.0, n))
     while True:
         signal = vals[0]
         if np.any(_tail(_chebyshev_coefficients(signal.T))
                   > SURROGATE_TAIL * np.max(np.abs(signal), axis=0)):
-            if (2 * m + 1) * (n + 1) >= peaks.size:
-                return draws()
             new = grid(_lobatto_nodes(p_lo, p_hi, 2 * m, odd=True),
                        _lobatto_nodes(s_lo, 1.0, n))
             vals = np.insert(vals, np.arange(1, m + 1), new, axis=1)
             m *= 2
         elif np.any(_tail(_chebyshev_coefficients(signal))
                     > SURROGATE_TAIL * np.max(np.abs(signal), axis=1)):
-            if (m + 1) * (2 * n + 1) >= peaks.size:
-                return draws()
             new = grid(_lobatto_nodes(p_lo, p_hi, m),
                        _lobatto_nodes(s_lo, 1.0, 2 * n, odd=True))
             vals = np.insert(vals, np.arange(1, n + 1), new, axis=2)
@@ -494,7 +472,7 @@ def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray,
     tails = np.max(_tail(coef[0])) + np.max(_tail(coef[0].T))
     error = np.full(rows, 2.0 * tails
                     + (m + n + 2) * eps * np.max(np.abs(vals[0])))
-    dark = mag[:, 0] == 0.0
+    dark = mag == 0.0
     signal[dark] = peak[dark] = error[dark] = 0.0
     return signal, peak, error
 

@@ -26,6 +26,7 @@ STREAM_DURATION = 4
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK = 0xFFFFFFFFFFFFFFFF
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -48,9 +49,14 @@ def _hash64(seed: int, stream: int, counter, draw) -> np.ndarray:
 
 
 def uniform(seed: int, stream: int, counter, draw) -> np.ndarray:
-    """Uniform variates on the open interval (0, 1), shaped by broadcasting."""
+    """Uniform variates on the open interval (0, 1), shaped by broadcasting.
+
+    The largest hash would round to exactly 1.0; it is held at the largest
+    double below 1, and every other variate keeps its value.
+    """
     bits = _hash64(seed, stream, counter, draw)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(((bits >> np.uint64(11)).astype(np.float64) + 0.5)
+                      * 2.0 ** -53, _BELOW_ONE)
 
 
 def normal(seed: int, stream: int, counter, draw) -> np.ndarray:

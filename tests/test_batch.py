@@ -12,11 +12,13 @@ from rabisim.bloch import (BATCH_PIECES, MAX_BATCH_POINT_STEPS, BlochState,
 from rabisim.cli_io import run_command
 from rabisim.errors import StepFailure
 from rabisim.jitter import (JitterModel, PowerScanTemplate, averaged_power_scan,
-                            frame_schedule, solve_frames)
+                            frame_window, solve_frames)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, SUPPORT_CUTOFF, DriveField,
                             FieldComponent, GaussianEnvelope, PhaseLaw,
                             RectangularEnvelope, SampledEnvelope)
 from rabisim.sweeps import CompositeFieldTemplate, build_composite, sweep_2d
+
+from test_jitter import _direct
 
 TWO_PI = 2.0 * math.pi
 EM = EmitterModel.from_lifetime(9.5e-9, detuning=-TWO_PI * 40e6)
@@ -241,21 +243,22 @@ def test_node_peak_is_never_below_step_end_peak():
 
 def test_paired_points_match_the_tensor_solve():
     # J_n is n-linear in the drive, so a point at peak p on a unit pulse is
-    # the point at amplitude 1 on p times that pulse: paired frame points,
-    # each a column of its own, equal the tensor of peaks x sigma columns.
+    # the point at amplitude 1 on p times that pulse: the draws solved as
+    # paired frame points, each a column of its own, equal the tensor of
+    # every draw's frame peak x the sigma columns at their own sigma.
     template = PowerScanTemplate(
         main_fwhm=4e-9, pedestal=RectangularEnvelope(peak=0.003, duration=20e-9,
                                                      center=3e-9))
     durations = np.array([[3.3e-9, 3.7e-9, 4.1e-9, 4.4e-9]] * 3)
     amps = np.array([1.0, 3.0, 6.0]) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
-    plan = frame_schedule(EM, template, amps, durations)
-    peaks = amps[:, None] * np.array([0.75, 0.85, 1.0])
-    sigma = np.array([0.8, 0.9, 1.0])
-    tensor = solve_frames(EM, template, peaks[:, :1], sigma, plan, 1.4e-6)
-    paired = solve_frames(EM, template, np.repeat(peaks[:, :1], 3, axis=1),
-                          np.broadcast_to(sigma, (3, 3)), plan, 1.4e-6)
-    for got, want in zip(paired, tensor):
-        assert got.shape == want.shape == (3, 3)
+    frame = frame_window(template, amps, durations)
+    sigma = durations[0] / 4.4e-9
+    peaks = amps[:, None] * sigma
+    tensor = solve_frames(EM, template, peaks.ravel(), sigma, frame, 1.4e-6)
+    own = np.arange(sigma.size)
+    for got, want in zip(_direct(amps, durations, template, EM),
+                         np.stack(tensor).reshape(2, 3, 4, 4)[:, :, own, own]):
+        assert got.shape == want.shape == (3, 4)
         assert np.max(np.abs(got - want)) <= 1e-13
 
 

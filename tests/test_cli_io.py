@@ -350,6 +350,24 @@ def test_sweep_file_with_duplicated_grid_rows_is_refused(tmp_path):
     assert not (tmp_path / "out" / "cross_section.csv").exists()
 
 
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_fit_power_scan_refuses_non_finite_data(tmp_path, capsys, column):
+    rows = np.column_stack([np.linspace(10.0, 600.0, 41),
+                            0.5 + 0.4 * np.cos(np.linspace(0.0, 12.0, 41)),
+                            np.full(41, 0.01)])
+    rows[-1, column] = np.inf
+    path = tmp_path / "power_scan.csv"
+    np.savetxt(path, rows, delimiter=",",
+               header="amplitude_MHz,signal,stderr")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"output.dir = {tmp_path / 'out'}\n")
+    assert run_command(["fit-power-scan", "--config", str(cfg),
+                        "--data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "ERROR kind=ValueError" in err and "must be finite" in err
+    assert not (tmp_path / "out" / "fit_power_scan.json").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cross_section_refuses_a_non_finite_amplitude(tmp_path, capsys, value):
     path = tmp_path / "sweep_long.csv"

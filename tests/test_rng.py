@@ -27,6 +27,16 @@ def test_uniforms_open_interval_and_ks():
     assert stats.kstest(u, "uniform").pvalue > 0.01
 
 
+def test_largest_hash_stays_below_one(monkeypatch):
+    # ((2**53 - 1) + 0.5) * 2**-53 rounds to 1.0, whose normal is +inf.
+    monkeypatch.setattr(rng, "_hash64",
+                        lambda *args: np.full(3, 2 ** 64 - 1, dtype=np.uint64))
+    u = rng.uniform(1, rng.STREAM_DURATION, np.arange(3), 0)
+    assert np.all(u < 1.0) and np.all(u == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(rng.normal(1, rng.STREAM_DURATION,
+                                         np.arange(3), 0)))
+
+
 def test_normals_moments():
     z = rng.normal(5, rng.STREAM_JITTER, np.arange(200_000), 1)
     assert abs(np.mean(z)) < 0.01

@@ -237,24 +237,30 @@ SCAN_AMPS = np.linspace(0.5, 12.0, 6) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
 
 
 def test_scan_budget_weights_steps_by_order(monkeypatch):
-    # The scan's second check bounds a solve of every draw on the scan's
-    # schedule, a Dyson step of order p counting p + 1: a scan whose plain
-    # step count fits the budget but whose weighted count does not is
-    # refused before stepping.
-    plans = []
+    # Each grid solve checks its own schedule's work for its rows x columns
+    # before it steps, a Dyson step of order p counting p + 1: a scan whose
+    # first grid solve fits the budget in plain steps but not in weighted
+    # ones is refused before stepping.
+    schedules, grids = [], []
 
-    def recorded(*args):
-        plans.append(schedule(*args))
-        return plans[-1]
+    def planned(*args, **kwargs):
+        schedules.append(plan(*args, **kwargs))
+        return schedules[-1]
 
-    schedule = jitter.frame_schedule
-    monkeypatch.setattr(jitter, "frame_schedule", recorded)
+    def solve(em, tpl, p, s, *rest):
+        grids.append((len(p) * len(s), len(schedules)))
+        return solve_frames(em, tpl, p, s, *rest)
+
+    plan, solve_frames = jitter.dyson_schedule, jitter.solve_frames
+    monkeypatch.setattr(jitter, "dyson_schedule", planned)
+    monkeypatch.setattr(jitter, "solve_frames", solve)
     averaged_power_scan(EM, PowerScanTemplate(), SCAN_AMPS, JitterModel(0.07),
                         20, seed=1)
-    draws = SCAN_AMPS.size * 20
-    pieces = plans[0][2]
-    steps = sum(n for _, _, n, _, _ in pieces) * draws
-    weighted = sum(n * (order + 1) for _, _, n, order, _ in pieces) * draws
+    # The first schedule planned inside the first grid solve is its own.
+    points, first = grids[0]
+    pieces = schedules[first]
+    steps = sum(n for _, _, n, _, _ in pieces) * points
+    weighted = sum(n * (order + 1) for _, _, n, order, _ in pieces) * points
     assert weighted > 2 * steps
 
     def stepped(*args, **kwargs):
