@@ -82,14 +82,6 @@ class BlochState:
         if purity_gap < -_STATE_TOL:
             raise ValueError("coherence violates density-matrix positivity")
 
-    @classmethod
-    def ground(cls) -> "BlochState":
-        return cls(0.0, 0j)
-
-    @classmethod
-    def excited(cls) -> "BlochState":
-        return cls(1.0, 0j)
-
 
 @dataclass(frozen=True, eq=False)
 class BlochTrajectory:
@@ -260,6 +252,10 @@ def steady_state(emitter: EmitterModel, omega: float) -> BlochState:
 # integrated. :func:`window_pieces` cuts the window at the drive's
 # breakpoints, so a jump in the drive costs no order, and
 # :func:`dyson_schedule` plans each piece from its local drive bound.
+# :func:`solve_emission` is the one batch solve that maps and scans call:
+# it plans the window from the batch's own bounds, checks the work budget,
+# steps every piece with :func:`propagate_dyson` and returns the emitted
+# photons per period.
 # ---------------------------------------------------------------------------
 
 #: Uniform pieces a schedule cuts its window into, before breakpoint cuts.
@@ -475,7 +471,7 @@ def _power_sums(powers, coeffs):
 
 def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
                     n_steps: int, order: int, n_nodes: int, initial=None,
-                    node_peak: bool = False):
+                    node_peak: bool = False, frames=None):
     """Dyson-series steps of a batch over one schedule piece.
 
     Batch point (i, j) is driven by ``amplitudes[i]`` times column j of
@@ -490,14 +486,15 @@ def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
     are two real matrix products, the Vandermonde in amplitude^2 (odd
     orders lead with the amplitude, even ones with its square) times the
     step's stacked terms. ``initial`` is the state a previous piece
-    returned; None starts from the ground state.
+    returned; None starts from the ground state. ``frames``, a dict the
+    caller keeps across pieces, caches the :func:`_dyson_frame` of each
+    step length, node count and columns stepped so far, for later pieces
+    to reuse.
 
-    Returns ``(rho_end, rho12_end, integral, rho_peak, frames)``, the first
-    four shaped (amplitudes, columns): ``integral`` is the time integral of
-    rho_ee since the start and ``rho_peak`` the largest rho_ee at the step
-    ends or, with ``node_peak``, at every step's nodes as well. ``frames``
-    holds the :func:`_dyson_frame` of each step length, node count and
-    columns stepped so far, for the next piece to reuse.
+    Returns ``(rho_end, rho12_end, integral, rho_peak)``, each shaped
+    (amplitudes, columns): ``integral`` is the time integral of rho_ee
+    since the start and ``rho_peak`` the largest rho_ee at the step ends
+    or, with ``node_peak``, at every step's nodes as well.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / n_steps
@@ -510,9 +507,11 @@ def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
         shape = (amp.size, np.broadcast_shapes(det.shape, g1.shape,
                                                g2.shape)[0])
         rho, coh = np.zeros(shape), np.zeros(shape, dtype=complex)
-        acc, peak, frames = np.zeros(shape), np.zeros(shape), {}
+        acc, peak = np.zeros(shape), np.zeros(shape)
     else:
-        rho, coh, acc, peak, frames = initial
+        rho, coh, acc, peak = initial
+    if frames is None:
+        frames = {}
     fr = np.exp(-g1 * h)
     fc = np.exp((1j * det - g2) * h)
     # The rho_ee integral of a drive-free step, h in the limit Gamma1 = 0.
@@ -557,17 +556,57 @@ def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
         coh = fc * (j10 * rho + (1.0 + j11) * coh + j12 * coh.conj() + j13)
         rho = rho_w[-1]
         peak = np.maximum(peak, rho_w.max(axis=0))
-    return rho, coh, acc, peak, frames
+    return rho, coh, acc, peak
 
 
-def emitted_photons_per_period(rho_end, window_integral, gamma1: float,
-                               tail):
-    """Mean emitted photons per period: window emission plus the decay tail.
+def solve_emission(field: DriveField, amplitudes, detunings, gamma1, gamma2,
+                   window, rep_period: float, time_scale=1.0,
+                   node_peak: bool = False):
+    """Emitted photons per period and peak excitation of a batch.
 
-    ``tail``, the drive-free time after the window, may hold one value per
-    batch member; a scalar gives the same bits as an array of it."""
-    tail_factor = -np.expm1(-gamma1 * np.maximum(tail, 0.0))
-    return gamma1 * np.asarray(window_integral) + np.asarray(rho_end) * tail_factor
+    Batch point (i, j) is driven by |``amplitudes[i]``| times column j of
+    the unit drive ``field`` from the ground state over ``window``, under
+    detuning ``time_scale * detunings`` and rates ``time_scale * gamma1``
+    and ``time_scale * gamma2`` (1-D columns, a scalar acting as one value
+    for every column). The time scale s is 1 for points solved in real
+    time; a scan's frame columns (:func:`rabisim.jitter.frame_field`) run
+    on a clock s times their own, so their window lasts s (w1 - w0) of
+    real time. A point emits Gamma1 s times its rho_ee integral over the
+    window, and then rho_ee at its end decays freely for the rest of the
+    period T = ``rep_period``: the signal is Gamma1 s integral + rho_end
+    (1 - e^{-Gamma1 (T - s (w1 - w0))}), with Gamma1 = ``gamma1``.
+
+    The window's :func:`dyson_schedule` is bounded by the batch itself: its
+    largest |amplitude|, the columns' largest |Delta| and their largest
+    Gamma1 + Gamma2. Raises ValueError when ``rep_period`` is shorter than
+    the window, and StepFailure before any step when the schedule's work
+    for rows x columns (of the detunings and rates) exceeds the batch
+    budget. Every piece steps with :func:`propagate_dyson`, sharing one
+    frame cache. Returns ``(signal, rho_peak)``, each shaped (amplitudes,
+    columns); with ``node_peak`` the peak is read at every step's nodes.
+    """
+    w0, w1 = window
+    if rep_period < w1 - w0:
+        raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
+                         f"{w1 - w0:.3g} s pulse window")
+    amp = np.abs(np.asarray(amplitudes, dtype=float))
+    det, g1, g2 = (time_scale * np.asarray(x, dtype=float)
+                   for x in (detunings, gamma1, gamma2))
+    schedule = dyson_schedule(field, window, float(np.max(np.abs(det))),
+                              float(np.max(g1 + g2)),
+                              scale=float(np.max(amp)))
+    check_batch_work(schedule_work(schedule) * amp.size
+                     * np.broadcast(det, g1, g2).size)
+    state, frames = None, {}
+    for a, b, *steps in schedule:
+        state = propagate_dyson(field.rabi, amp, det, g1, g2, (a, b), *steps,
+                                initial=state, node_peak=node_peak,
+                                frames=frames)
+    rho_end, _, integral, rho_peak = state
+    tail = rep_period - time_scale * (w1 - w0)
+    signal = (gamma1 * (time_scale * integral)
+              + rho_end * -np.expm1(-gamma1 * np.maximum(tail, 0.0)))
+    return signal, rho_peak
 
 
 def _rk4_step_maps(a_nodes, a_half, h: float) -> np.ndarray:

@@ -415,11 +415,10 @@ def build_template(cfg: ExperimentConfig) -> CompositeFieldTemplate:
 
 @dataclass(frozen=True, eq=False)
 class TraceRecord:
-    """Two-column series (time in ns, value) with '#key=value' metadata."""
+    """Two-column series (time in ns, value)."""
 
     times_ns: np.ndarray
     values: np.ndarray
-    metadata: dict
 
     def __post_init__(self):
         if self.times_ns.size != self.values.size:
@@ -430,11 +429,9 @@ def ingest_trace(text: str, mode: str = "counts") -> TraceRecord:
     """Parse the text of a two-column trace; mode='intensity' takes sqrt of
     the values.
 
-    Header lines start with '#' and may carry key=value metadata. Time must
-    be strictly increasing; values must be finite (and non-negative for
-    intensity mode).
+    Lines starting with '#' are skipped. Time must be strictly increasing;
+    values must be finite (and non-negative for intensity mode).
     """
-    meta: dict[str, str] = {}
     t_list: list[float] = []
     v_list: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -442,10 +439,6 @@ def ingest_trace(text: str, mode: str = "counts") -> TraceRecord:
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                k, _, v = body.partition("=")
-                meta[k.strip()] = v.strip()
             continue
         parts = line.replace(",", " ").split()
         if len(parts) < 2:
@@ -469,7 +462,7 @@ def ingest_trace(text: str, mode: str = "counts") -> TraceRecord:
         v = np.sqrt(v)
     elif mode != "counts" and mode != "amplitude":
         raise ValidationError("mode must be counts, amplitude, or intensity")
-    return TraceRecord(times_ns=t, values=v, metadata=meta)
+    return TraceRecord(times_ns=t, values=v)
 
 
 # ---------------------------------------------------------------------------

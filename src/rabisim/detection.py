@@ -432,8 +432,8 @@ def _tail_jump_time(cg2, ce2, r, gamma1: float) -> np.ndarray:
 
 
 def simulate_photon_stream(emitter: EmitterModel, field: DriveField, t_span,
-                           seed: int, initial: BlochState = BlochState(0.0),
-                           pulse_index: int = 0) -> np.ndarray:
+                           seed: int,
+                           initial: BlochState = BlochState(0.0)) -> np.ndarray:
     """Emission times of one quantum-jump trajectory over ``t_span``.
 
     Times are strictly increasing; re-excitation after an emission is
@@ -441,7 +441,7 @@ def simulate_photon_stream(emitter: EmitterModel, field: DriveField, t_span,
     """
     engine = _JumpEngine(emitter, field, *t_span)
     return _emission_times_batch(
-        engine, seed, np.array([pulse_index], dtype=np.int64), initial)[2]
+        engine, seed, np.zeros(1, dtype=np.int64), initial)[2]
 
 
 def simulate_tcspc(emitter: EmitterModel, field: DriveField,

@@ -20,8 +20,7 @@ from scipy.special import jv
 
 from . import rng
 from .bloch import (BATCH_PIECES, EmitterModel, check_batch_work,
-                    dyson_schedule, emitted_photons_per_period,
-                    propagate_dyson, schedule_work)
+                    solve_emission)
 from .errors import FitDiverged
 from .pulses import (DriveField, FieldComponent, GAUSSIAN_AREA_FACTOR,
                      GaussianEnvelope, RectangularEnvelope)
@@ -147,10 +146,12 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     draw: the scan is solved once, at a tensor grid of Chebyshev-Lobatto
     nodes in the pulse area and in the duration, and the per-draw signal and
     peak excitation are the Chebyshev interpolants through those solves
-    (:func:`_scan_surrogate`). The grid is one batch of the Dyson
-    propagator (:func:`rabisim.bloch.propagate_dyson`), the frame peaks
-    its rows and the durations its columns, on one window
-    (:func:`frame_window`). The mean, ``stderr`` and
+    (:func:`_scan_surrogate`). The grid is one batch solve
+    (:func:`rabisim.bloch.solve_emission`) on one window
+    (:func:`frame_window`): its rows are the frame peaks and its columns
+    the duration ratios sigma to the longest draw, each with its unit
+    pulse (:func:`frame_field`) and the emitter's rates and detuning times
+    sigma, the frame's clock. The mean, ``stderr`` and
     ``area_std`` stay Monte Carlo moments over the seeded draws;
     ``interp_error`` estimates the largest interpolation error of the
     per-draw signal. Without jitter every amplitude takes one solve.
@@ -158,8 +159,8 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     proportional to this mean, and the Monte Carlo detector chain exists
     separately for cross-checks. Raises StepFailure before any draw when the
     draws alone exceed the batch work budget, and before any solve that
-    would exceed it (:func:`solve_frames`); ValueError when ``rep_period``
-    is shorter than the pulse window.
+    would exceed it; ValueError when ``rep_period`` is shorter than the
+    pulse window.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if n_samples < 1:
@@ -172,15 +173,15 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     check_batch_work(BATCH_PIECES * amplitudes.size * n_samples)
     durations = sample_durations(template.main_fwhm, jitter, seed, n_samples,
                                  point=np.arange(amplitudes.size))
-    frame = frame_window(template, amplitudes, durations)
-    _, (w0, w1) = frame
-    if rep_period < w1 - w0:
-        raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
-                         f"{w1 - w0:.3g} s pulse window")
+    t_ref, window = frame_window(template, amplitudes, durations)
+
+    def solve(peaks, sigma):
+        return solve_emission(frame_field(template, 1.0, sigma, t_ref), peaks,
+                              emitter.detuning, emitter.gamma1, emitter.gamma2,
+                              window, rep_period, sigma, node_peak=True)
 
     signal, peak, error = _scan_surrogate(
-        lambda p, s: solve_frames(emitter, template, p, s, frame, rep_period),
-        amplitudes, durations,
+        solve, amplitudes, durations,
         emitter.gamma1 + emitter.gamma2 + abs(emitter.detuning))
     areas = amplitudes[:, None] * GAUSSIAN_AREA_FACTOR * durations
     mean, se, a_std = draw_moments(signal, areas)
@@ -229,44 +230,6 @@ def frame_window(template: PowerScanTemplate, amps: np.ndarray,
     window = (frame_field(template, peak, sigma, t_ref).support()
               or frame_field(template, 1.0, sigma, t_ref).support())
     return t_ref, window
-
-
-def solve_frames(emitter: EmitterModel, template: PowerScanTemplate, peaks,
-                 sigma, frame, rep_period: float):
-    """Emitted photons per period and peak excitation of scan points.
-
-    One Dyson solve (:func:`rabisim.bloch.propagate_dyson`), in the
-    ``frame`` of :func:`frame_window` and on its window, of the :func:`frame_field`
-    points at the 1-D frame peaks ``peaks`` times the 1-D duration ratios
-    ``sigma``: the propagator's columns are the sigma, each with its unit
-    pulse, and its rows the peaks. In the frame the emitter's rates are
-    sigma Gamma1, sigma Gamma2 and sigma Delta; the window integral of
-    rho_ee is sigma times the frame's, and the drive-free tail after the
-    window lasts ``rep_period - sigma (w1 - w0)``. The solve is planned on
-    its own field's pieces, so every column's edges are piece edges, and
-    the peak is read at every step's nodes. It raises StepFailure before
-    it steps when it exceeds the batch work budget. At sigma = 1 this is
-    the point's real-time solve, bit for bit.
-    """
-    t_ref, (w0, w1) = frame
-    peaks = np.asarray(peaks, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    field = frame_field(template, 1.0, sigma, t_ref)
-    schedule = dyson_schedule(field, (w0, w1), emitter.detuning,
-                              emitter.gamma1 + emitter.gamma2,
-                              scale=float(np.max(peaks)))
-    check_batch_work(schedule_work(schedule) * peaks.size * sigma.size)
-    state = None
-    for a, b, *steps in schedule:
-        state = propagate_dyson(
-            field.rabi, peaks, sigma * emitter.detuning, sigma * emitter.gamma1,
-            sigma * emitter.gamma2, (a, b), *steps, initial=state,
-            node_peak=True)
-    rho_end, _, integral, rho_peak, _ = state
-    signal = emitted_photons_per_period(rho_end, sigma * integral,
-                                        emitter.gamma1,
-                                        rep_period - sigma * (w1 - w0))
-    return signal, rho_peak
 
 
 def draw_moments(signal: np.ndarray, areas: np.ndarray):
@@ -402,7 +365,7 @@ def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray,
 
     ``solve(p, s)`` returns (signal, peak) of the scan points at the 1-D
     frame peaks ``p`` (rows) times the 1-D duration ratios ``s`` to the
-    longest draw t_ref (columns; :func:`solve_frames`). Row i of
+    longest draw t_ref (columns). Row i of
     ``durations`` holds the draws at ``amps[i]``; draw t is the point
     (|a| t / t_ref, t / t_ref), whose frame peak is its main pulse's area
     over GAUSSIAN_AREA_FACTOR t_ref.

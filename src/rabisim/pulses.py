@@ -343,10 +343,14 @@ class DriveField:
         )
 
     def content_hash(self) -> str:
-        """Short stable digest of the field definition (for metadata)."""
+        """Short stable digest of the field definition (for metadata): the
+        envelopes' and phases' reprs, and a sampled envelope's samples."""
         h = hashlib.sha256()
         for comp in self.components:
-            h.update(repr(comp.envelope).encode())
+            env = comp.envelope
+            h.update(repr(env).encode())
+            if isinstance(env, SampledEnvelope):
+                h.update(env.times.tobytes() + env.amplitudes.tobytes())
             h.update(repr(comp.phase).encode())
         return h.hexdigest()[:12]
 

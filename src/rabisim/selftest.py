@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .bloch import (BlochState, EmitterModel, analytic_rabi, dyson_schedule,
-                    integrate, propagate_dyson, steady_state)
+from .bloch import (BlochState, EmitterModel, analytic_rabi, integrate,
+                    solve_emission, steady_state)
 from .detection import _JumpEngine, _emission_times_batch
 from .pulses import (DriveField, GaussianEnvelope, GAUSSIAN_AREA_FACTOR,
                      RectangularEnvelope, photons_per_pulse, pulse_area)
@@ -66,18 +66,19 @@ def run_selftest() -> int:
     n = photons_per_pulse(1.180411e-10, 700e3, 589e-9)
     check("photon budget arithmetic", abs(n - 500.0) < 0.05, f"n {n:.3f}")
 
-    # The Dyson propagator stepped over its schedule's pieces, as the scans
-    # and maps call it.
+    # Emitted photons per period of the batch solve that scans and maps
+    # call, against the window's trapezoid integral and end state.
     fld = DriveField.single(GaussianEnvelope(peak=2.0e9, fwhm=4e-9, center=10e-9))
     sup = fld.support()
     emf = EmitterModel.from_lifetime(9.5e-9, detuning=2.0 * math.pi * 40e6)
-    state = None
-    for a, b, *steps in dyson_schedule(fld, sup, emf.detuning,
-                                       emf.gamma1 + emf.gamma2):
-        state = propagate_dyson(fld.rabi, 1.0, emf.detuning, emf.gamma1,
-                                emf.gamma2, (a, b), *steps, initial=state)
+    signal, _ = solve_emission(fld, 1.0, emf.detuning, emf.gamma1, emf.gamma2,
+                               sup, 1.4e-6)
     ref = integrate(emf, fld, BlochState(0.0), sup, (sup[1] - sup[0]) / 4000)
-    gap = abs(float(state[0][0, 0]) - float(ref.rho_ee[-1]))
+    rho = ref.rho_ee
+    integral = 0.5 * np.sum(np.diff(ref.times) * (rho[1:] + rho[:-1]))
+    want = (emf.gamma1 * integral
+            - rho[-1] * np.expm1(-emf.gamma1 * (1.4e-6 - sup[1] + sup[0])))
+    gap = abs(float(signal[0, 0]) - float(want))
     check("batch integrator vs reference", gap < 1e-5, f"gap {gap:.2e}")
 
     engine = _JumpEngine(em, zero, 0.0, 300e-9)

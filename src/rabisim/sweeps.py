@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (EmitterModel, check_batch_work, dyson_schedule,
-                    emitted_photons_per_period, propagate_dyson, schedule_work)
+from .bloch import EmitterModel, solve_emission
 from .errors import OutOfRange
 from .pulses import DriveField, FieldComponent, GaussianEnvelope, PhaseLaw
 
@@ -54,7 +53,6 @@ class CompositeFieldTemplate:
     ratio_db: float = -34.0
     chirp: float = 2.0 * math.pi * 70e6
     center: float = 0.0
-    phase_offset: float = 0.0
     pedestal_enabled: bool = True
     main_enabled: bool = True
     third: ThirdComponent | None = None
@@ -100,7 +98,7 @@ def build_composite(template: CompositeFieldTemplate, scale) -> DriveField:
         comps.append(FieldComponent(
             GaussianEnvelope(peak=scale, fwhm=template.main_fwhm,
                              center=template.center),
-            PhaseLaw(offset=template.phase_offset, chirp=template.chirp)))
+            PhaseLaw(chirp=template.chirp)))
     if template.pedestal_enabled:
         comps.append(FieldComponent(
             GaussianEnvelope(peak=scale * template.pedestal_amplitude_ratio,
@@ -122,15 +120,14 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
 
     Each grid point integrates the Bloch dynamics over the pulse window
     (which spans the pedestal) and adds the exact free-decay emission over
-    the rest of the repetition period. All grid points step together as
-    one batch through the Dyson propagator
-    (:func:`rabisim.bloch.propagate_dyson`), the |amplitudes| as its rows
-    and the detunings as its columns: its steps follow the drive, not the
-    detuning, and a step updates the whole grid with two real matrix
-    products. The map reads no peak excitation, so it sums the series at
-    the step ends only. Raises ValueError when ``rep_period`` is shorter
-    than the pulse window, and StepFailure before any stepping when the
-    grid exceeds the batch work budget
+    the rest of the repetition period. All grid points are one batch solve
+    (:func:`rabisim.bloch.solve_emission`), the |amplitudes| as its rows
+    and the detunings as its columns: its Dyson steps follow the drive,
+    not the detuning, and a step updates the whole grid with two real
+    matrix products. The map reads no peak excitation, so it sums the
+    series at the step ends only. Raises ValueError when ``rep_period`` is
+    shorter than the pulse window, and StepFailure before any stepping when
+    the grid exceeds the batch work budget
     (:data:`rabisim.bloch.MAX_BATCH_POINT_STEPS`).
     """
     detunings = np.asarray(detunings, dtype=float)
@@ -145,24 +142,8 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     # Every grid point is driven by |amplitude| x the unit field (the sign of
     # a drive does not change the populations).
     unit = build_composite(template, 1.0)
-    t0, t1 = unit.support()
-    if rep_period < t1 - t0:
-        raise ValueError(f"rep_period {rep_period:.3g} s is shorter than the "
-                         f"{t1 - t0:.3g} s pulse window")
-    rows = np.abs(amplitudes)
-    plan = dyson_schedule(unit, (t0, t1), float(np.max(np.abs(detunings))),
-                          emitter.gamma1 + emitter.gamma2,
-                          scale=float(np.max(rows)))
-    check_batch_work(schedule_work(plan) * amplitudes.size * detunings.size)
-
-    state = None
-    for a, b, *steps in plan:
-        state = propagate_dyson(unit.rabi, rows, detunings,
-                                emitter.gamma1, emitter.gamma2, (a, b), *steps,
-                                initial=state)
-    rho_end, _, integral, _, _ = state
-    signal = emitted_photons_per_period(rho_end, integral, emitter.gamma1,
-                                        rep_period - (t1 - t0))
+    signal, _ = solve_emission(unit, amplitudes, detunings, emitter.gamma1,
+                               emitter.gamma2, unit.support(), rep_period)
     floor = -1e-12 * max(float(np.max(signal)), 1.0)
     if np.any(signal < floor):
         raise ValueError("sweep produced significantly negative signal")

@@ -8,17 +8,17 @@ from rabisim import bloch
 from rabisim.bloch import (BATCH_PIECES, MAX_BATCH_POINT_STEPS, BlochState,
                            EmitterModel, dyson_plan, dyson_schedule,
                            integrate, population_series_fixed,
-                           propagate_dyson)
+                           propagate_dyson, solve_emission)
 from rabisim.cli_io import run_command
 from rabisim.errors import StepFailure
 from rabisim.jitter import (JitterModel, PowerScanTemplate, averaged_power_scan,
-                            frame_window, solve_frames)
+                            frame_window)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, SUPPORT_CUTOFF, DriveField,
                             FieldComponent, GaussianEnvelope, PhaseLaw,
                             RectangularEnvelope, SampledEnvelope)
 from rabisim.sweeps import CompositeFieldTemplate, build_composite, sweep_2d
 
-from test_jitter import _direct
+from test_jitter import _direct, _frame_solver
 
 TWO_PI = 2.0 * math.pi
 EM = EmitterModel.from_lifetime(9.5e-9, detuning=-TWO_PI * 40e6)
@@ -131,7 +131,7 @@ def test_weak_drive_without_drive_is_exact_free_evolution():
     em = EmitterModel.from_lifetime(9.5e-9, pure_dephasing=3e7)
     dets = np.array([0.0, 2e9, -5e9])
     start = (np.full((1, 3), 0.4), np.full((1, 3), 0.1 + 0.3j),
-             np.zeros((1, 3)), np.zeros((1, 3)), {})
+             np.zeros((1, 3)), np.zeros((1, 3)))
     span, tau = (1e-9, 31e-9), 30e-9
     unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=20e-9, center=10e-9))
     for amp, order in ((1.0, 0), (0.0, 6)):
@@ -171,23 +171,25 @@ def test_power_sums_match_horner():
 
 
 @pytest.mark.parametrize("area", [4.0, 12.0], ids=["4pi", "12pi"])
-def test_dyson_propagator_at_strong_drive_vs_reference(area):
+def test_dyson_propagator_at_strong_drive_vs_reference(area, monkeypatch):
     # The map's main pulse on the whole window, chirped at +70 MHz: the
     # propagator needs no weak drive, its step and order rules hold at any
-    # amplitude.
+    # amplitude. The batch solve's last step gives the end state.
     em = EmitterModel.from_lifetime(9.5e-9)
     tpl = CompositeFieldTemplate(center=200e-9)
     unit = build_composite(tpl, 1.0)
     amp = area * math.pi / (tpl.main_fwhm * GAUSSIAN_AREA_FACTOR)
     span = unit.support()
     dets = np.array([-600e6, 0.0, 70e6, 600e6]) * TWO_PI
-    damping = em.gamma1 + em.gamma2
-    state = None
-    for a, b, *plan in dyson_schedule(unit, span, float(np.max(np.abs(dets))),
-                                      damping, scale=amp):
-        state = propagate_dyson(unit.rabi, amp, dets, em.gamma1, em.gamma2,
-                                (a, b), *plan, initial=state)
-    rho, coh, *_ = state
+    states, step = [], bloch.propagate_dyson
+
+    def stepped(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(bloch, "propagate_dyson", stepped)
+    solve_emission(unit, amp, dets, em.gamma1, em.gamma2, span, 1.4e-6)
+    rho, coh, *_ = states[-1]
     for d, r, c in zip(dets, rho[0], coh[0]):
         ref = integrate(em.with_detuning(d), unit.scaled(amp), BlochState(0.0),
                         span, span[1] - span[0], rtol=1e-11, atol=1e-14)
@@ -254,7 +256,7 @@ def test_paired_points_match_the_tensor_solve():
     frame = frame_window(template, amps, durations)
     sigma = durations[0] / 4.4e-9
     peaks = amps[:, None] * sigma
-    tensor = solve_frames(EM, template, peaks.ravel(), sigma, frame, 1.4e-6)
+    tensor = _frame_solver(template, frame, EM)(peaks.ravel(), sigma)
     own = np.arange(sigma.size)
     for got, want in zip(_direct(amps, durations, template, EM),
                          np.stack(tensor).reshape(2, 3, 4, 4)[:, :, own, own]):

@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 
 from rabisim import bloch, jitter
-from rabisim.bloch import (BlochState, EmitterModel, dyson_schedule,
-                           emitted_photons_per_period, integrate,
-                           propagate_dyson)
+from rabisim.bloch import BlochState, EmitterModel, integrate, solve_emission
 from rabisim.errors import FitDiverged, StepFailure
 from rabisim.jitter import (JitterModel, PowerScan, PowerScanTemplate,
                             _scan_surrogate, averaged_power_scan,
                             draw_moments, fit_power_scan, frame_field,
                             frame_window, power_scan_model,
-                            sample_durations, solve_frames)
+                            sample_durations)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, RectangularEnvelope,
                             SampledEnvelope, scale_to_area, DriveField,
                             GaussianEnvelope)
 
 import lawson
+from test_bloch import end_and_integral
 
 EM = EmitterModel.from_lifetime(9.5e-9)
 
@@ -77,13 +76,22 @@ TPL = PowerScanTemplate(main_fwhm=4e-9)
 RATE = EM.gamma1 + EM.gamma2
 
 
+def _frame_solver(template, frame, emitter=EM, rep_period=1.4e-6):
+    """``solve(p, s)``: signal and node peak of the frame peaks ``p`` (rows)
+    times the duration ratios ``s`` (columns) in a scan's ``frame``, the
+    batch solve the scan makes of its grid."""
+    t_ref, window = frame
+    return lambda p, s: solve_emission(
+        frame_field(template, 1.0, s, t_ref), p, emitter.detuning,
+        emitter.gamma1, emitter.gamma2, window, rep_period, s, node_peak=True)
+
+
 def _scan(amps, model, n_samples, seed, template=TPL):
     """A scan's draws and a solver ``solve(p, s)`` in its own frame."""
     durations = sample_durations(template.main_fwhm, model, seed, n_samples,
                                  point=np.arange(amps.size))
-    frame = frame_window(template, amps, durations)
-    return durations, lambda p, s: solve_frames(EM, template, p, s, frame,
-                                                1.4e-6)
+    return durations, _frame_solver(template,
+                                    frame_window(template, amps, durations))
 
 
 def _frame_points(amps, durations):
@@ -97,21 +105,13 @@ def _direct(amps, durations, template=TPL, emitter=EM, rep_period=1.4e-6):
     solve whose columns are the draws, each with its own rates and its unit
     pulse carrying its own frame peak at amplitude 1 (the Dyson term J_n is
     n-linear in the drive)."""
-    t_ref, (w0, w1) = frame_window(template, amps, durations)
+    t_ref, window = frame_window(template, amps, durations)
     peaks, sigma = _frame_points(amps, durations)
     sigma = sigma.ravel()
-    field = frame_field(template, peaks.ravel(), sigma, t_ref)
-    state = None
-    for a, b, *steps in dyson_schedule(field, (w0, w1), emitter.detuning,
-                                       emitter.gamma1 + emitter.gamma2):
-        state = propagate_dyson(
-            field.rabi, np.ones(1), sigma * emitter.detuning,
-            sigma * emitter.gamma1, sigma * emitter.gamma2, (a, b), *steps,
-            initial=state, node_peak=True)
-    rho_end, _, integral, peak, _ = state
-    signal = emitted_photons_per_period(rho_end, sigma * integral,
-                                        emitter.gamma1,
-                                        rep_period - sigma * (w1 - w0))
+    signal, peak = solve_emission(
+        frame_field(template, peaks.ravel(), sigma, t_ref), np.ones(1),
+        emitter.detuning, emitter.gamma1, emitter.gamma2, window, rep_period,
+        sigma, node_peak=True)
     return signal.reshape(durations.shape), peak.reshape(durations.shape)
 
 
@@ -309,25 +309,16 @@ def _real_time(template, amps, durations, rep_period=1.4e-6):
     w0, w1 = field.support()
     rho_end, _, integral, _ = lawson.solve(field, EM.detuning, EM.gamma1,
                                            EM.gamma2, (w0, w1))
-    return (emitted_photons_per_period(rho_end, integral, EM.gamma1,
-                                       rep_period - (w1 - w0)),
+    tail = rep_period - (w1 - w0)
+    return (EM.gamma1 * integral - rho_end * np.expm1(-EM.gamma1 * tail),
             rho_end, integral)
 
 
 def _dyson_real_time(field, amps, window, rep_period=1.4e-6):
     """Emitted photons per period and node peak of ``amps`` times the unit
-    ``field``: one real-time Dyson solve on the field's own schedule."""
-    state = None
-    for a, b, *steps in dyson_schedule(field, window, EM.detuning,
-                                       EM.gamma1 + EM.gamma2,
-                                       scale=float(np.max(amps))):
-        state = propagate_dyson(field.rabi, amps, EM.detuning, EM.gamma1,
-                                EM.gamma2, (a, b), *steps, initial=state,
-                                node_peak=True)
-    rho_end, _, integral, peak, _ = state
-    return (emitted_photons_per_period(rho_end, integral, EM.gamma1,
-                                       rep_period - (window[1] - window[0])),
-            peak)
+    ``field``: one real-time batch solve on the field's own schedule."""
+    return solve_emission(field, amps, EM.detuning, EM.gamma1, EM.gamma2,
+                          window, rep_period, node_peak=True)
 
 
 def test_no_jitter_scan_is_one_direct_solve():
@@ -359,12 +350,14 @@ def test_scan_is_one_batch(monkeypatch):
     # A bench-shaped scan solves its tensor grid of (area x duration) nodes
     # once, at most 1100 points.
     points = []
+    emission = jitter.solve_emission
 
-    def solve(em, tpl, p, s, frame, rep_period):
-        points.append(len(p) * len(s))
-        return solve_frames(em, tpl, p, s, frame, rep_period)
+    def solve(*args, **kwargs):
+        signal, peak = emission(*args, **kwargs)
+        points.append(signal.size)
+        return signal, peak
 
-    monkeypatch.setattr(jitter, "solve_frames", solve)
+    monkeypatch.setattr(jitter, "solve_emission", solve)
     a_max = 12.0 * math.pi * UNIT
     amps = np.linspace(a_max / 240, a_max, 240)
     averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples=200, seed=1)
@@ -382,7 +375,7 @@ def test_grid_that_never_converges_is_refused_within_the_budget(monkeypatch):
     monkeypatch.setattr(jitter, "SURROGATE_TAIL", 0.0)
     monkeypatch.setattr(bloch, "MAX_BATCH_POINT_STEPS", budget)
     events = []
-    check, step = jitter.check_batch_work, jitter.propagate_dyson
+    check, step = bloch.check_batch_work, bloch.propagate_dyson
 
     def checked(work):
         events.append(work)
@@ -392,8 +385,10 @@ def test_grid_that_never_converges_is_refused_within_the_budget(monkeypatch):
         events.append(None)
         return step(*args, **kwargs)
 
+    # The draws' check is jitter's own; each grid solve checks in bloch.
     monkeypatch.setattr(jitter, "check_batch_work", checked)
-    monkeypatch.setattr(jitter, "propagate_dyson", stepped)
+    monkeypatch.setattr(bloch, "check_batch_work", checked)
+    monkeypatch.setattr(bloch, "propagate_dyson", stepped)
     amps = np.linspace(0.5, 12.0, 24) * math.pi * UNIT
     with pytest.raises(StepFailure, match="budget"):
         averaged_power_scan(EM, TPL, amps, JitterModel(0.07), 40, seed=1)
@@ -497,14 +492,8 @@ def test_frame_solves_match_dop853():
     peaks, sigma = _frame_points(amps, durations)
     field = frame_field(template, peaks.ravel(), sigma.ravel(), t_ref)
     w0, w1 = frame[1]
-    s_col = sigma.ravel()
-    state = None
-    for a, b, *steps in dyson_schedule(field, (w0, w1), EM.detuning,
-                                       EM.gamma1 + EM.gamma2):
-        state = propagate_dyson(
-            field.rabi, 1.0, s_col * EM.detuning, s_col * EM.gamma1,
-            s_col * EM.gamma2, (a, b), *steps, initial=state)
-    rho_end, integral = state[0].reshape(2, 3), state[2].reshape(2, 3)
+    rho_end, integral = (x.reshape(2, 3) for x in end_and_integral(
+        field, 1.0, EM.detuning, EM, (w0, w1), sigma.ravel()))
     c = template.center
     for i, j in np.ndindex(durations.shape):
         real = DriveField([
@@ -515,11 +504,11 @@ def test_frame_solves_match_dop853():
         ref = integrate(EM, real, BlochState(0.0), span,
                         (span[1] - span[0]) / 3000)
         assert abs(rho_end[i, j] - ref.rho_ee[-1]) < 1e-5
-        assert s * integral[i, j] == pytest.approx(
+        assert integral[i, j] == pytest.approx(
             np.trapezoid(ref.rho_ee, ref.times), rel=1e-4, abs=1e-17)
     one = sigma == 1.0
     assert np.count_nonzero(one) == 2
-    got = solve_frames(EM, template, peaks[one], np.ones(1), frame, 1.4e-6)
+    got = _frame_solver(template, frame)(peaks[one], np.ones(1))
     real = DriveField([(GaussianEnvelope(1.0, t_ref, c),),
                        (template.pedestal,)])
     want = _dyson_real_time(real, amps, (w0, w1))

@@ -279,6 +279,14 @@ def test_drive_field_hash_stable_and_sensitive():
     f3 = rect_pi_field(center=3e-9)
     assert f1.content_hash() == f2.content_hash()
     assert f1.content_hash() != f3.content_hash()
+    # Two sampled pulses with one grid and one maximum differ in their
+    # samples, which the hash reads.
+    t = np.linspace(-5e-9, 5e-9, 11)
+    ramp, bump = np.linspace(0.0, 1.0, 11), np.exp(-(t / 2e-9) ** 2)
+    assert repr(SampledEnvelope(t, ramp)) == repr(SampledEnvelope(t, bump))
+    hashes = [DriveField.single(SampledEnvelope(t, a)).content_hash()
+              for a in (ramp, bump, ramp)]
+    assert hashes[0] != hashes[1] and hashes[0] == hashes[2]
 
 
 def test_max_on_bounds_every_envelope():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rabisim import bloch, jitter
-from rabisim.bloch import EmitterModel, emitted_photons_per_period
+from rabisim.bloch import EmitterModel
 from rabisim.errors import OutOfRange, StepFailure
 from rabisim.jitter import JitterModel, PowerScanTemplate, averaged_power_scan
 from rabisim.pulses import GAUSSIAN_AREA_FACTOR, GaussianEnvelope, pulse_area
@@ -36,8 +36,8 @@ def lawson_map(em, tpl, dets, amps, rep_period=1.4e-6):
     t0, t1 = field.support()
     rho_end, _, integral, _ = lawson.solve(field, dets[None, :], em.gamma1,
                                            em.gamma2, (t0, t1))
-    return emitted_photons_per_period(rho_end, integral, em.gamma1,
-                                      rep_period - (t1 - t0))
+    tail = rep_period - (t1 - t0)
+    return em.gamma1 * integral - rho_end * np.expm1(-em.gamma1 * tail)
 
 
 def test_build_composite_db_arithmetic():
@@ -247,13 +247,15 @@ def test_scan_budget_weights_steps_by_order(monkeypatch):
         schedules.append(plan(*args, **kwargs))
         return schedules[-1]
 
-    def solve(em, tpl, p, s, *rest):
-        grids.append((len(p) * len(s), len(schedules)))
-        return solve_frames(em, tpl, p, s, *rest)
+    def solve(*args, **kwargs):
+        first = len(schedules)
+        signal, peak = emission(*args, **kwargs)
+        grids.append((signal.size, first))
+        return signal, peak
 
-    plan, solve_frames = jitter.dyson_schedule, jitter.solve_frames
-    monkeypatch.setattr(jitter, "dyson_schedule", planned)
-    monkeypatch.setattr(jitter, "solve_frames", solve)
+    plan, emission = bloch.dyson_schedule, jitter.solve_emission
+    monkeypatch.setattr(bloch, "dyson_schedule", planned)
+    monkeypatch.setattr(jitter, "solve_emission", solve)
     averaged_power_scan(EM, PowerScanTemplate(), SCAN_AMPS, JitterModel(0.07),
                         20, seed=1)
     # The first schedule planned inside the first grid solve is its own.
@@ -266,7 +268,7 @@ def test_scan_budget_weights_steps_by_order(monkeypatch):
     def stepped(*args, **kwargs):
         raise AssertionError("the scan stepped")
 
-    monkeypatch.setattr(jitter, "propagate_dyson", stepped)
+    monkeypatch.setattr(bloch, "propagate_dyson", stepped)
     monkeypatch.setattr(bloch, "MAX_BATCH_POINT_STEPS", (steps + weighted) // 2)
     with pytest.raises(StepFailure, match="budget"):
         averaged_power_scan(EM, PowerScanTemplate(), SCAN_AMPS,
