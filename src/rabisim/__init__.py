@@ -7,8 +7,7 @@ power scans, and 2-D detuning/amplitude fluorescence maps.
 
 __version__ = "0.1.0"
 
-from .bloch import (BlochState, BlochTrajectory, EmitterModel, analytic_rabi,
-                    integrate, steady_state)
+from .bloch import BlochState, BlochTrajectory, EmitterModel, integrate
 from .detection import (DetectorModel, TcspcHistogram, emission_rate,
                         first_detected_density, simulate_photon_stream,
                         simulate_tcspc)
@@ -18,6 +17,7 @@ from .jitter import (JitterModel, PowerScan, PowerScanFit, PowerScanTemplate,
 from .pulses import (DriveField, FieldComponent, GaussianEnvelope, PhaseLaw,
                      RectangularEnvelope, SampledEnvelope, photons_per_pulse,
                      pulse_area, scale_to_area)
+from .selftest import analytic_rabi, steady_state
 from .sweeps import (CompositeFieldTemplate, SweepResult, ThirdComponent,
                      build_composite, cross_section, sweep_2d)
 

@@ -96,12 +96,9 @@ class BlochTrajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> BlochState:
-        return BlochState(float(self.rho_ee[i]), complex(self.coherence[i]))
-
     @property
     def final_state(self) -> BlochState:
-        return self.state(-1)
+        return BlochState(float(self.rho_ee[-1]), complex(self.coherence[-1]))
 
 
 def _free_evolution(emitter: EmitterModel, rho, coh, tau):
@@ -200,28 +197,6 @@ def _check_invariants(rho, coh, tol: float = 1e-6):
     gap = rho * (1.0 - rho) - np.abs(coh) ** 2
     if np.any(gap < -tol):
         raise InvariantBreach("coherence violates positivity beyond tolerance")
-
-
-def analytic_rabi(omega: float, detuning: float, t) -> np.ndarray:
-    """Undamped Rabi formula ``(O^2/(O^2+D^2)) sin^2(sqrt(O^2+D^2) t / 2)``."""
-    t = np.asarray(t, dtype=float)
-    gen2 = omega * omega + detuning * detuning
-    if gen2 == 0.0:
-        out = np.zeros_like(t)
-        return out if out.shape else float(out)
-    out = (omega * omega / gen2) * np.sin(0.5 * math.sqrt(gen2) * t) ** 2
-    return out if out.shape else float(out)
-
-
-def steady_state(emitter: EmitterModel, omega: float) -> BlochState:
-    """Closed-form CW steady state for a constant real drive amplitude."""
-    if emitter.gamma1 <= 0:
-        raise ValueError("steady state requires gamma1 > 0")
-    g1, g2, det = emitter.gamma1, emitter.gamma2, emitter.detuning
-    sat = omega * omega * g2 / g1
-    rho = 0.5 * sat / (det * det + g2 * g2 + sat)
-    coh = 0.5j * omega * (2.0 * rho - 1.0) / (1j * det - g2)
-    return BlochState(rho, complex(coh))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +555,7 @@ def solve_emission(field: DriveField, amplitudes, detunings, gamma1, gamma2,
     largest |amplitude|, the columns' largest |Delta| and their largest
     Gamma1 + Gamma2. Raises ValueError when ``rep_period`` is shorter than
     the window, and StepFailure before any step when the schedule's work
-    for rows x columns (of the detunings and rates) exceeds the batch
+    for rows x columns (of the field, detunings and rates) exceeds the batch
     budget. Every piece steps with :func:`propagate_dyson`, sharing one
     frame cache. Returns ``(signal, rho_peak)``, each shaped (amplitudes,
     columns); with ``node_peak`` the peak is read at every step's nodes.
@@ -595,8 +570,9 @@ def solve_emission(field: DriveField, amplitudes, detunings, gamma1, gamma2,
     schedule = dyson_schedule(field, window, float(np.max(np.abs(det))),
                               float(np.max(g1 + g2)),
                               scale=float(np.max(amp)))
-    check_batch_work(schedule_work(schedule) * amp.size
-                     * np.broadcast(det, g1, g2).size)
+    columns = np.broadcast_shapes(np.shape(field.rabi(np.array([[w0]]))),
+                                  det.shape, g1.shape, g2.shape)
+    check_batch_work(schedule_work(schedule) * amp.size * math.prod(columns))
     state, frames = None, {}
     for a, b, *steps in schedule:
         state = propagate_dyson(field.rabi, amp, det, g1, g2, (a, b), *steps,

@@ -1,10 +1,5 @@
-"""Built-in analytic-oracle checks, runnable from the CLI.
-
-Quick closed-form cross-checks of the numerical core: undamped Rabi
-flopping, free decay, CW steady state, Gaussian pulse areas, photon
-bookkeeping, batch-vs-reference integrator agreement, and the
-exponential-decay statistics of the jump process.
-"""
+"""Closed-form oracles and ``CHECKS``, the scenarios ``rabisim selftest`` and
+the tests hold to them; each returns ``(gap from the closed form, evidence)``."""
 
 from __future__ import annotations
 
@@ -12,83 +7,112 @@ import math
 
 import numpy as np
 
-from .bloch import (BlochState, EmitterModel, analytic_rabi, integrate,
-                    solve_emission, steady_state)
+from .bloch import BlochState, EmitterModel, integrate, solve_emission
 from .detection import _JumpEngine, _emission_times_batch
-from .pulses import (DriveField, GaussianEnvelope, GAUSSIAN_AREA_FACTOR,
-                     RectangularEnvelope, photons_per_pulse, pulse_area)
+from .pulses import (PLANCK, SPEED_OF_LIGHT, DriveField, GaussianEnvelope,
+                     GAUSSIAN_AREA_FACTOR, RectangularEnvelope,
+                     photons_per_pulse, pulse_area)
+
+EMITTER = EmitterModel.from_lifetime(9.5e-9)
+ZERO_FIELD = DriveField.single(GaussianEnvelope(peak=0.0, fwhm=1e-9))
+
+
+def analytic_rabi(omega: float, detuning: float, t) -> np.ndarray:
+    """Undamped Rabi formula ``(O^2/(O^2+D^2)) sin^2(sqrt(O^2+D^2) t / 2)``."""
+    gen2 = omega * omega + detuning * detuning
+    out = ((omega * omega / gen2 if gen2 else 0.0)
+           * np.sin(0.5 * math.sqrt(gen2) * np.asarray(t, dtype=float)) ** 2)
+    return out if out.shape else float(out)
+
+
+def steady_state(emitter: EmitterModel, omega: float) -> BlochState:
+    """Closed-form CW steady state for a constant real drive amplitude."""
+    if emitter.gamma1 <= 0:
+        raise ValueError("steady state requires gamma1 > 0")
+    g1, g2, det = emitter.gamma1, emitter.gamma2, emitter.detuning
+    sat = omega * omega * g2 / g1
+    rho = 0.5 * sat / (det * det + g2 * g2 + sat)
+    return BlochState(rho, complex(0.5j * omega * (2.0 * rho - 1.0) / (1j * det - g2)))
+
+
+def _driven(em: EmitterModel, omega: float, span: float, dt: float):
+    field = DriveField.single(RectangularEnvelope(omega, span, 0.5 * span))
+    return integrate(em, field, BlochState(0.0), (0.0, span), dt)
+
+
+def rabi_flopping(detuning_ratio: float):
+    """Ten undamped periods at 2 pi 125 MHz, detuned by ratio x drive."""
+    omega, det = 2.0 * math.pi * 125e6, 2.0 * math.pi * 125e6 * detuning_ratio
+    span = 20.0 * math.pi / math.hypot(omega, det)
+    traj = _driven(EmitterModel(0.0, 0.0, det), omega, span, span / 4000)
+    return np.max(np.abs(traj.rho_ee - analytic_rabi(omega, det, traj.times))), traj
+
+
+def free_decay():
+    """Relative gap of an excited start to e^{-Gamma1 t} over 60 ns."""
+    traj = integrate(EMITTER, ZERO_FIELD, BlochState(1.0), (0.0, 60e-9), 0.05e-9)
+    return np.max(np.abs(traj.rho_ee / np.exp(-EMITTER.gamma1 * traj.times) - 1.0)), traj
+
+
+def cw_steady_state():
+    """Gaps to :func:`steady_state` after 50 T1 of weak to strong CW drive."""
+    cases = [(EMITTER.with_detuning(d * EMITTER.gamma1), o * EMITTER.gamma1)
+             for d, o in ((0.4, 1.7), (-2.8, 0.2), (2.5, 4.0))]
+    gaps = [abs(_driven(em, om, 50 * em.lifetime, em.lifetime / 10).rho_ee[-1]
+                - steady_state(em, om).rho_ee) for em, om in cases]
+    return max(gaps), gaps
+
+
+def gaussian_area():
+    area = pulse_area(DriveField.single(GaussianEnvelope(peak=1.3e9, fwhm=4e-9)))
+    return abs(area / (1.3e9 * 4e-9 * GAUSSIAN_AREA_FACTOR) - 1.0), area
+
+
+def photon_budget():
+    """The power of 500 photons per 700 kHz pulse at 589 nm, read back."""
+    power = 500.0 * 700e3 * PLANCK * SPEED_OF_LIGHT / 589e-9
+    return abs(photons_per_pulse(power, 700e3, 589e-9) / 500.0 - 1.0), power
+
+
+def batch_emission():
+    """Photons per period of the scans' and maps' batch solve vs DOP853."""
+    fld = DriveField.single(GaussianEnvelope(peak=2.0e9, fwhm=4e-9, center=10e-9))
+    sup, em = fld.support(), EMITTER.with_detuning(2.0 * math.pi * 40e6)
+    signal, _ = solve_emission(fld, 1.0, em.detuning, em.gamma1, em.gamma2,
+                               sup, 1.4e-6)
+    ref = integrate(em, fld, BlochState(0.0), sup, (sup[1] - sup[0]) / 4000)
+    want = (em.gamma1 * np.trapezoid(ref.rho_ee, ref.times)
+            - ref.rho_ee[-1] * np.expm1(-em.gamma1 * (1.4e-6 - sup[1] + sup[0])))
+    return abs(signal[0, 0] - want), signal
+
+
+def jump_decay():
+    """Mean emission time of 1e5 excited periods, in standard errors from T1."""
+    ids = np.arange(100_000, dtype=np.int64)
+    out = _emission_times_batch(_JumpEngine(EMITTER, ZERO_FIELD, 0.0, 2e-6),
+                                17, ids, BlochState(1.0))
+    return abs(np.mean(out[2]) / EMITTER.lifetime - 1.0) * math.sqrt(ids.size), out
+
+
+#: (name, scenario, bound): a check passes when its scenario's gap < bound.
+CHECKS = (
+    ("undamped resonant Rabi vs sin^2", lambda: rabi_flopping(0.0), 1e-6),
+    ("detuned Rabi vs generalized formula", lambda: rabi_flopping(1.0), 1e-6),
+    ("free decay exact", free_decay, 1e-9),
+    ("CW steady state vs long integration", cw_steady_state, 1e-6),
+    ("Gaussian area closed form", gaussian_area, 1e-7),
+    ("photon budget arithmetic", photon_budget, 1e-12),
+    ("batch integrator vs reference", batch_emission, 1e-5),
+    ("jump process exponential mean", jump_decay, 4.0),
+)
 
 
 def run_selftest() -> int:
     """Print one line per check and the pass count; 0 if all pass, else 4."""
-    checks = []
-
-    def check(name: str, ok: bool, detail: str = ""):
-        checks.append((name, ok))
-        print(f"{'ok  ' if ok else 'FAIL'} {name}" + (f"  ({detail})" if detail else ""))
-
-    omega = 2.0 * math.pi * 125e6
-    period = 2.0 * math.pi / omega
-    span = 10.0 * period
-    rect = DriveField.single(RectangularEnvelope(peak=omega, duration=span,
-                                                 center=0.5 * span))
-    free = EmitterModel(gamma1=0.0, gamma2=0.0)
-    traj = integrate(free, rect, BlochState(0.0), (0.0, span), span / 2000)
-    err = float(np.max(np.abs(traj.rho_ee - analytic_rabi(omega, 0.0, traj.times))))
-    check("undamped resonant Rabi vs sin^2", err < 1e-6, f"max err {err:.2e}")
-
-    det = EmitterModel(gamma1=0.0, gamma2=0.0, detuning=omega)
-    traj = integrate(det, rect, BlochState(0.0), (0.0, span), span / 2000)
-    err = float(np.max(np.abs(traj.rho_ee - analytic_rabi(omega, omega, traj.times))))
-    check("detuned Rabi vs generalized formula", err < 1e-6, f"max err {err:.2e}")
-
-    em = EmitterModel.from_lifetime(9.5e-9)
-    zero = DriveField.single(GaussianEnvelope(peak=0.0, fwhm=1e-9))
-    traj = integrate(em, zero, BlochState(1.0), (0.0, 60e-9), 0.1e-9)
-    rel = float(np.max(np.abs(traj.rho_ee / np.exp(-em.gamma1 * traj.times) - 1.0)))
-    check("free decay exact", rel < 1e-9, f"max rel {rel:.2e}")
-
-    cw = EmitterModel.from_lifetime(9.5e-9, detuning=0.4 * em.gamma1)
-    om_cw = 1.7 * em.gamma1
-    drive = DriveField.single(RectangularEnvelope(peak=om_cw, duration=80 * cw.lifetime,
-                                                  center=40 * cw.lifetime))
-    traj = integrate(cw, drive, BlochState(0.0), (0.0, 50 * cw.lifetime),
-                     cw.lifetime / 10)
-    gap = abs(float(traj.rho_ee[-1]) - steady_state(cw, om_cw).rho_ee)
-    check("CW steady state vs long integration", gap < 1e-6, f"gap {gap:.2e}")
-
-    gauss = GaussianEnvelope(peak=1.3e9, fwhm=4e-9)
-    area = pulse_area(DriveField.single(gauss))
-    closed = gauss.peak * gauss.fwhm * GAUSSIAN_AREA_FACTOR
-    rel = abs(area / closed - 1.0)
-    check("Gaussian area closed form", rel < 1e-7, f"rel {rel:.2e}")
-
-    n = photons_per_pulse(1.180411e-10, 700e3, 589e-9)
-    check("photon budget arithmetic", abs(n - 500.0) < 0.05, f"n {n:.3f}")
-
-    # Emitted photons per period of the batch solve that scans and maps
-    # call, against the window's trapezoid integral and end state.
-    fld = DriveField.single(GaussianEnvelope(peak=2.0e9, fwhm=4e-9, center=10e-9))
-    sup = fld.support()
-    emf = EmitterModel.from_lifetime(9.5e-9, detuning=2.0 * math.pi * 40e6)
-    signal, _ = solve_emission(fld, 1.0, emf.detuning, emf.gamma1, emf.gamma2,
-                               sup, 1.4e-6)
-    ref = integrate(emf, fld, BlochState(0.0), sup, (sup[1] - sup[0]) / 4000)
-    rho = ref.rho_ee
-    integral = 0.5 * np.sum(np.diff(ref.times) * (rho[1:] + rho[:-1]))
-    want = (emf.gamma1 * integral
-            - rho[-1] * np.expm1(-emf.gamma1 * (1.4e-6 - sup[1] + sup[0])))
-    gap = abs(float(signal[0, 0]) - float(want))
-    check("batch integrator vs reference", gap < 1e-5, f"gap {gap:.2e}")
-
-    engine = _JumpEngine(em, zero, 0.0, 300e-9)
-    ids = np.arange(4000, dtype=np.int64)
-    times = _emission_times_batch(engine, 20240, ids, BlochState(1.0))[2]
-    mean = float(np.mean(times))
-    tol = 4.0 * em.lifetime / math.sqrt(ids.size)
-    check("jump process exponential mean", abs(mean - em.lifetime) < tol,
-          f"mean {mean * 1e9:.3f} ns")
-
-    failures = [name for name, ok in checks if not ok]
-    print(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
-    return 0 if not failures else 4
+    passed = 0
+    for name, scenario, bound in CHECKS:
+        gap = scenario()[0]
+        passed += bool(gap < bound)
+        print(f"{'ok  ' if gap < bound else 'FAIL'} {name}  (gap {gap:.2e}, bound {bound:g})")
+    print(f"{passed}/{len(CHECKS)} checks passed")
+    return 0 if passed == len(CHECKS) else 4

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from rabisim import errors
+from rabisim import errors, selftest
 from rabisim.cli_io import (ExperimentConfig, MAX_FIELD_COMPONENTS, MHZ, NS,
                             _table, build_drive_field, build_emitter,
                             ingest_trace, parse_config, read_sweep_long,
@@ -152,10 +152,26 @@ def test_ingest_trace_intensity_sqrt():
     assert np.allclose(record.values, [0.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("name, scenario, bound", selftest.CHECKS,
+                         ids=[name for name, *_ in selftest.CHECKS])
+def test_selftest_check_within_bound(name, scenario, bound):
+    assert scenario()[0] < bound
+
+
 def test_selftest_command(capsys):
     assert run_command(["selftest"]) == 0
+    n = len(selftest.CHECKS)
+    assert f"{n}/{n} checks passed" in capsys.readouterr().out
+
+
+def test_selftest_fails_a_check_over_its_bound(capsys, monkeypatch):
+    checks = list(selftest.CHECKS)
+    name, _, bound = checks[2]
+    checks[2] = (name, lambda: (2.0 * bound, None), bound)
+    monkeypatch.setattr(selftest, "CHECKS", tuple(checks))
+    assert run_command(["selftest"]) == 4
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert f"FAIL {name}" in out and "7/8 checks passed" in out
 
 
 def test_usage_error_exit_code():

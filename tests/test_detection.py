@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.integrate import solve_ivp
 
 from rabisim import detection, rng
-from rabisim.bloch import BlochState, EmitterModel, integrate, steady_state
+from rabisim.bloch import BlochState, EmitterModel, integrate
 from rabisim.detection import (DetectorModel, _JumpEngine,
                                _emission_times_batch, _first_crossings,
                                _initial_amplitudes, _quad, _row_quads,
@@ -17,6 +17,7 @@ from rabisim.errors import StepFailure
 from rabisim.pulses import (DriveField, FieldComponent, GAUSSIAN_AREA_FACTOR,
                             GaussianEnvelope, PhaseLaw, RectangularEnvelope,
                             scale_to_area)
+from rabisim.selftest import jump_decay, steady_state
 
 TWO_PI = 2.0 * math.pi
 T1 = 9.5e-9
@@ -86,10 +87,8 @@ def test_stream_zero_field_ground_start_empty():
 
 
 def test_stream_zero_field_excited_start_single_exponential():
-    engine = _JumpEngine(EM, ZERO_FIELD, 0.0, 2e-6)
-    ids = np.arange(20_000, dtype=np.int64)
-    _, pulses, times, _ = _emission_times_batch(engine, 17, ids, BlochState(1.0))
-    assert pulses.size == ids.size  # exactly one emission each
+    _, pulses, times, _ = jump_decay()[1]
+    assert pulses.size == 100_000  # exactly one emission each
     assert np.array_equal(np.sort(pulses), pulses)
     assert stats.kstest(times, "expon", args=(0.0, T1)).pvalue > 0.01
 

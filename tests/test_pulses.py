@@ -180,12 +180,6 @@ def test_scale_to_area_unreachable_below_detuning_floor():
         scale_to_area(f, 0.5 * floor, detuning=det, window=(-2e-9, 2e-9))
 
 
-def test_photons_per_pulse_500_photon_identity():
-    # 500 photons/pulse at 700 kHz and 589 nm requires 1.1804e-10 W.
-    n = photons_per_pulse(1.180401e-10, 700e3, 589e-9)
-    assert n == pytest.approx(500.0, rel=1e-4)
-
-
 def test_photons_per_pulse_scalings():
     base = photons_per_pulse(1e-10, 700e3, 589e-9)
     assert photons_per_pulse(2e-10, 700e3, 589e-9) == pytest.approx(2 * base)
