@@ -219,14 +219,15 @@ def _check_invariants(rho, coh, tol: float = 1e-6):
 # solve builds them once per distinct step and a step multiplies its
 # sampled f into them. The sum over n at every point is a polynomial in a:
 # for the whole batch it is one real matrix product per parity, the
-# (amplitudes x orders) Vandermonde in a^2 times the step's J_n stacked over
-# the columns. The bipartite coupling (rho_ee and 1 couple only to rho12 and
-# its conjugate) makes odd and even J_n live on disjoint entries, and the
-# real structure of the Bloch equations makes the conj(rho12) row the
-# conjugate of the rho12 row, so about 3 of the 12 entries per order are
-# integrated. :func:`window_pieces` cuts the window at the drive's
-# breakpoints, so a jump in the drive costs no order, and
-# :func:`dyson_schedule` plans each piece from its local drive bound.
+# (amplitudes x orders) Vandermonde in a^2 times the J_n stacked over the
+# columns, and over a piece's steps where those are narrow. The bipartite
+# coupling (rho_ee and 1 couple only to rho12 and its conjugate) makes odd
+# and even J_n live on disjoint entries, and the real structure of the
+# Bloch equations makes the conj(rho12) row the conjugate of the rho12 row,
+# so about 3 of the 12 entries per order are integrated.
+# :func:`window_pieces` cuts the window at the drive's breakpoints, so a
+# jump in the drive costs no order, and :func:`dyson_schedule` plans each
+# piece from its local drive bound.
 # :func:`solve_emission` is the one batch solve that maps and scans call:
 # it plans the window from the batch's own bounds, checks the work budget,
 # steps every piece with :func:`propagate_dyson` and returns the emitted
@@ -357,40 +358,39 @@ def _dyson_frame(s, q, det, gamma1, gamma2):
     of one length: at the step's nodes ``s`` (``q`` integrates on them) and
     the columns' detunings and rates (1-D, or one value for every column),
     ``(fu, fv, fw)`` of the interaction-frame couplings u = B[0,1] =
-    conj(g) fu, v = B[1,0] = g fv and w = B[1,3] = g fw of a drive g, the
-    quadrature weights of the rho_ee integral, decay included, and the
-    decay e^{-Gamma1 s} itself, each shaped (nodes, columns)."""
-    s_col = s[:, None]
+    conj(g) fu, v = B[1,0] = g fv and w = B[1,3] = g fw of a drive g, and
+    the quadrature weights of the rho_ee integral, decay included, each
+    shaped (nodes, 1, columns): the middle axis broadcasts over the steps
+    that one pass of :func:`_dyson_terms` stacks."""
+    s_col = s[:, None, None]
     spin = np.exp(1j * det * s_col)
-    decay = np.exp(-gamma1 * s_col)
     fu = -0.5j * np.exp((gamma1 - gamma2) * s_col) * spin
     fv = -1j * np.exp((gamma2 - gamma1) * s_col) * spin.conj()
     fw = 0.5j * np.exp(gamma2 * s_col) * spin.conj()
-    return fu, fv, fw, q[-1][:, None] * decay, decay
+    return fu, fv, fw, q[-1][:, None, None] * np.exp(-gamma1 * s_col)
 
 
-def _dyson_terms(g, frame, q, order: int, width: int):
-    """Dyson terms J_n, n = 1..order, of one step, and the rows K_n of
-    their rho_ee integral, for a unit drive ``g`` sampled at the step's
-    nodes (one column, or one per column), in the :func:`_dyson_frame`
-    ``frame`` of the step (``q`` integrates on its nodes).
+def _dyson_terms(g, frame, q, order: int):
+    """Dyson terms J_n, n = 1..order, of a group of steps of one length,
+    and the rows K_n of their rho_ee integral, for a unit drive ``g``
+    sampled at the steps' nodes, shaped (nodes, steps, 1 or columns), in
+    the :func:`_dyson_frame` ``frame`` of the steps (``q`` integrates on
+    their nodes).
 
-    Returns ``(odd, even)``: ``odd[m]`` stacks J[0,1] of order 2m + 1 at
-    the step's last ``width`` nodes, then J[1,0] and J[1,3] at its end and
-    K[0,1]; ``even[m]`` stacks J[0,0] and J[0,3] of order 2m + 2 at each
-    of those nodes in turn, then J[1,1] and J[1,2] at the end, K[0,0] and
-    K[0,3]; each over the columns. J[0,0], J[0,1] and J[0,3] at a node give
-    rho_ee there. Every other entry is zero or a conjugate of these.
+    Returns ``(odd, even)``: ``odd[m]`` stacks J[0,1], J[1,0] and J[1,3]
+    of order 2m + 1 at each step's end, then K[0,1]; ``even[m]`` stacks
+    J[0,0], J[0,3], J[1,1] and J[1,2] of order 2m + 2 at its end, then
+    K[0,0] and K[0,3]; each over the steps and columns. Every other entry
+    is zero or a conjugate of these.
     """
-    fu, fv, fw, wts, _ = frame
+    fu, fv, fw, wts = frame
     u, v, w = g.conj() * fu, g * fv, g * fw
-    n, cols = u.shape
-    keep = slice(n - width, n)
-    odd = np.empty(((order + 1) // 2, width + 3, cols), dtype=complex)
-    even = np.empty((order // 2, 2 * width + 4, cols), dtype=complex)
+    n, cols = u.shape[0], u.shape[1:]
+    odd = np.empty(((order + 1) // 2, 4) + cols, dtype=complex)
+    even = np.empty((order // 2, 6) + cols, dtype=complex)
     # The integrands of an odd and of an even order.
     three = np.stack((u, v, w), axis=1)
-    four = np.empty((n, 4, cols), dtype=complex)
+    four = np.empty((n, 4) + cols, dtype=complex)
 
     def integrate(parts):
         out = (q @ parts.reshape(n, -1).view(float)).view(complex)
@@ -408,9 +408,8 @@ def _dyson_terms(g, frame, q, order: int, width: int):
                 np.multiply(v, j00, out=three[:, 1])
                 np.multiply(v, j03, out=three[:, 2])
             j01, j10, j13 = integrate(three)
-            odd[i, :width] = j01[keep]
-            odd[i, width], odd[i, width + 1] = j10[-1], j13[-1]
-            odd[i, width + 2] = weigh(j01)
+            odd[i, 0], odd[i, 1], odd[i, 2] = j01[-1], j10[-1], j13[-1]
+            odd[i, 3] = weigh(j01)
         else:
             four[:, 0] = 2.0 * (u * j10).real
             four[:, 1] = 2.0 * (u * j13).real
@@ -418,10 +417,9 @@ def _dyson_terms(g, frame, q, order: int, width: int):
             np.multiply(v, j01.conj(), out=four[:, 3])
             j00, j03, j11, j12 = integrate(four)
             j00, j03 = j00.real, j03.real
-            even[i, 0:2 * width:2], even[i, 1:2 * width:2] = j00[keep], j03[keep]
-            tail = even[i, 2 * width:]
-            tail[0], tail[1], tail[2], tail[3] = (j11[-1], j12[-1], weigh(j00),
-                                                  weigh(j03))
+            e = even[i]
+            e[0], e[1], e[2], e[3] = j00[-1], j03[-1], j11[-1], j12[-1]
+            e[4], e[5] = weigh(j00), weigh(j03)
     return odd, even
 
 
@@ -435,18 +433,29 @@ def _power_sums(powers, coeffs):
     """``sum_m powers[:, m] coeffs[m]`` as one real matrix product.
 
     ``powers`` is a :func:`_powers` Vandermonde (rows, P) and ``coeffs``
-    complex (P, k, cols), read as real (P, 2 k cols). Returns complex
-    (k, rows, cols); zeros for P = 0. Each row of the result is its
+    complex (P, k, ...), read as real (P, 2 k ...). Returns complex
+    (k, rows, ...); zeros for P = 0. Each row of the result is its
     Vandermonde row times the same matrix.
     """
-    p, k, cols = coeffs.shape
-    out = powers @ coeffs.reshape(p, k * cols).view(float)
-    return out.view(complex).reshape(-1, k, cols).swapaxes(0, 1)
+    p, k = coeffs.shape[:2]
+    out = powers @ coeffs.reshape(p, math.prod(coeffs.shape[1:])).view(float)
+    return out.view(complex).reshape((-1, k) + coeffs.shape[2:]).swapaxes(0, 1)
+
+
+#: Node-columns (nodes x batch columns) up to which a piece stacks its
+#: steps into one :func:`_dyson_terms` pass. A narrow step costs the fixed
+#: overhead of its few dozen numpy calls, which a stack of steps shares: the
+#: bench scan's steps are 9 x 11 = 99 wide, so each of its pieces (at most 8
+#: steps) takes one pass. A wide step is bound by flops, which stacking
+#: cannot share: the bench map, whose steps are at least 10 x 121 = 1210
+#: wide, took 0.198 s stacked per piece against 0.176 s one step at a time
+#: (median of 7, one BLAS thread).
+DYSON_STACK = 1024
 
 
 def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
                     n_steps: int, order: int, n_nodes: int, initial=None,
-                    node_peak: bool = False, frames=None):
+                    frames=None):
     """Dyson-series steps of a batch over one schedule piece.
 
     Batch point (i, j) is driven by ``amplitudes[i]`` times column j of
@@ -460,16 +469,18 @@ def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
     Chebyshev-Lobatto nodes (see :func:`dyson_plan`); the per-point sums
     are two real matrix products, the Vandermonde in amplitude^2 (odd
     orders lead with the amplitude, even ones with its square) times the
-    step's stacked terms. ``initial`` is the state a previous piece
+    steps' stacked terms. Steps are taken in groups of as many as keep
+    nodes x columns (of the rates and the state) within ``DYSON_STACK``:
+    a group samples the drive once, at all its steps' nodes, and takes
+    one :func:`_dyson_terms` pass and two such products; only the state
+    recursion runs step by step. ``initial`` is the state a previous piece
     returned; None starts from the ground state. ``frames``, a dict the
     caller keeps across pieces, caches the :func:`_dyson_frame` of each
     step length, node count and columns stepped so far, for later pieces
     to reuse.
 
-    Returns ``(rho_end, rho12_end, integral, rho_peak)``, each shaped
-    (amplitudes, columns): ``integral`` is the time integral of rho_ee
-    since the start and ``rho_peak`` the largest rho_ee at the step ends
-    or, with ``node_peak``, at every step's nodes as well.
+    Returns ``(rho_end, rho12_end, integral)``, each shaped (amplitudes,
+    columns): ``integral`` is the time integral of rho_ee since the start.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / n_steps
@@ -482,9 +493,9 @@ def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
         shape = (amp.size, np.broadcast_shapes(det.shape, g1.shape,
                                                g2.shape)[0])
         rho, coh = np.zeros(shape), np.zeros(shape, dtype=complex)
-        acc, peak = np.zeros(shape), np.zeros(shape)
+        acc = np.zeros(shape)
     else:
-        rho, coh, acc, peak = initial
+        rho, coh, acc = initial
     if frames is None:
         frames = {}
     fr = np.exp(-g1 * h)
@@ -494,10 +505,9 @@ def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
     a2 = amp * amp
     p_odd = _powers(amp, a2, (order + 1) // 2)
     p_even = _powers(a2, a2, order // 2)
-    width = n_nodes if node_peak and order else 1
-    odd = np.zeros((0, width + 3, rho.shape[1]), dtype=complex)
-    even = np.zeros((0, 2 * width + 4, rho.shape[1]), dtype=complex)
-    decay = fr
+    group = n_steps
+    odd = np.zeros((0, 4, n_steps, rho.shape[1]), dtype=complex)
+    even = np.zeros((0, 6, n_steps, rho.shape[1]), dtype=complex)
     if order:
         x, q = _lobatto_integration(n_nodes)
         s, q = 0.5 * h * (x + 1.0), 0.5 * h * q
@@ -507,37 +517,37 @@ def propagate_dyson(unit_rabi, amplitudes, detunings, gamma1, gamma2, t_span,
                 del frames[next(iter(frames))]
             frames[key] = _dyson_frame(s, q, det, g1, g2)
         frame = frames[key]
-        if width > 1:
-            decay = frame[4][:, None, :]
+        cols = np.broadcast_shapes(rho.shape[1:], det.shape, g1.shape,
+                                   g2.shape)[0]
+        group = max(1, DYSON_STACK // (n_nodes * cols))
     # The drive is sampled as one-sided limits inside the piece, so a jump
     # on either end costs no order.
     nudge = 16.0 * np.spacing(abs(t0) + abs(t1))
-    for k in range(n_steps):
+    for first in range(0, n_steps, group):
+        size = min(group, n_steps - first)
         if order:
-            t = t0 + k * h + s
-            t[0], t[-1] = max(t[0], t0 + nudge), min(t[-1], t1 - nudge)
-            g = np.asarray(unit_rabi(t[:, None]), dtype=complex)
-            odd, even = _dyson_terms(g, frame, q, order, width)
-        odd_sums = _power_sums(p_odd, odd)
-        even_sums = _power_sums(p_even, even)
-        j01, (j10, j13, k01) = odd_sums[:width], odd_sums[width:]
-        j00, j03 = even_sums[0:2 * width:2], even_sums[1:2 * width:2]
-        j11, j12, k00, k03 = even_sums[2 * width:]
-        acc = (acc + (k0 + k00.real) * rho + 2.0 * (k01 * coh).real
-               + k03.real)
-        # rho_ee at the step's last width nodes, the step's end last.
-        rho_w = decay * ((1.0 + j00.real) * rho + 2.0 * (j01 * coh).real
-                         + j03.real)
-        coh = fc * (j10 * rho + (1.0 + j11) * coh + j12 * coh.conj() + j13)
-        rho = rho_w[-1]
-        peak = np.maximum(peak, rho_w.max(axis=0))
-    return rho, coh, acc, peak
+            t = (t0 + np.arange(first, first + size) * h)[:, None] + s
+            t[:, 0] = np.maximum(t[:, 0], t0 + nudge)
+            t[:, -1] = np.minimum(t[:, -1], t1 - nudge)
+            g = np.asarray(unit_rabi(t.reshape(-1, 1)), dtype=complex)
+            g = g.reshape(size, n_nodes, -1).swapaxes(0, 1)
+            odd, even = _dyson_terms(g, frame, q, order)
+        j01, j10, j13, k01 = _power_sums(p_odd, odd)
+        j00, j03, j11, j12, k00, k03 = _power_sums(p_even, even)
+        for k in range(size):
+            acc = (acc + (k0 + k00[:, k].real) * rho
+                   + 2.0 * (k01[:, k] * coh).real + k03[:, k].real)
+            rho, coh = (
+                fr * ((1.0 + j00[:, k].real) * rho
+                      + 2.0 * (j01[:, k] * coh).real + j03[:, k].real),
+                fc * (j10[:, k] * rho + (1.0 + j11[:, k]) * coh
+                      + j12[:, k] * coh.conj() + j13[:, k]))
+    return rho, coh, acc
 
 
 def solve_emission(field: DriveField, amplitudes, detunings, gamma1, gamma2,
-                   window, rep_period: float, time_scale=1.0,
-                   node_peak: bool = False):
-    """Emitted photons per period and peak excitation of a batch.
+                   window, rep_period: float, time_scale=1.0):
+    """Emitted photons per period of a batch.
 
     Batch point (i, j) is driven by |``amplitudes[i]``| times column j of
     the unit drive ``field`` from the ground state over ``window``, under
@@ -557,8 +567,9 @@ def solve_emission(field: DriveField, amplitudes, detunings, gamma1, gamma2,
     the window, and StepFailure before any step when the schedule's work
     for rows x columns (of the field, detunings and rates) exceeds the batch
     budget. Every piece steps with :func:`propagate_dyson`, sharing one
-    frame cache. Returns ``(signal, rho_peak)``, each shaped (amplitudes,
-    columns); with ``node_peak`` the peak is read at every step's nodes.
+    frame cache, from a ground state as wide as those columns, so that each
+    piece groups its steps by the batch's full width. Returns the signal,
+    shaped (amplitudes, columns).
     """
     w0, w1 = window
     if rep_period < w1 - w0:
@@ -573,16 +584,16 @@ def solve_emission(field: DriveField, amplitudes, detunings, gamma1, gamma2,
     columns = np.broadcast_shapes(np.shape(field.rabi(np.array([[w0]]))),
                                   det.shape, g1.shape, g2.shape)
     check_batch_work(schedule_work(schedule) * amp.size * math.prod(columns))
-    state, frames = None, {}
+    shape = (amp.size, math.prod(columns))
+    state = np.zeros(shape), np.zeros(shape, dtype=complex), np.zeros(shape)
+    frames = {}
     for a, b, *steps in schedule:
         state = propagate_dyson(field.rabi, amp, det, g1, g2, (a, b), *steps,
-                                initial=state, node_peak=node_peak,
-                                frames=frames)
-    rho_end, _, integral, rho_peak = state
+                                initial=state, frames=frames)
+    rho_end, _, integral = state
     tail = rep_period - time_scale * (w1 - w0)
-    signal = (gamma1 * (time_scale * integral)
-              + rho_end * -np.expm1(-gamma1 * np.maximum(tail, 0.0)))
-    return signal, rho_peak
+    return (gamma1 * (time_scale * integral)
+            + rho_end * -np.expm1(-gamma1 * np.maximum(tail, 0.0)))
 
 
 def _rk4_step_maps(a_nodes, a_half, h: float) -> np.ndarray:

@@ -49,28 +49,19 @@ class PowerScan:
     (arbitrary units, proportional to a time-averaged count rate);
     ``stderr`` the standard error over jitter samples; ``area_std`` the
     per-point standard deviation of the sampled pulse areas (diagnostic
-    for the linear area-noise growth); ``peak_excitation`` the
-    jitter-averaged largest excited population during the pulse window,
-    whose first maximum stays below full inversion when the pulse length
-    is comparable to the lifetime. It is the largest rho_ee at the Dyson
-    steps' ends and Lobatto nodes, read through the scan surrogate, so it
-    follows the step schedule: on 4 ns pulses from 0.2 pi to 12 pi without
-    jitter it sits up to 2.5e-4 below the DOP853 maximum and never above
-    it. With 7 % jitter and 60 draws the surrogate moves it from the mean
-    of direct per-draw solves by up to 2.4e-5 on 12 amplitudes from 0.5 pi
-    to 6 pi (39 x 11 area x duration nodes) and 1.8e-5 on 120 from 0.5 pi
-    to 12 pi (60 x 11 nodes). ``interp_error`` is the estimated largest
-    error of the interpolated per-draw signal at each amplitude: 3.5e-11
-    and 6.7e-11 on those two scans, over 10000 times the actual error
-    there (3.6e-15 and 4.4e-15). It is zero without jitter and on a dark
-    row. Amplitudes, signals and ``stderr`` must be finite.
+    for the linear area-noise growth). ``interp_error`` is the estimated
+    largest error of the interpolated per-draw signal at each amplitude:
+    with 7 % jitter and 60 draws, 3.5e-11 on 12 amplitudes from 0.5 pi to
+    6 pi (39 x 11 area x duration nodes) and 6.7e-11 on 120 from 0.5 pi to
+    12 pi (60 x 11 nodes), over 10000 times the actual error there (3.6e-15
+    and 4.4e-15). It is zero without jitter and on a dark row. Amplitudes,
+    signals and ``stderr`` must be finite.
     """
 
     amplitudes: np.ndarray
     signal: np.ndarray
     stderr: np.ndarray
     area_std: np.ndarray
-    peak_excitation: np.ndarray | None = None
     interp_error: np.ndarray | None = None
 
     def __post_init__(self):
@@ -144,15 +135,14 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     (:func:`frame_field`), where it is a pulse of one fixed shape set by its
     area and by its duration. The Bloch dynamics are not integrated per
     draw: the scan is solved once, at a tensor grid of Chebyshev-Lobatto
-    nodes in the pulse area and in the duration, and the per-draw signal and
-    peak excitation are the Chebyshev interpolants through those solves
-    (:func:`_scan_surrogate`). The grid is one batch solve
-    (:func:`rabisim.bloch.solve_emission`) on one window
-    (:func:`frame_window`): its rows are the frame peaks and its columns
-    the duration ratios sigma to the longest draw, each with its unit
-    pulse (:func:`frame_field`) and the emitter's rates and detuning times
-    sigma, the frame's clock. The mean, ``stderr`` and
-    ``area_std`` stay Monte Carlo moments over the seeded draws;
+    nodes in the pulse area and in the duration, and the per-draw signal is
+    the Chebyshev interpolant through those solves (:func:`_scan_surrogate`).
+    The grid is one batch solve (:func:`rabisim.bloch.solve_emission`) on one
+    window (:func:`frame_window`): its rows are the frame peaks and its
+    columns the duration ratios sigma to the longest draw, each with its
+    unit pulse (:func:`frame_field`) and the emitter's rates and detuning
+    times sigma, the frame's clock. The mean, ``stderr`` and ``area_std``
+    stay Monte Carlo moments over the seeded draws;
     ``interp_error`` estimates the largest interpolation error of the
     per-draw signal. Without jitter every amplitude takes one solve.
     The signal is detector-free: a long-integration average count rate is
@@ -178,16 +168,15 @@ def averaged_power_scan(emitter: EmitterModel, template: PowerScanTemplate,
     def solve(peaks, sigma):
         return solve_emission(frame_field(template, 1.0, sigma, t_ref), peaks,
                               emitter.detuning, emitter.gamma1, emitter.gamma2,
-                              window, rep_period, sigma, node_peak=True)
+                              window, rep_period, sigma)
 
-    signal, peak, error = _scan_surrogate(
+    signal, error = _scan_surrogate(
         solve, amplitudes, durations,
         emitter.gamma1 + emitter.gamma2 + abs(emitter.detuning))
     areas = amplitudes[:, None] * GAUSSIAN_AREA_FACTOR * durations
     mean, se, a_std = draw_moments(signal, areas)
     return PowerScan(amplitudes=amplitudes, signal=np.maximum(mean, 0.0),
-                     stderr=se, area_std=a_std,
-                     peak_excitation=np.mean(peak, axis=1), interp_error=error)
+                     stderr=se, area_std=a_std, interp_error=error)
 
 
 def frame_field(template: PowerScanTemplate, peaks, sigma,
@@ -267,9 +256,7 @@ def draw_moments(signal: np.ndarray, areas: np.ndarray):
 # (area, duration) from the two axes' Chebyshev-Vandermonde rows. Each axis
 # takes its degree up front from the phase that the signal sweeps along it
 # and doubles only when its Chebyshev coefficient tail has not decayed;
-# Lobatto nodes nest, so a doubling solves only the new nodes. The peak
-# excitation is a maximum over the steps' nodes, with kinks in both
-# variables; it is interpolated the same way.
+# Lobatto nodes nest, so a doubling solves only the new nodes.
 # ---------------------------------------------------------------------------
 
 #: An axis has converged when, along it, every Chebyshev coefficient in the
@@ -282,7 +269,7 @@ SURROGATE_TAIL = 1e-9
 SURROGATE_MARGIN = 10.0
 
 #: Draws whose interpolant values are evaluated together: bounds the
-#: transient heap of their Chebyshev columns (about 0.9 kB per draw).
+#: transient heap of their Chebyshev columns (about 0.8 kB per draw).
 SURROGATE_CHUNK = 1024
 
 
@@ -361,16 +348,16 @@ def _tail(coef: np.ndarray) -> np.ndarray:
 
 def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray,
                     rate: float):
-    """Signal, peak excitation and interpolation error at every draw.
+    """Signal and interpolation error at every draw.
 
-    ``solve(p, s)`` returns (signal, peak) of the scan points at the 1-D
+    ``solve(p, s)`` returns the signal of the scan points at the 1-D
     frame peaks ``p`` (rows) times the 1-D duration ratios ``s`` to the
     longest draw t_ref (columns). Row i of
     ``durations`` holds the draws at ``amps[i]``; draw t is the point
     (|a| t / t_ref, t / t_ref), whose frame peak is its main pulse's area
     over GAUSSIAN_AREA_FACTOR t_ref.
     ``rate`` is Gamma1 + Gamma2 + |Delta|. Returns the (rows x samples)
-    signal and peak at the draws and, per row, the estimated largest error
+    signal at the draws and, per row, the estimated largest error
     of the interpolated signal: twice the coefficient tail of each axis plus
     the rounding floor of the series evaluation. The grid spans the draws'
     range of areas and of durations, and each axis doubles until its tail
@@ -386,58 +373,51 @@ def _scan_surrogate(solve, amps: np.ndarray, durations: np.ndarray,
     mag = np.abs(amps)
     s_lo = float(np.min(sigma))
     if s_lo == 1.0:
-        signal, peak = solve(mag, sigma[0, :1])
-        return (np.broadcast_to(signal, durations.shape),
-                np.broadcast_to(peak, durations.shape), np.zeros(rows))
+        return (np.broadcast_to(solve(mag, sigma[0, :1]), durations.shape),
+                np.zeros(rows))
     peaks = mag[:, None] * sigma
     p_lo, p_hi = float(np.min(peaks)), float(np.max(peaks))
     m = _surrogate_degree((p_hi - p_lo) * GAUSSIAN_AREA_FACTOR * t_ref)
     n = _surrogate_degree(rate * (t_ref - float(np.min(durations))))
 
-    def grid(p_nodes, s_nodes):
-        return np.stack(solve(p_nodes, s_nodes))
-
-    # vals[0] and vals[1]: signal and peak at (area x duration) nodes.
-    vals = grid(_lobatto_nodes(p_lo, p_hi, m), _lobatto_nodes(s_lo, 1.0, n))
+    # The signal at (area x duration) nodes.
+    vals = solve(_lobatto_nodes(p_lo, p_hi, m), _lobatto_nodes(s_lo, 1.0, n))
     while True:
-        signal = vals[0]
-        if np.any(_tail(_chebyshev_coefficients(signal.T))
-                  > SURROGATE_TAIL * np.max(np.abs(signal), axis=0)):
-            new = grid(_lobatto_nodes(p_lo, p_hi, 2 * m, odd=True),
-                       _lobatto_nodes(s_lo, 1.0, n))
-            vals = np.insert(vals, np.arange(1, m + 1), new, axis=1)
+        if np.any(_tail(_chebyshev_coefficients(vals.T))
+                  > SURROGATE_TAIL * np.max(np.abs(vals), axis=0)):
+            new = solve(_lobatto_nodes(p_lo, p_hi, 2 * m, odd=True),
+                        _lobatto_nodes(s_lo, 1.0, n))
+            vals = np.insert(vals, np.arange(1, m + 1), new, axis=0)
             m *= 2
-        elif np.any(_tail(_chebyshev_coefficients(signal))
-                    > SURROGATE_TAIL * np.max(np.abs(signal), axis=1)):
-            new = grid(_lobatto_nodes(p_lo, p_hi, m),
-                       _lobatto_nodes(s_lo, 1.0, 2 * n, odd=True))
-            vals = np.insert(vals, np.arange(1, n + 1), new, axis=2)
+        elif np.any(_tail(_chebyshev_coefficients(vals))
+                    > SURROGATE_TAIL * np.max(np.abs(vals), axis=1)):
+            new = solve(_lobatto_nodes(p_lo, p_hi, m),
+                        _lobatto_nodes(s_lo, 1.0, 2 * n, odd=True))
+            vals = np.insert(vals, np.arange(1, n + 1), new, axis=1)
             n *= 2
         else:
             break
 
-    # coef[q, l, k] multiplies T_k(area) T_l(duration) in quantity q. Each
-    # chunk of draws takes the coefficients times its area columns, then
-    # sums the result against its duration columns.
-    coef = _chebyshev_coefficients(
-        np.swapaxes(_chebyshev_coefficients(vals), 1, 2))
-    flat = coef.reshape(2 * (n + 1), m + 1)
-    out = np.empty((2, peaks.size))
+    # coef[l, k] multiplies T_k(area) T_l(duration). Each chunk of draws
+    # takes the coefficients times its area columns, then sums the result
+    # against its duration columns.
+    coef = _chebyshev_coefficients(_chebyshev_coefficients(vals).T)
+    signal = np.empty(peaks.size)
     for i in range(0, peaks.size, SURROGATE_CHUNK):
         part = slice(i, i + SURROGATE_CHUNK)
         x = _node_variable(peaks.ravel()[part], p_lo, p_hi)
         y = _node_variable(sigma.ravel()[part], s_lo, 1.0)
-        by_area = (flat @ _chebyshev_columns(x, m)).reshape(2, n + 1, -1)
-        out[:, part] = np.sum(by_area * _chebyshev_columns(y, n), axis=1)
-    signal, peak = out.reshape(2, rows, n_samples)
+        by_area = coef @ _chebyshev_columns(x, m)
+        signal[part] = np.sum(by_area * _chebyshev_columns(y, n), axis=0)
+    signal = signal.reshape(rows, n_samples)
 
     eps = np.finfo(float).eps
-    tails = np.max(_tail(coef[0])) + np.max(_tail(coef[0].T))
+    tails = np.max(_tail(coef)) + np.max(_tail(coef.T))
     error = np.full(rows, 2.0 * tails
-                    + (m + n + 2) * eps * np.max(np.abs(vals[0])))
+                    + (m + n + 2) * eps * np.max(np.abs(vals)))
     dark = mag == 0.0
-    signal[dark] = peak[dark] = error[dark] = 0.0
-    return signal, peak, error
+    signal[dark] = error[dark] = 0.0
+    return signal, error
 
 
 @dataclass(frozen=True)

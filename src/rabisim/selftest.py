@@ -78,8 +78,8 @@ def batch_emission():
     """Photons per period of the scans' and maps' batch solve vs DOP853."""
     fld = DriveField.single(GaussianEnvelope(peak=2.0e9, fwhm=4e-9, center=10e-9))
     sup, em = fld.support(), EMITTER.with_detuning(2.0 * math.pi * 40e6)
-    signal, _ = solve_emission(fld, 1.0, em.detuning, em.gamma1, em.gamma2,
-                               sup, 1.4e-6)
+    signal = solve_emission(fld, 1.0, em.detuning, em.gamma1, em.gamma2,
+                            sup, 1.4e-6)
     ref = integrate(em, fld, BlochState(0.0), sup, (sup[1] - sup[0]) / 4000)
     want = (em.gamma1 * np.trapezoid(ref.rho_ee, ref.times)
             - ref.rho_ee[-1] * np.expm1(-em.gamma1 * (1.4e-6 - sup[1] + sup[0])))

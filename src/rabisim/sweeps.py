@@ -142,8 +142,8 @@ def sweep_2d(emitter: EmitterModel, template: CompositeFieldTemplate,
     # Every grid point is driven by |amplitude| x the unit field (the sign of
     # a drive does not change the populations).
     unit = build_composite(template, 1.0)
-    signal, _ = solve_emission(unit, amplitudes, detunings, emitter.gamma1,
-                               emitter.gamma2, unit.support(), rep_period)
+    signal = solve_emission(unit, amplitudes, detunings, emitter.gamma1,
+                            emitter.gamma2, unit.support(), rep_period)
     floor = -1e-12 * max(float(np.max(signal)), 1.0)
     if np.any(signal < floor):
         raise ValueError("sweep produced significantly negative signal")

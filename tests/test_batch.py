@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from rabisim import bloch
+from rabisim import bloch, jitter
 from rabisim.bloch import (BATCH_PIECES, MAX_BATCH_POINT_STEPS, BlochState,
                            EmitterModel, dyson_plan, dyson_schedule,
                            integrate, population_series_fixed,
@@ -12,7 +12,7 @@ from rabisim.bloch import (BATCH_PIECES, MAX_BATCH_POINT_STEPS, BlochState,
 from rabisim.cli_io import run_command
 from rabisim.errors import StepFailure
 from rabisim.jitter import (JitterModel, PowerScanTemplate, averaged_power_scan,
-                            frame_window)
+                            frame_window, sample_durations)
 from rabisim.pulses import (GAUSSIAN_AREA_FACTOR, SUPPORT_CUTOFF, DriveField,
                             FieldComponent, GaussianEnvelope, PhaseLaw,
                             RectangularEnvelope, SampledEnvelope)
@@ -24,13 +24,13 @@ TWO_PI = 2.0 * math.pi
 EM = EmitterModel.from_lifetime(9.5e-9, detuning=-TWO_PI * 40e6)
 
 
-def run_schedule(field, emitter, schedule, node_peak=False):
+def run_schedule(field, emitter, schedule):
     """One batch point driven by ``field``, stepped over a Dyson schedule."""
     state = None
     for a, b, *steps in schedule:
         state = propagate_dyson(field.rabi, 1.0, emitter.detuning,
                                 emitter.gamma1, emitter.gamma2, (a, b), *steps,
-                                initial=state, node_peak=node_peak)
+                                initial=state)
     return state
 
 
@@ -131,11 +131,11 @@ def test_weak_drive_without_drive_is_exact_free_evolution():
     em = EmitterModel.from_lifetime(9.5e-9, pure_dephasing=3e7)
     dets = np.array([0.0, 2e9, -5e9])
     start = (np.full((1, 3), 0.4), np.full((1, 3), 0.1 + 0.3j),
-             np.zeros((1, 3)), np.zeros((1, 3)))
+             np.zeros((1, 3)))
     span, tau = (1e-9, 31e-9), 30e-9
     unit = DriveField.single(GaussianEnvelope(peak=1.0, fwhm=20e-9, center=10e-9))
     for amp, order in ((1.0, 0), (0.0, 6)):
-        rho, coh, acc, *_ = propagate_dyson(
+        rho, coh, acc = propagate_dyson(
             unit.rabi, amp, dets, em.gamma1, em.gamma2, span, 3, order, 40,
             initial=start)
         assert np.allclose(rho, 0.4 * math.exp(-em.gamma1 * tau), rtol=1e-13)
@@ -206,7 +206,7 @@ COL_RATES = (np.array([0.0, 2e8, -5e8, 1e9]),       # detuning
 COL_AMPS = np.array([0.5e9, 2e9])
 
 
-def _column_solve(fwhm, rates, node_peak=True):
+def _column_solve(fwhm, rates):
     """Dyson solve of COL_AMPS rows on the plan of all four columns."""
     unit = DriveField.single(GaussianEnvelope(1.0, fwhm, 0.0),
                              PhaseLaw(chirp=TWO_PI * 60e6))
@@ -217,8 +217,8 @@ def _column_solve(fwhm, rates, node_peak=True):
     state = None
     for a, b, *steps in plan:
         state = propagate_dyson(unit.rabi, COL_AMPS, *rates, (a, b), *steps,
-                                initial=state, node_peak=node_peak)
-    return state[:4]
+                                initial=state)
+    return state
 
 
 def test_per_column_rates_match_single_column_calls():
@@ -232,15 +232,6 @@ def test_per_column_rates_match_single_column_calls():
                 1e-15 * np.max(np.abs(want))), j
     # The driven Gamma1 = 0 column integrates rho_ee with weight h.
     assert np.all(together[2][:, 1] > 0)
-
-
-def test_node_peak_is_never_below_step_end_peak():
-    nodes = _column_solve(COL_FWHM, COL_RATES)
-    ends = _column_solve(COL_FWHM, COL_RATES, node_peak=False)
-    for a, b in zip(nodes[:3], ends[:3]):
-        assert np.array_equal(a, b)
-    assert np.all(nodes[3] >= ends[3]) and np.any(nodes[3] > ends[3])
-    assert np.all(ends[3] >= ends[0])
 
 
 def test_paired_points_match_the_tensor_solve():
@@ -258,10 +249,10 @@ def test_paired_points_match_the_tensor_solve():
     peaks = amps[:, None] * sigma
     tensor = _frame_solver(template, frame, EM)(peaks.ravel(), sigma)
     own = np.arange(sigma.size)
-    for got, want in zip(_direct(amps, durations, template, EM),
-                         np.stack(tensor).reshape(2, 3, 4, 4)[:, :, own, own]):
-        assert got.shape == want.shape == (3, 4)
-        assert np.max(np.abs(got - want)) <= 1e-13
+    got = _direct(amps, durations, template, EM)
+    want = tensor.reshape(3, 4, 4)[:, own, own]
+    assert got.shape == want.shape == (3, 4)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_step_frames_are_built_once_per_distinct_step(monkeypatch):
@@ -286,6 +277,102 @@ def test_step_frames_are_built_once_per_distinct_step(monkeypatch):
         em.gamma1 + em.gamma2, scale=float(amps[-1])) if order]
     assert len(set(driven)) <= bloch.DYSON_FRAMES
     assert len(builds) == len(set(driven)) < len(driven) / 4
+
+
+def _terms_calls(monkeypatch):
+    """Spy on bloch._dyson_terms: the drive shape (nodes, steps, columns)
+    of each terms pass goes to the returned list."""
+    calls = []
+    terms = bloch._dyson_terms
+
+    def counted(g, *args):
+        calls.append(g.shape)
+        return terms(g, *args)
+
+    monkeypatch.setattr(bloch, "_dyson_terms", counted)
+    return calls
+
+
+def _off_center_grid():
+    """A scan grid under a rectangular pedestal off the main pulse's
+    center: in the frame its edges move with each duration column."""
+    template = PowerScanTemplate(
+        main_fwhm=4e-9, pedestal=RectangularEnvelope(peak=0.003, duration=20e-9,
+                                                     center=8e-9))
+    amps = np.linspace(0.5, 12.0, 8) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    durations = sample_durations(4e-9, JitterModel(0.07), 1, 40,
+                                 point=np.arange(amps.size))
+    t_ref, window = frame_window(template, amps, durations)
+    sigma = np.linspace(np.min(durations) / t_ref, 1.0, 11)
+    return _frame_solver(template, (t_ref, window), EM)(amps, sigma)
+
+
+def _per_column_pulses():
+    """Per-column envelopes under scalar rates: the drive has more columns
+    than the rates."""
+    em = EmitterModel.from_lifetime(9.5e-9, detuning=2.5e8,
+                                    pure_dephasing=4e7)
+    env = GaussianEnvelope(peak=1.0, fwhm=np.array([3e-9, 4e-9]), center=0.0)
+    fld = DriveField.single(env, PhaseLaw(chirp=1e8))
+    return solve_emission(fld, np.array([4e8, 1.5e9, 3e9]), em.detuning,
+                          em.gamma1, em.gamma2, fld.support(), 1.4e-6)
+
+
+def test_stacked_steps_match_one_step_per_pass(monkeypatch):
+    # A piece stacks narrow steps into one terms pass; with every group
+    # one step the signal keeps its bits.
+    calls = _terms_calls(monkeypatch)
+    stacked = [solve() for solve in (_off_center_grid, _per_column_pulses)]
+    passes = len(calls)
+    assert max(shape[1] for shape in calls) > 1
+    calls.clear()
+    monkeypatch.setattr(bloch, "DYSON_STACK", 1)
+    single = [solve() for solve in (_off_center_grid, _per_column_pulses)]
+    assert {shape[1] for shape in calls} == {1} and len(calls) > passes
+    for got, want in zip(stacked, single):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scan_takes_one_terms_pass_per_piece_and_map_one_per_step(
+        monkeypatch):
+    calls = _terms_calls(monkeypatch)
+    schedules = []
+    plan = bloch.dyson_schedule
+
+    def planned(*args, **kwargs):
+        schedules.append(plan(*args, **kwargs))
+        return schedules[-1]
+
+    grids = []
+    emission = jitter.solve_emission
+
+    def solve(*args, **kwargs):
+        signal = emission(*args, **kwargs)
+        grids.append(signal.shape)
+        return signal
+
+    monkeypatch.setattr(bloch, "dyson_schedule", planned)
+    monkeypatch.setattr(jitter, "solve_emission", solve)
+    em = EmitterModel.from_lifetime(9.5e-9)
+    # The bench scan solves a 63 x 11 grid on 9 nodes: 99-wide steps, one
+    # pass for each of its 48 pieces and their 134 steps.
+    a_max = 12.0 * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR)
+    averaged_power_scan(em, PowerScanTemplate(), np.linspace(0.0, a_max, 241)[1:],
+                        JitterModel(0.07), 200, seed=1)
+    (pieces,) = schedules
+    assert grids == [(63, 11)]
+    assert {shape[0] for shape in calls} == {9}
+    assert len(calls) == len(pieces) == 48
+    assert sum(shape[1] for shape in calls) == 134
+    # The bench map's steps are at least 10 x 121 wide: one pass per step.
+    calls.clear()
+    schedules.clear()
+    sweep_2d(em, CompositeFieldTemplate(center=200e-9),
+             np.linspace(-600.0, 600.0, 121) * TWO_PI * 1e6,
+             np.linspace(0.1, 4.0, 40) * math.pi / (4e-9 * GAUSSIAN_AREA_FACTOR))
+    (pieces,) = schedules
+    assert {shape[1] for shape in calls} == {1}
+    assert len(calls) == sum(n for _, _, n, order, _ in pieces if order) == 104
 
 
 def test_schedule_follows_local_drive_and_cuts_at_breakpoints():
@@ -314,7 +401,7 @@ def test_segmented_solve_matches_single_call():
     whole = run_schedule(field, EM, [(-6e-9, 6e-9, 40, 12, 16)])
     split = run_schedule(field, EM, [(-6e-9, 0.0, 20, 12, 16),
                                      (0.0, 6e-9, 20, 12, 16)])
-    for a, b in zip(whole[:4], split[:4]):
+    for a, b in zip(whole, split):
         assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
 
 

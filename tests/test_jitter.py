@@ -77,13 +77,13 @@ RATE = EM.gamma1 + EM.gamma2
 
 
 def _frame_solver(template, frame, emitter=EM, rep_period=1.4e-6):
-    """``solve(p, s)``: signal and node peak of the frame peaks ``p`` (rows)
-    times the duration ratios ``s`` (columns) in a scan's ``frame``, the
-    batch solve the scan makes of its grid."""
+    """``solve(p, s)``: signal of the frame peaks ``p`` (rows) times the
+    duration ratios ``s`` (columns) in a scan's ``frame``, the batch solve
+    the scan makes of its grid."""
     t_ref, window = frame
     return lambda p, s: solve_emission(
         frame_field(template, 1.0, s, t_ref), p, emitter.detuning,
-        emitter.gamma1, emitter.gamma2, window, rep_period, s, node_peak=True)
+        emitter.gamma1, emitter.gamma2, window, rep_period, s)
 
 
 def _scan(amps, model, n_samples, seed, template=TPL):
@@ -101,18 +101,17 @@ def _frame_points(amps, durations):
 
 
 def _direct(amps, durations, template=TPL, emitter=EM, rep_period=1.4e-6):
-    """Signal and peak of every draw, solved in the scan's frame: one Dyson
-    solve whose columns are the draws, each with its own rates and its unit
-    pulse carrying its own frame peak at amplitude 1 (the Dyson term J_n is
+    """Signal of every draw, solved in the scan's frame: one Dyson solve
+    whose columns are the draws, each with its own rates and its unit pulse
+    carrying its own frame peak at amplitude 1 (the Dyson term J_n is
     n-linear in the drive)."""
     t_ref, window = frame_window(template, amps, durations)
     peaks, sigma = _frame_points(amps, durations)
     sigma = sigma.ravel()
-    signal, peak = solve_emission(
+    return solve_emission(
         frame_field(template, peaks.ravel(), sigma, t_ref), np.ones(1),
         emitter.detuning, emitter.gamma1, emitter.gamma2, window, rep_period,
-        sigma, node_peak=True)
-    return signal.reshape(durations.shape), peak.reshape(durations.shape)
+        sigma).reshape(durations.shape)
 
 
 def _node_counts(amps, durations):
@@ -136,9 +135,9 @@ def test_surrogate_matches_direct_solves():
     amps = np.linspace(10.0, 12.0, 20) * math.pi * unit
     durations, solve = _scan(amps, JitterModel(0.07), 200, seed=3)
     areas = amps[:, None] * GAUSSIAN_AREA_FACTOR * durations
-    direct, _ = _direct(amps, durations)
-    signal, peak, error = _scan_surrogate(solve, amps, durations, RATE)
-    assert signal.shape == peak.shape == durations.shape
+    direct = _direct(amps, durations)
+    signal, error = _scan_surrogate(solve, amps, durations, RATE)
+    assert signal.shape == durations.shape
     assert np.all(error > 0)
     want, got = draw_moments(direct, areas), draw_moments(signal, areas)
     assert np.max(np.abs(got[0] - want[0])) < 1e-9
@@ -172,19 +171,19 @@ def test_surrogate_doubles_on_nested_nodes(monkeypatch):
     # On 100 amplitudes each axis doubles on nested nodes.
     wide = np.linspace(5.0, 6.0, 100) * math.pi * UNIT
     durations, solve = _scan(wide, JitterModel(0.07), 100, seed=4)
-    signal, _, error = _scan_surrogate(counted(solve), wide, durations, RATE)
+    signal, error = _scan_surrogate(counted(solve), wide, durations, RATE)
     assert calls[0] == (5, 5)
     m, n = doublings(calls)
     assert m > 4 and n > 4
-    assert np.all(np.abs(signal - _direct(wide, durations)[0])
+    assert np.all(np.abs(signal - _direct(wide, durations))
                   <= error[:, None])
     # On 3 amplitudes the doublings pass the 180 draws before the tails
     # converge: a grid larger than its draws is still interpolated.
     amps = np.linspace(5.0, 6.0, 3) * math.pi * UNIT
     durations, solve = _scan(amps, JitterModel(0.07), 60, seed=4)
-    direct, _ = _direct(amps, durations)
+    direct = _direct(amps, durations)
     calls.clear()
-    signal, _, error = _scan_surrogate(counted(solve), amps, durations, RATE)
+    signal, error = _scan_surrogate(counted(solve), amps, durations, RATE)
     assert calls[0] == (5, 5)
     m, n = doublings(calls)
     assert (m + 1) * (n + 1) > durations.size
@@ -193,7 +192,7 @@ def test_surrogate_doubles_on_nested_nodes(monkeypatch):
     # So is a grid that starts larger than its draws.
     monkeypatch.setattr(jitter, "_surrogate_degree", lambda spread: 99)
     calls.clear()
-    signal, _, error = _scan_surrogate(counted(solve), amps, durations, RATE)
+    signal, error = _scan_surrogate(counted(solve), amps, durations, RATE)
     assert calls == [(100, 100)]
     assert np.all(error > 0)
     assert np.all(np.abs(signal - direct) <= error[:, None])
@@ -208,8 +207,8 @@ def test_interp_error_bounds_the_actual_error():
         scan = averaged_power_scan(EM, TPL, amps, model, n_samples, seed=seed)
         assert np.all(scan.interp_error > 0)
         durations, solve = _scan(amps, model, n_samples, seed=seed)
-        direct, _ = _direct(amps, durations)
-        signal, _, error = _scan_surrogate(solve, amps, durations, RATE)
+        direct = _direct(amps, durations)
+        signal, error = _scan_surrogate(solve, amps, durations, RATE)
         assert np.array_equal(error, scan.interp_error)
         assert np.all(np.abs(signal - direct) <= error[:, None])
         assert np.all(np.abs(scan.signal - np.mean(direct, axis=1)) <= error)
@@ -249,7 +248,7 @@ def test_negative_amplitudes_mirror_positive(monkeypatch):
     assert np.all(np.abs(neg.signal[::-1] - pos.signal) <= bound)
     assert np.all(np.abs(neg.stderr[::-1] - pos.stderr) <= bound)
     assert np.array_equal(neg.area_std[::-1], pos.area_std)
-    assert neg.signal[-1] == 0.0 == neg.peak_excitation[-1]
+    assert neg.signal[-1] == 0.0
 
 
 def test_surrogate_rows_without_spread():
@@ -266,8 +265,8 @@ def test_surrogate_rows_without_spread():
             assert np.all(spread <= 32 * np.spacing(TPL.main_fwhm))
             if sigma == 3e-17:
                 assert spread[0] == 0.0 < spread[1]
-            direct, _ = _direct(amps, durations)
-            signal, _, error = _scan_surrogate(solve, amps, durations, RATE)
+            direct = _direct(amps, durations)
+            signal, error = _scan_surrogate(solve, amps, durations, RATE)
             assert np.all(np.abs(signal - direct) <= error[:, None])
 
 
@@ -275,19 +274,19 @@ def test_zero_amplitude_row_is_dark():
     amps = [-1e9, 0.0, 1e9]
     scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples=30,
                                seed=1)
-    assert scan.signal[1] == 0.0 == scan.peak_excitation[1]
+    assert scan.signal[1] == 0.0
     assert np.all(scan.signal[[0, 2]] > 0.5)
     # A scan of zero amplitudes has no drive and no support: it steps its
     # draws' window at unit peak.
     dark = averaged_power_scan(EM, TPL, [0.0], JitterModel(0.07), n_samples=30,
                                seed=1)
-    assert dark.signal[0] == 0.0 == dark.peak_excitation[0]
+    assert dark.signal[0] == 0.0
     # A wide scan's a = 0 row lies on the zero-area node line of its
     # (area x duration) grid and reads that line's solves exactly.
     amps, n_samples, seed = DARK_TO_12PI
     wide = averaged_power_scan(EM, TPL, amps, JitterModel(0.07), n_samples,
                                seed=seed)
-    assert wide.signal[0] == 0.0 == wide.peak_excitation[0]
+    assert wide.signal[0] == 0.0
     assert wide.interp_error[0] == 0.0 < np.min(wide.interp_error[1:])
 
 
@@ -315,10 +314,10 @@ def _real_time(template, amps, durations, rep_period=1.4e-6):
 
 
 def _dyson_real_time(field, amps, window, rep_period=1.4e-6):
-    """Emitted photons per period and node peak of ``amps`` times the unit
-    ``field``: one real-time batch solve on the field's own schedule."""
+    """Emitted photons per period of ``amps`` times the unit ``field``: one
+    real-time batch solve on the field's own schedule."""
     return solve_emission(field, amps, EM.detuning, EM.gamma1, EM.gamma2,
-                          window, rep_period, node_peak=True)
+                          window, rep_period)
 
 
 def test_no_jitter_scan_is_one_direct_solve():
@@ -326,10 +325,8 @@ def test_no_jitter_scan_is_one_direct_solve():
     scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=9,
                                seed=1)
     unit = DriveField.single(GaussianEnvelope(1.0, 4e-9, TPL.center))
-    signal, peak = _dyson_real_time(unit, amps, unit.scaled(amps[-1]).support())
+    signal = _dyson_real_time(unit, amps, unit.scaled(amps[-1]).support())
     assert scan.signal.tobytes() == signal[:, 0].tobytes()
-    # The peak is a mean over identical draws, exact to rounding.
-    assert scan.peak_excitation == pytest.approx(peak[:, 0], rel=1e-15)
     # And it is the real-time solve of the Lawson reference, to within the
     # batch tolerances against DOP853.
     ref, _, integral = _real_time(TPL, amps, np.full((amps.size, 1), 4e-9))
@@ -353,9 +350,9 @@ def test_scan_is_one_batch(monkeypatch):
     emission = jitter.solve_emission
 
     def solve(*args, **kwargs):
-        signal, peak = emission(*args, **kwargs)
+        signal = emission(*args, **kwargs)
         points.append(signal.size)
-        return signal, peak
+        return signal
 
     monkeypatch.setattr(jitter, "solve_emission", solve)
     a_max = 12.0 * math.pi * UNIT
@@ -512,8 +509,7 @@ def test_frame_solves_match_dop853():
     real = DriveField([(GaussianEnvelope(1.0, t_ref, c),),
                        (template.pedestal,)])
     want = _dyson_real_time(real, amps, (w0, w1))
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_scan_control_extrema_at_integer_pi():
@@ -622,39 +618,6 @@ def test_power_scan_validation():
                   stderr=np.zeros(2), area_std=np.zeros(2))
     with pytest.raises(ValueError, match="at least one amplitude"):
         averaged_power_scan(EM, TPL, [], JitterModel(0.07), 10, seed=1)
-
-
-def _dop853_peak(amp, fwhm):
-    """Largest rho_ee of one scan pulse: DOP853 on a 2 ps grid, its top
-    refined by the parabola through the grid maximum and its neighbours."""
-    field = DriveField.single(GaussianEnvelope(peak=amp, fwhm=fwhm))
-    w0, w1 = field.support()
-    rho = integrate(EM, field, BlochState(0.0), (w0, w1), 2e-12).rho_ee
-    k = int(np.argmax(rho))
-    y0, y1, y2 = rho[k - 1:k + 2]
-    return y1 + 0.125 * (y2 - y0) ** 2 / (2.0 * y1 - y0 - y2)
-
-
-def test_peak_excitation_accuracy():
-    unit = 1.0 / (4e-9 * GAUSSIAN_AREA_FACTOR)
-    # Without jitter: the maximum over the steps' nodes sits below the
-    # DOP853 maximum, by up to 2.5e-4 here, and never above it.
-    amps = np.linspace(0.2, 12.0, 24) * math.pi * unit
-    scan = averaged_power_scan(EM, TPL, amps, JitterModel(0.0), n_samples=1,
-                               seed=1)
-    below = np.array([_dop853_peak(a, 4e-9) for a in amps]) - scan.peak_excitation
-    assert np.all(below <= 1e-3) and np.all(below >= -1e-6), below
-    # With jitter the surrogate reads it within 1e-4 of the mean over one
-    # frame solve of all the scan's draws (2.4e-5 on twelve amplitudes and
-    # 1.8e-5 on 120).
-    model = JitterModel(0.07)
-    narrow = (np.linspace(0.5, 6.0, 12) * math.pi * unit, 60, 2)
-    for amps, n_samples, seed in (narrow, WIDE):
-        scan = averaged_power_scan(EM, TPL, amps, model, n_samples, seed=seed)
-        durations, _ = _scan(amps, model, n_samples, seed=seed)
-        _, direct = _direct(amps, durations)
-        assert np.all(np.abs(scan.peak_excitation - np.mean(direct, axis=1))
-                      <= 1e-4)
 
 
 def test_scan_refuses_period_shorter_than_window():
