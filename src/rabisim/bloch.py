@@ -20,12 +20,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvariantBreach, StepFailure
 from .pulses import DriveField, SUPPORT_CUTOFF
 
 _STATE_TOL = 1e-9
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    Only :func:`integrate` steps DOP853, and ``scipy.integrate`` is the
+    largest import of the package, so a command that never calls it never
+    loads it. This stays a module global because ``bench/spans.py`` times
+    the DOP853 solves by patching ``bloch.solve_ivp``; once that patch
+    table is gone (ROADMAP item 14), a plain import inside
+    :func:`integrate` can replace it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

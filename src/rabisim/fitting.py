@@ -199,7 +199,15 @@ class TraceFit:
 
 def _forward_series(pulse_envelope: SampledEnvelope, emitter: EmitterModel,
                     s: float, data_span: float, model: str, efficiency: float):
-    """Model series for the trace fit: (times, values, end value, end time)."""
+    """Model series for the trace fit: (times, values, end value, end time,
+    depletion), where past the end time the drive is off and the value
+    continues as ``_interp_series`` says.
+
+    The depletion is 0 for the population. For the first-detected density
+    eta Gamma1 rho exp(-eta R) it is eta rho_end: after the series ends,
+    rho decays as rho_end e^{-Gamma1 tau}, so R grows by
+    rho_end (1 - e^{-Gamma1 tau}).
+    """
     support = pulse_envelope.support()
     t_hi = support[1] + min(data_span, 8.0 / emitter.gamma1)
     rate = s * pulse_envelope.peak_value() + abs(emitter.detuning) + emitter.gamma1
@@ -208,23 +216,25 @@ def _forward_series(pulse_envelope: SampledEnvelope, emitter: EmitterModel,
     tt, rho = population_series_fixed(fld, emitter, (support[0], t_hi), n_steps)
     if model == "first_detected":
         vals = first_detected_density(tt, emitter.gamma1 * rho, efficiency)
+        depletion = efficiency * float(rho[-1])
     else:
-        vals = rho
-    return tt, vals, float(vals[-1]), float(tt[-1])
+        vals, depletion = rho, 0.0
+    return tt, vals, float(vals[-1]), float(tt[-1]), depletion
 
 
-def _tail_decay(emitter: EmitterModel, model: str, efficiency: float) -> float:
-    if model == "population":
-        return emitter.gamma1
-    return emitter.gamma1 * (1.0 + efficiency)
-
-
-def _interp_series(shifted_times, series, decay: float):
-    tt, vals, v_end, t_end = series
+def _interp_series(shifted_times, series, gamma1: float):
+    """The series at ``shifted_times``: 0 before it, linear inside, and past
+    its end the exact drive-free continuation
+    ``v_end e^{-Gamma1 tau} exp(-depletion (1 - e^{-Gamma1 tau}))``."""
+    tt, vals, v_end, t_end, depletion = series
     out = np.interp(shifted_times, tt, vals, left=0.0, right=0.0)
     beyond = shifted_times > t_end
     if np.any(beyond):
-        out[beyond] = v_end * np.exp(-decay * (shifted_times[beyond] - t_end))
+        decay = np.exp(-gamma1 * (shifted_times[beyond] - t_end))
+        tail = v_end * decay
+        if depletion:
+            tail *= np.exp(-depletion * (1.0 - decay))
+        out[beyond] = tail
     return out
 
 
@@ -242,8 +252,8 @@ def trace_model(eval_times, pulse_envelope: SampledEnvelope,
         data_span = float(eval_times[-1] - eval_times[0])
     series = _forward_series(pulse_envelope, emitter, s, data_span, model,
                              efficiency)
-    decay = _tail_decay(emitter, model, efficiency)
-    return norm * _interp_series(eval_times - t0, series, decay) + background
+    return (norm * _interp_series(eval_times - t0, series, emitter.gamma1)
+            + background)
 
 
 def _count_oscillation_maxima(times, values, support):
@@ -343,12 +353,10 @@ def fit_trace(times, counts, pulse_envelope: SampledEnvelope,
                                               span, model, efficiency)
         return traj_cache[key]
 
-    decay = _tail_decay(emitter, model, efficiency)
-
     def model_values(s, t0):
         """Unit-norm model at one shift t0, or one row per shift of an array."""
         return _interp_series(times - np.asarray(t0)[..., None],
-                              trajectory_for(s), decay)
+                              trajectory_for(s), emitter.gamma1)
 
     def residual_fn(params):
         s, t0, b, c = params

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.special import jv
 
 from . import rng
 from .bloch import (BATCH_PIECES, EmitterModel, check_batch_work,
@@ -293,6 +291,7 @@ def _surrogate_degree(phase_spread: float) -> int:
     adds a dependence on the duration that the rule does not count: with a
     1 %, 30 ns Gaussian pedestal the duration axis doubles once.
     """
+    from scipy.special import jv
     rho = 0.5 * phase_spread
     k = math.ceil(rho)
     while abs(jv(k, rho)) > SURROGATE_TAIL / SURROGATE_MARGIN:
@@ -334,6 +333,7 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the interpolants through ``values`` at the
     Lobatto points ``cos(pi k / n)`` of the last axis: a DCT-I, end terms
     halved."""
+    from scipy.fft import dct
     n = values.shape[-1] - 1
     coef = dct(values, type=1, axis=-1) / n
     coef[..., [0, n]] *= 0.5

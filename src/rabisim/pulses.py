@@ -26,9 +26,14 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT, h as PLANCK
 
 from .errors import NonConvergedQuadrature, UnreachableArea
+
+#: Speed of light in vacuum (m/s) and the Planck constant (J s). Both are
+#: exact in the SI since 2019 and equal ``scipy.constants.c`` and ``.h``
+#: bit for bit; as literals they spare every command the scipy import.
+SPEED_OF_LIGHT = 299792458.0
+PLANCK = 6.62607015e-34
 
 #: Fraction of peak below which an envelope is treated as switched off
 #: for dynamics (where integration may start).

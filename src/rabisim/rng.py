@@ -15,7 +15,6 @@ within that item.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 # Stream identifiers. Keep stable: they are part of the reproducibility
 # contract between a seed and its outputs.
@@ -60,5 +59,10 @@ def uniform(seed: int, stream: int, counter, draw) -> np.ndarray:
 
 
 def normal(seed: int, stream: int, counter, draw) -> np.ndarray:
-    """Standard normal variates via the inverse CDF of a counter uniform."""
+    """Standard normal variates via the inverse CDF of a counter uniform.
+
+    ``scipy.special`` is imported here, not with the module, so that a
+    command that draws no normal variate never loads it.
+    """
+    from scipy.special import ndtri
     return ndtri(uniform(seed, stream, counter, draw))

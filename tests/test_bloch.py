@@ -6,8 +6,8 @@ import pytest
 from rabisim import bloch
 from rabisim.bloch import (BlochState, EmitterModel, integrate,
                            population_series_fixed, solve_emission)
-from rabisim.pulses import (DriveField, GaussianEnvelope, PhaseLaw,
-                            RectangularEnvelope)
+from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
+                            PhaseLaw, RectangularEnvelope)
 from rabisim.selftest import analytic_rabi, rabi_flopping, steady_state
 
 TWO_PI = 2.0 * math.pi
@@ -211,4 +211,23 @@ def test_integrate_is_exact_free_evolution_after_the_support():
                        rtol=1e-12, atol=0.0)
     assert np.allclose(traj.coherence[after],
                        coh * np.exp((1j * em.detuning - em.gamma2) * tau),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_integrate_steps_each_driven_segment_through_the_module_solve_ivp(
+        monkeypatch):
+    # Two overlapping rectangles: edges at 0, 2, 4 and 6 ns, three segments.
+    fld = DriveField([FieldComponent(RectangularEnvelope(
+        peak=TWO_PI * 125e6, duration=4e-9, center=c)) for c in (2e-9, 4e-9)])
+    em = EmitterModel.from_lifetime(9.5e-9)
+    solve_ivp = bloch.solve_ivp
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(bloch, "solve_ivp", spy)
+    integrate(em, fld, BlochState(0.0), (-1e-9, 8e-9), 0.05e-9)
+    assert np.allclose(calls, [(0.0, 2e-9), (2e-9, 4e-9), (4e-9, 6e-9)],
                        rtol=1e-12, atol=0.0)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rabisim
 from rabisim import errors, selftest
 from rabisim.cli_io import (ExperimentConfig, MAX_FIELD_COMPONENTS, MHZ, NS,
                             _table, build_drive_field, build_emitter,
@@ -528,3 +533,49 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
+
+
+# Runs each argv list of argv[1] (a JSON object) in a fresh interpreter and
+# prints, last, the exit codes and the scipy modules loaded after the
+# commands that need none.
+_STARTUP_PROBE = """
+import json, sys
+import rabisim, rabisim.cli_io
+runs = json.loads(sys.argv[1])
+codes = [rabisim.cli_io.run_command(argv) for argv in runs["without_scipy"]]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes += [rabisim.cli_io.run_command(argv) for argv in runs["with_scipy"]]
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_only_trace_power_scan_and_selftest_load_scipy(tmp_path):
+    inputs = tmp_path / "inputs"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUNS["power-scan"] + SMALL_RUNS["sweep2d"]
+                   + TRACE_KEYS)
+    assert run_command(["power-scan", "--config", str(cfg),
+                        "--out", str(inputs)]) == 0
+    fit_trace_inputs = write_fit_trace_inputs(inputs)
+    config = ["--config", str(cfg)]
+    runs = {
+        "without_scipy": [
+            ["sweep2d", *config, "--out", str(tmp_path / "sweep")],
+            ["cross-section", *config, "--out", str(tmp_path / "cross"),
+             "--source", str(tmp_path / "sweep" / "sweep_long.csv")],
+            ["fit-trace", *config, "--out", str(tmp_path / "fit_trace"),
+             *fit_trace_inputs],
+            ["fit-power-scan", *config, "--out", str(tmp_path / "fit_scan"),
+             "--data", str(inputs / "power_scan.csv")],
+            ["pi-pulse", "--t-ns", "4", "--wavelength-nm", "589",
+             "--rep-khz", "700", "--out", str(tmp_path / "pi")]],
+        "with_scipy": [["trace", *config, "--out", str(tmp_path / "trace")],
+                       ["selftest"]]}
+    src = str(Path(rabisim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
+                           json.dumps(runs)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"codes": [0] * 7, "scipy": []}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rabisim import fitting
-from rabisim.bloch import EmitterModel
+from rabisim.bloch import EmitterModel, population_series_fixed
+from rabisim.detection import first_detected_density
 from rabisim.errors import DegenerateTail, SingularJacobian
 from rabisim.fitting import (FitProblem, FitResult, _jacobian, fit_trace,
                              least_squares, trace_model)
@@ -196,6 +197,25 @@ def test_fit_trace_round_trip_with_poisson_noise():
     assert abs(fit.omega_max / s_true - 1.0) < 0.02
     true_area = pulse_area(DriveField.single(env.scaled(s_true)))
     assert abs(fit.area / true_area - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("efficiency", [0.5, 0.02])
+def test_first_detected_model_past_its_series_follows_a_long_series(efficiency):
+    """Past the model series' end (106 ns here) the first-detected density
+    continues in closed form; it must match a series run out to 260 ns."""
+    env = make_envelope()
+    s = 2 * math.pi * 370e6
+    data_span = 95e-9
+    support = env.support()
+    t_hi = support[1] + min(data_span, 8.0 * EM.lifetime)
+    tt, rho = population_series_fixed(DriveField.single(env.scaled(s)), EM,
+                                      (support[0], 260e-9), 40000)
+    ref = first_detected_density(tt, EM.gamma1 * rho, efficiency)
+    past = (tt > t_hi + 1e-9) & (tt < 250e-9)
+    model = trace_model(tt[past], env, EM, s, 0.0, 0.0, 1.0,
+                        data_span=data_span, model="first_detected",
+                        efficiency=efficiency)
+    assert np.max(np.abs(model / ref[past] - 1.0)) < 1e-6
 
 
 def test_fit_trace_zero_noise_exact():

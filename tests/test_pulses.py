@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.constants
 from hypothesis import assume, given, settings, strategies as st
 
+from rabisim import pulses
 from rabisim.bloch import window_pieces
 from rabisim.errors import NonConvergedQuadrature, UnreachableArea
 from rabisim.pulses import (DriveField, FieldComponent, GaussianEnvelope,
@@ -18,6 +20,11 @@ TWO_PI = 2.0 * math.pi
 def rect_pi_field(center=2e-9):
     return DriveField.single(
         RectangularEnvelope(peak=TWO_PI * 125e6, duration=4e-9, center=center))
+
+
+def test_si_constants_equal_scipys_bit_for_bit():
+    assert pulses.SPEED_OF_LIGHT == scipy.constants.c
+    assert pulses.PLANCK == scipy.constants.h
 
 
 def test_eval_rabi_rectangular_inside_and_outside():
